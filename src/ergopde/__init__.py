@@ -74,7 +74,6 @@ from .solver import (
     SolveReport,
     SolverConfig,
     comparison_probe,
-    regularized_rhs,
     residual,
     residual_field,
     solve_dirichlet,
@@ -123,7 +122,7 @@ __all__ = [
     "boundary_layer", "save_csv", "save_binary", "load_binary",
     # solver
     "SolverConfig", "SolveReport", "residual", "residual_field",
-    "regularized_rhs", "solve_dirichlet", "comparison_probe",
+    "solve_dirichlet", "comparison_probe",
     # oracle1d
     "ShootState", "exact_dirichlet_1d", "shoot_blowup",
     "ergodic_constant_1d", "blowup_profile_fit", "export_report",

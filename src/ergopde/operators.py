@@ -76,25 +76,54 @@ class SymMatrix:
             mean = 0.5 * (p + r)
             rad = math.hypot(0.5 * (p - r), q)
             return (mean - rad, mean + rad)
-        return _eig3(self.to_array())
+        return _eig3(self.upper)
 
 
-def _eig3(m: np.ndarray) -> tuple:
-    """Closed-form (trigonometric Cardano) eigenvalues of a symmetric 3x3."""
-    p1 = m[0, 1] ** 2 + m[0, 2] ** 2 + m[1, 2] ** 2
-    q = m.trace() / 3.0
+def _dot(x, y) -> float:
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def _cross(x, y) -> tuple:
+    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
+            x[0] * y[1] - x[1] * y[0])
+
+
+def _unit(x) -> tuple:
+    norm = math.sqrt(_dot(x, x))
+    return tuple(xi / norm for xi in x)
+
+
+def _eig3(upper: tuple) -> tuple:
+    """Closed-form eigenvalues of a symmetric 3x3 (upper triangle), ascending.
+
+    Cardano gives the simple root, which is well conditioned; the other two,
+    whose digits it halves where they nearly coincide, come from the 2x2
+    block of b = (m - qI)/p orthogonal to the simple root's eigenvector.
+    """
+    m00, m01, m02, m11, m12, m22 = upper
+    p1 = m01**2 + m02**2 + m12**2
+    q = (m00 + m11 + m22) / 3.0
     if p1 == 0.0:
-        return tuple(sorted((m[0, 0], m[1, 1], m[2, 2])))
-    p2 = (m[0, 0] - q) ** 2 + (m[1, 1] - q) ** 2 + (m[2, 2] - q) ** 2 + 2.0 * p1
-    p = math.sqrt(p2 / 6.0)
-    b = (m - q * np.eye(3)) / p
-    r = np.linalg.det(b) / 2.0
-    r = min(1.0, max(-1.0, r))
-    phi = math.acos(r) / 3.0
-    lam_hi = q + 2.0 * p * math.cos(phi)
-    lam_lo = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-    lam_mid = 3.0 * q - lam_hi - lam_lo
-    return (lam_lo, lam_mid, lam_hi)
+        return tuple(sorted((m00, m11, m22)))
+    p = math.sqrt(((m00 - q) ** 2 + (m11 - q) ** 2 + (m22 - q) ** 2 + 2.0 * p1) / 6.0)
+    b = ((m00 - q) / p, m01 / p, m02 / p), (m01 / p, (m11 - q) / p, m12 / p), \
+        (m02 / p, m12 / p, (m22 - q) / p)
+    det = _dot(b[0], _cross(b[1], b[2]))
+    phi = math.acos(min(1.0, max(-1.0, 0.5 * det))) / 3.0
+    # the largest root is simple when det >= 0, else the smallest; either
+    # lies at least sqrt(3) from the other two, so b - sI has rank 2 and
+    # its largest row cross product spans its null space
+    s = 2.0 * math.cos(phi if det >= 0.0 else phi + 2.0 * math.pi / 3.0)
+    c = [[bij - s * (i == j) for j, bij in enumerate(row)] for i, row in enumerate(b)]
+    v = _unit(max((_cross(c[i - 2], c[i - 1]) for i in range(3)),
+                  key=lambda w: _dot(w, w)))
+    k = min(range(3), key=lambda i: abs(v[i]))  # the axis most nearly orthogonal to v
+    u1 = _unit(_cross(v, [float(i == k) for i in range(3)]))
+    u2 = _cross(v, u1)
+    t11, t12, t22 = (_dot(x, [_dot(row, y) for row in b]) for x, y in
+                     ((u1, u1), (u1, u2), (u2, u2)))
+    mean, rad = 0.5 * (t11 + t22), math.hypot(0.5 * (t11 - t22), t12)
+    return tuple(q + p * lam for lam in sorted((s, mean - rad, mean + rad)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +203,9 @@ def eval_operator(spec: OperatorSpec, m: SymMatrix) -> float:
         return spec.coefficient * m.trace()
     if isinstance(spec, (PucciPlus, PucciMinus)):
         a, big_a = spec.bounds.a, spec.bounds.A
-        pos = sum(lam for lam in m.eigenvalues() if lam > 0.0)
-        neg = sum(-lam for lam in m.eigenvalues() if lam < 0.0)
+        lams = m.eigenvalues()
+        pos = sum(lam for lam in lams if lam > 0.0)
+        neg = sum(-lam for lam in lams if lam < 0.0)
         if isinstance(spec, PucciPlus):
             return big_a * pos - a * neg
         return a * pos - big_a * neg

@@ -11,12 +11,14 @@ with the Hamiltonian clamped at a truncation level M.  Two inner engines
 are provided: the damped fixed-point iteration with direct/Gauss-Seidel
 linear solves (all operators), and a damped Newton iteration on the stage
 system (scaled-trace operator in 1D), which is far more robust for steep
-boundary-layer profiles.
+boundary-layer profiles.  Both evaluate the stage system on raw value
+arrays, with the constants of each stage computed once.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,8 +34,8 @@ from .errors import (
     OutOfRange,
     PreconditionViolated,
 )
-from .grid import GridFunction, UniformGrid, gradient, gradient_field, hessian, \
-    hessian_field, lipschitz_seminorm
+from .grid import GridFunction, UniformGrid, gradient, hessian, hessian_field, \
+    lipschitz_seminorm
 from .model import EquationInstance, ScalarField
 
 _GRAD_FLOOR = 1e-14
@@ -118,10 +120,15 @@ class SolveReport:
 
 def _signed_power(u: np.ndarray, alpha: float) -> np.ndarray:
     """|u|^alpha * u, continuously extended by 0 at u = 0 for alpha > -1."""
+    if alpha == 0.0:
+        return u
     return np.sign(u) * np.abs(u) ** (1.0 + alpha)
 
 
-def _regularization_factor(gmag: np.ndarray, delta: float, alpha: float) -> np.ndarray:
+def _regularization_factor(gmag: np.ndarray, delta: float, alpha: float):
+    """(delta^2 + |g|^2)^(-alpha/2); the scalar 1.0 when alpha = 0."""
+    if alpha == 0.0:
+        return 1.0
     return (delta**2 + gmag**2) ** (-0.5 * alpha)
 
 
@@ -150,11 +157,14 @@ def _interior_coords(grid: UniformGrid) -> tuple:
     return (coords[0][1:-1, 1:-1], coords[1][1:-1, 1:-1])
 
 
-def _gradient_magnitude(u_values: np.ndarray, grid: UniformGrid) -> np.ndarray:
-    comps = gradient_field(GridFunction(grid, u_values))
-    if grid.dim == 1:
-        return np.abs(comps[0])
-    return np.hypot(comps[0], comps[1])
+def _centered_magnitude(u: np.ndarray, h: tuple) -> np.ndarray:
+    """|grad u| from centered differences on the interior of a raw array."""
+    if u.ndim == 1:
+        return np.abs((u[2:] - u[:-2]) / (2.0 * h[0]))
+    return np.hypot(
+        (u[2:, 1:-1] - u[:-2, 1:-1]) / (2.0 * h[0]),
+        (u[1:-1, 2:] - u[1:-1, :-2]) / (2.0 * h[1]),
+    )
 
 
 def _onesided_slopes_1d(u: np.ndarray, h: float) -> tuple:
@@ -163,7 +173,7 @@ def _onesided_slopes_1d(u: np.ndarray, h: float) -> tuple:
     return back, fwd
 
 
-def _rms_magnitude(u: np.ndarray, grid: UniformGrid) -> np.ndarray:
+def _rms_magnitude(u: np.ndarray, h: tuple) -> np.ndarray:
     """Root-mean-square of the one-sided slopes on the interior.
 
     Used in place of the centered magnitude inside the degenerate factor
@@ -172,8 +182,7 @@ def _rms_magnitude(u: np.ndarray, grid: UniformGrid) -> np.ndarray:
     singularity into an O(h/delta) point defect.  The RMS form is smooth
     in u, second-order accurate away from extrema, and positive at them.
     """
-    h = grid.spacing
-    if grid.dim == 1:
+    if u.ndim == 1:
         back, fwd = _onesided_slopes_1d(u, h[0])
         return np.sqrt(0.5 * (back**2 + fwd**2))
     ui = u[1:-1, 1:-1]
@@ -186,20 +195,18 @@ def _rms_magnitude(u: np.ndarray, grid: UniformGrid) -> np.ndarray:
     return np.sqrt(gx2 + gy2)
 
 
-def _upwind_magnitude(u: np.ndarray, grid: UniformGrid) -> np.ndarray:
+def _godunov(back: np.ndarray, fwd: np.ndarray) -> np.ndarray:
+    """max(D-, -D+, 0), the upwind one-dimensional slope."""
+    return np.maximum(np.maximum(back, -fwd), 0.0)
+
+
+def _upwind_magnitude(u: np.ndarray, h: tuple) -> np.ndarray:
     """Monotone (Rouy-Tourin) gradient magnitude on the interior."""
-    h = grid.spacing
-    if grid.dim == 1:
-        back = (u[1:-1] - u[:-2]) / h[0]
-        fwd = (u[2:] - u[1:-1]) / h[0]
-        return np.maximum.reduce([back, -fwd, np.zeros_like(back)])
+    if u.ndim == 1:
+        return _godunov(*_onesided_slopes_1d(u, h[0]))
     ui = u[1:-1, 1:-1]
-    bx = (ui - u[:-2, 1:-1]) / h[0]
-    fx = (u[2:, 1:-1] - ui) / h[0]
-    by = (ui - u[1:-1, :-2]) / h[1]
-    fy = (u[1:-1, 2:] - ui) / h[1]
-    gx = np.maximum.reduce([bx, -fx, np.zeros_like(bx)])
-    gy = np.maximum.reduce([by, -fy, np.zeros_like(by)])
+    gx = _godunov((ui - u[:-2, 1:-1]) / h[0], (u[2:, 1:-1] - ui) / h[0])
+    gy = _godunov((ui - u[1:-1, :-2]) / h[1], (u[1:-1, 2:] - ui) / h[1])
     return np.hypot(gx, gy)
 
 
@@ -212,7 +219,7 @@ def residual_field(instance: EquationInstance, u: GridFunction) -> np.ndarray:
     grid = u.grid
     alpha = instance.exponents.alpha
     beta = instance.exponents.beta
-    gmag = _gradient_magnitude(u.values, grid)
+    gmag = _centered_magnitude(u.values, grid.spacing)
     fvals = _eval_f_hessian(instance.operator, hessian_field(u))
     ic = _interior_coords(grid)
     return (
@@ -236,40 +243,6 @@ def residual(instance: EquationInstance, u: GridFunction, node) -> float:
     bval = float(instance.b(*pos))
     fxval = float(instance.f(*pos))
     return float(-_gradient_power(gmag, alpha) * fval + bval * gmag**beta - fxval)
-
-
-def regularized_rhs(
-    instance: EquationInstance,
-    u_prev: GridFunction,
-    v: GridFunction,
-    delta: float,
-    node,
-    epsilon_stab: float | None = None,
-    truncation_M: float = math.inf,
-) -> float:
-    """Frozen-coefficient right-hand side at one interior node.
-
-    (f + eps |u_prev|^alpha u_prev - b min(|grad v|, M)^beta)
-    * (delta^2 + |grad v|^2)^(-alpha/2).
-    """
-    grid = v.grid
-    if not grid.is_interior(node):
-        raise BoundaryNode(f"node {node} is not interior")
-    if delta <= 0.0:
-        raise OutOfRange("delta must be positive")
-    alpha = instance.exponents.alpha
-    beta = instance.exponents.beta
-    pos = grid.node_position(node)
-    if epsilon_stab is None:
-        epsilon_stab = 1e-3 * (1.0 + float(np.abs(instance.f(*pos))))
-    gmag = float(np.linalg.norm(gradient(v, node)))
-    s_prev = float(_signed_power(np.asarray(u_prev(node)), alpha))
-    val = (
-        float(instance.f(*pos))
-        + epsilon_stab * s_prev
-        - float(instance.b(*pos)) * min(gmag, truncation_M) ** beta
-    )
-    return float(val * _regularization_factor(np.asarray(gmag), delta, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +387,11 @@ def _solve_frozen(spec, grid, c0, rhs, boundary_values, w_start, tol):
 
 
 class _Stage:
-    """Shared per-stage data for the inner engines."""
+    """Shared per-stage data for the inner engines.
+
+    The constants (spacing, h^2, |b| beta, the diffusion floor) are set
+    once; the methods take their stencils straight from the value array.
+    """
 
     def __init__(self, instance, grid, boundary_full, eps, m_level, delta, config):
         self.instance = instance
@@ -429,15 +406,14 @@ class _Stage:
         self.b_int = instance.b(*ic)
         self.alpha = instance.exponents.alpha
         self.beta = instance.exponents.beta
+        self.h = grid.spacing
+        self.h2 = tuple(s**2 for s in self.h)
+        self.h_min = min(self.h)
+        self.b_beta = np.abs(self.b_int) * self.beta
+        self.two_floor = 2.0 * instance.operator.bounds.a
 
     def interior(self, u_full):
-        return u_full[1:-1] if self.grid.dim == 1 else u_full[1:-1, 1:-1]
-
-    def _diffusion_floor(self) -> float:
-        spec = self.instance.operator
-        if isinstance(spec, operators.ScaledTrace):
-            return spec.coefficient
-        return spec.bounds.a
+        return u_full[1:-1] if u_full.ndim == 1 else u_full[1:-1, 1:-1]
 
     def magnitudes(self, u_full) -> tuple:
         """Gradient magnitude for the Hamiltonian/degenerate factor + mask.
@@ -449,35 +425,24 @@ class _Stage:
         max(D-, -D+, 0) is used instead.  Returns (gmag, upwind_mask).
         """
         if self.config.upwind:
-            gmag = _upwind_magnitude(u_full, self.grid)
+            gmag = _upwind_magnitude(u_full, self.h)
             return gmag, np.ones(gmag.shape, dtype=bool)
         if self.alpha != 0.0:
-            g_c = _rms_magnitude(u_full, self.grid)
+            g_c = _rms_magnitude(u_full, self.h)
         else:
-            g_c = _gradient_magnitude(u_full, self.grid)
+            g_c = _centered_magnitude(u_full, self.h)
         t_mc = np.minimum(g_c, self.m_level)
-        with np.errstate(divide="ignore"):
-            tpow = np.where(
-                t_mc > 0.0,
-                t_mc ** (self.beta - 1.0),
-                np.inf if self.beta < 1.0 else (1.0 if self.beta == 1.0 else 0.0),
-            )
-        rho_c = _regularization_factor(g_c, self.delta, self.alpha)
-        q = np.abs(self.b_int) * self.beta * tpow * rho_c
-        h_min = min(self.grid.spacing)
-        peclet = q * h_min / (2.0 * self._diffusion_floor())
-        mask = peclet > self.config.peclet_threshold
+        with np.errstate(divide="ignore") if self.beta < 1.0 else nullcontext():
+            tpow = t_mc ** (self.beta - 1.0)  # 0^(beta-1) = inf for beta < 1
+        q = self.b_beta * tpow * _regularization_factor(g_c, self.delta, self.alpha)
+        mask = q * self.h_min / self.two_floor > self.config.peclet_threshold
         if not mask.any():
             return g_c, mask
-        g_up = _upwind_magnitude(u_full, self.grid)
-        return np.where(mask, g_up, g_c), mask
-
-    def gradient_mag(self, u_full):
-        return self.magnitudes(u_full)[0]
+        return np.where(mask, _upwind_magnitude(u_full, self.h), g_c), mask
 
     def rhs_and_c0(self, u_full):
         u_int = self.interior(u_full)
-        gmag = self.gradient_mag(u_full)
+        gmag = self.magnitudes(u_full)[0]
         rho = _regularization_factor(gmag, self.delta, self.alpha)
         s_prev = _signed_power(u_int, self.alpha)
         rhs = (
@@ -495,16 +460,15 @@ class _Stage:
 
     def stage_residual(self, u_full):
         """Residual of the stage fixed-point system at u (interior array)."""
-        u_int = self.interior(u_full)
-        gmag = self.gradient_mag(u_full)
+        if u_full.ndim == 1:  # the second difference straight from the array
+            hess = ((u_full[2:] - 2.0 * u_full[1:-1] + u_full[:-2]) / self.h2[0],)
+        else:
+            hess = hessian_field(GridFunction(self.grid, u_full))
+        gmag = self.magnitudes(u_full)[0]
         rho = _regularization_factor(gmag, self.delta, self.alpha)
-        s = _signed_power(u_int, self.alpha)
-        fvals = _eval_f_hessian(
-            self.instance.operator, hessian_field(GridFunction(self.grid, u_full))
-        )
-        p = self.f_int + self.eps * s \
-            - self.b_int * np.minimum(gmag, self.m_level) ** self.beta
-        return -fvals + self.eps * s - p * rho
+        es = self.eps * _signed_power(self.interior(u_full), self.alpha)
+        p = self.f_int + es - self.b_int * np.minimum(gmag, self.m_level) ** self.beta
+        return es - _eval_f_hessian(self.instance.operator, hess) - p * rho
 
 
 def _run_picard(stage: _Stage, u_full, theta, config) -> tuple:
@@ -545,6 +509,11 @@ def _run_picard(stage: _Stage, u_full, theta, config) -> tuple:
     )
 
 
+def _rms_norm(r: np.ndarray) -> float:
+    """|r|_2 / sqrt(size); the 2-norm is sqrt(r.r), as np.linalg.norm takes it."""
+    return math.sqrt(r.dot(r)) / math.sqrt(r.size)
+
+
 def _run_newton_1d(stage: _Stage, u_full, config) -> tuple:
     """Semismooth Newton on the 1D scaled-trace stage system.
 
@@ -553,18 +522,18 @@ def _run_newton_1d(stage: _Stage, u_full, config) -> tuple:
     reduce the residual.  Convergence is declared on the residual norm
     (scaled by the data), never on the update size alone.
     """
-    spec = stage.instance.operator
-    coef = spec.coefficient
-    h = stage.grid.spacing[0]
+    coef = stage.instance.operator.coefficient
+    h = stage.h[0]
+    h2 = stage.h2[0]
     n = u_full.size
     data_tol = config.inner_tol * (1.0 + float(np.abs(stage.f_int).max()))
     macheps = float(np.finfo(float).eps)
     lam = 0.0
     res = stage.stage_residual(u_full)
-    res_norm = float(np.linalg.norm(res) / math.sqrt(res.size))
+    res_norm = _rms_norm(res)
     for it in range(1, config.max_inner_iters + 1):
         # the second-difference evaluation has a rounding floor ~ |u| eps/h^2
-        eval_floor = 4.0 * macheps * coef * (1.0 + float(np.abs(u_full).max())) / h**2
+        eval_floor = 4.0 * macheps * coef * (1.0 + float(np.abs(u_full).max())) / h2
         if res_norm <= data_tol + eval_floor:
             return u_full, it, 1.0
         u_int = u_full[1:-1]
@@ -604,9 +573,9 @@ def _run_newton_1d(stage: _Stage, u_full, config) -> tuple:
         mag = np.maximum(np.abs(u_int), _U_FLOOR)
         dstab = stage.eps * (1.0 + stage.alpha) * mag**stage.alpha * (1.0 - rho)
         ab = np.zeros((3, n - 2))
-        ab[1, :] = 2.0 * coef / h**2 + dstab + q * d_diag + lam
-        upper = -coef / h**2 + q * d_up
-        lower = -coef / h**2 + q * d_lo
+        ab[1, :] = 2.0 * coef / h2 + dstab + q * d_diag + lam
+        upper = -coef / h2 + q * d_up
+        lower = -coef / h2 + q * d_lo
         ab[0, 1:] = upper[:-1]
         ab[2, :-1] = lower[1:]
         try:
@@ -625,8 +594,9 @@ def _run_newton_1d(stage: _Stage, u_full, config) -> tuple:
                 step *= 0.5
                 continue
             trial_res = stage.stage_residual(trial)
-            trial_norm = float(np.linalg.norm(trial_res) / math.sqrt(trial_res.size))
-            if np.isfinite(trial_norm) and trial_norm <= res_norm * (1.0 - 1e-4 * step):
+            trial_norm = _rms_norm(trial_res)
+            if math.isfinite(trial_norm) and \
+                    trial_norm <= res_norm * (1.0 - 1e-4 * step):
                 accepted = True
                 break
             step *= 0.5
@@ -634,11 +604,11 @@ def _run_newton_1d(stage: _Stage, u_full, config) -> tuple:
             u_full = trial
             res = trial_res
             res_norm = trial_norm
-            lam = 0.5 * lam if lam > 1e-8 / h**2 else 0.0
+            lam = 0.5 * lam if lam > 1e-8 / h2 else 0.0
         else:
             # steepen the model and recompute the direction
             lam = max(4.0 * lam, 1.0 / h)
-            if lam > 1e12 / h**2:
+            if lam > 1e12 / h2:
                 raise NonConvergence(
                     f"newton trust damping exhausted at delta={stage.delta}",
                     stage=stage.delta, iterations=it,
@@ -657,9 +627,9 @@ def _run_pseudo_time(stage: _Stage, u_full, config) -> tuple:
     max_steps = 50 * config.max_inner_iters
     for it in range(1, max_steps + 1):
         res = stage.stage_residual(u_full)
-        gmag = stage.gradient_mag(u_full)
+        gmag = stage.magnitudes(u_full)[0]
         rho_max = float(
-            _regularization_factor(gmag, stage.delta, stage.alpha).max()
+            np.max(_regularization_factor(gmag, stage.delta, stage.alpha))
         )
         dt = config.dt_factor * h2 / (big_a * max(rho_max, 1.0))
         u_new = u_full.copy()
@@ -802,7 +772,7 @@ def solve_dirichlet(
             m_level = growth * prev_m
             continue
         iterations = round_iters
-        gmag = _gradient_magnitude(u_full, grid)
+        gmag = _centered_magnitude(u_full, grid.spacing)
         activity = float(np.mean(gmag >= m_level))
         if not auto_m or activity == 0.0:
             break

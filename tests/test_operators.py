@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,6 +22,10 @@ from ergopde import (
 )
 
 BOUNDS = EllipticityBounds(1.0, 2.5)
+# v v^T has the double eigenvalue 0, where Cardano's formula for the pair
+# missed the homogeneity tolerance by up to 3x
+_V = np.array([-0.17364534, 1.00683066, 0.23782289])
+RANK_ONE = SymMatrix.from_array(np.outer(_V, _V))
 
 
 def sym(arr):
@@ -51,6 +55,20 @@ class TestSymMatrix:
 
     def test_trace(self):
         assert sym([[1.0, 2.0], [2.0, 4.0]]).trace() == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("spectrum", [
+        (0.0, 0.0, 1.1), (-2.0, 1.0, 1.0), (-1.0, -1.0, 3.0),
+        (1.0, 1.0 + 1e-9, 4.0), (2.0, 2.0, 2.0 + 1e-12), (-5.0, 1e-7, 2e-7),
+    ])
+    def test_eigenvalues_3x3_near_repeated(self, spectrum):
+        # where two eigenvalues (nearly) coincide, acos in Cardano's formula
+        # halves the digits; every eigenvalue must keep full precision
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        m = sym(q @ np.diag(spectrum) @ q.T)
+        ref = np.linalg.eigvalsh(m.to_array())
+        assert np.abs(np.array(m.eigenvalues()) - ref).max() \
+            <= 1e-14 * np.abs(ref).max()
 
 
 class TestEval:
@@ -100,6 +118,7 @@ class TestEval:
 
     @settings(max_examples=100, deadline=None)
     @given(random_sym(3), st.floats(min_value=0.01, max_value=10.0))
+    @example(RANK_ONE, 3.0)
     def test_positive_homogeneity(self, m, t):
         for spec in (ScaledTrace(), PucciPlus(BOUNDS), PucciMinus(BOUNDS)):
             fm = eval_operator(spec, m)

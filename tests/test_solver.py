@@ -1,13 +1,18 @@
 """Continuation solver: exactness, residuals, reports, failure modes."""
 
+import math
+
 import numpy as np
 import pytest
 
 from ergopde import (
+    EquationInstance,
+    ExponentPair,
     GridFunction,
     NonConvergence,
     PreconditionViolated,
     ScalarField,
+    ScaledTrace,
     SolverConfig,
     comparison_probe,
     exact_dirichlet_1d,
@@ -15,8 +20,10 @@ from ergopde import (
     residual_field,
     solve_dirichlet,
 )
+from ergopde.solver import _Stage
 from conftest import (
     COSINE_C,
+    INTERVAL,
     cosine_exact,
     interval_grid,
     make_instance,
@@ -85,6 +92,64 @@ class TestResidual:
         x = grid.axes()[0]
         u = GridFunction(grid, 0.5 * (1 - x**2))
         assert residual(inst, u, (32,)) == pytest.approx(residual_field(inst, u)[31])
+
+
+class TestStageResidual:
+    """The stage residual, taken from raw arrays, against references."""
+
+    coef = 1.5
+    b = "1 + 0.5*x"
+    f = "0.5*cos(3.0*x)"
+
+    def stage(self, grid, u, m_level, config):
+        inst = EquationInstance(
+            operator=ScaledTrace(self.coef), exponents=ExponentPair(0.0, 2.0),
+            b=ScalarField.from_expression(self.b, dim=1),
+            f=ScalarField.from_expression(self.f, dim=1), domain=INTERVAL,
+        )
+        return inst, _Stage(inst, grid, u, 1e-3, m_level, 0.25, config)
+
+    def test_centered_matches_residual_field(self):
+        # alpha = 0, M above max|u'| and no upwinding: the stage system's
+        # residual is the equation's residual (the eps terms cancel)
+        grid = interval_grid(41)
+        x = grid.axes()[0]
+        u = 3.0 + np.sin(2.0 * x) + x**2
+        inst, stage = self.stage(grid, u, 10.0, SolverConfig(peclet_threshold=math.inf))
+        ref = residual_field(inst, GridFunction(grid, u))
+        assert not stage.magnitudes(u)[1].any()
+        scale = float(np.abs(ref).max())
+        np.testing.assert_allclose(stage.stage_residual(u), ref,
+                                   rtol=1e-12, atol=1e-12 * scale)
+
+    def test_upwind_mask_matches_direct_godunov(self):
+        # a steep profile: at the high-Peclet nodes near the boundary the
+        # gradient magnitude is the Godunov max(D-u, -D+u, 0), which is 0
+        # at the dip
+        grid = interval_grid(41)
+        x = grid.axes()[0]
+        h = grid.spacing[0]
+        u = 10.0 - 3.0 * np.log(1.02 - x**2)
+        u[2] = u[3] - 0.1  # a dip: both one-sided slopes point uphill there
+        m_level = 1e3
+        inst, stage = self.stage(grid, u, m_level, SolverConfig())
+        xi = x[1:-1]
+        b = 1.0 + 0.5 * xi
+        centered = np.abs(u[2:] - u[:-2]) / (2.0 * h)
+        back = (u[1:-1] - u[:-2]) / h
+        fwd = (u[2:] - u[1:-1]) / h
+        godunov = np.stack([back, -fwd, np.zeros_like(back)]).max(axis=0)
+        mask = np.abs(b) * 2.0 * centered * h / (2.0 * self.coef) > 0.5
+        assert 0 < mask.sum() < mask.size and (godunov[mask] == 0.0).any()
+        gmag = np.where(mask, godunov, centered)
+        ref = (-self.coef * (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
+               + b * np.minimum(gmag, m_level) ** 2 - 0.5 * np.cos(3.0 * xi))
+        got_gmag, got_mask = stage.magnitudes(u)
+        np.testing.assert_array_equal(got_mask, mask)
+        np.testing.assert_allclose(got_gmag, gmag, rtol=1e-12)
+        scale = float(np.abs(ref).max())
+        np.testing.assert_allclose(stage.stage_residual(u), ref,
+                                   rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestReports:
