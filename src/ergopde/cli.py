@@ -31,7 +31,7 @@ from .ergodic import (
     verify_gradient_rate,
     verify_uniqueness,
 )
-from .grid import GridFunction, UniformGrid, save_binary, save_csv
+from .grid import UniformGrid, save_binary, save_csv
 from .model import (
     Box,
     ScalarField,
@@ -50,7 +50,6 @@ from .operators import (
     eval_operator,
 )
 from .oracle1d import (
-    blowup_profile_fit,
     ergodic_constant_1d,
     exact_dirichlet_1d,
     shoot_blowup,
@@ -86,6 +85,12 @@ def load_config(path: Path) -> tuple:
 
 def solver_config_from(cfg: dict) -> SolverConfig:
     """SolverConfig from the `solver:` section (all keys optional)."""
+    for key in ("engine", "fallback"):
+        if key in cfg:
+            raise ConfigError(
+                f"solver key {key!r} is not supported: every solve runs the one "
+                "semismooth Newton engine"
+            )
     kwargs = {}
     if "delta_schedule" in cfg:
         kwargs["delta_schedule"] = tuple(float(d) for d in cfg["delta_schedule"])
@@ -98,10 +103,6 @@ def solver_config_from(cfg: dict) -> SolverConfig:
     if "truncation" in cfg:
         trunc = cfg["truncation"]
         kwargs["truncation_M"] = "auto" if trunc == "auto" else float(trunc)
-    if "fallback" in cfg:
-        kwargs["fallback"] = bool(cfg["fallback"])
-    if "engine" in cfg:
-        kwargs["engine"] = str(cfg["engine"])
     try:
         return SolverConfig(**kwargs)
     except ErgopdeError as exc:

@@ -57,9 +57,6 @@ class UniformGrid:
         ax, ay = self.axes()
         return tuple(np.meshgrid(ax, ay, indexing="ij"))
 
-    def node_count(self) -> int:
-        return int(np.prod(self.shape))
-
     def is_interior(self, node) -> bool:
         idx = _as_index(node, self.dim)
         return all(0 < i < n - 1 for i, n in zip(idx, self.shape))
@@ -120,10 +117,6 @@ class GridFunction:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    @staticmethod
-    def from_callable(grid: UniformGrid, fn) -> "GridFunction":
-        return GridFunction(grid, fn(*grid.coords()))
 
     def __call__(self, node) -> float:
         return float(self.values[_as_index(node, self.grid.dim)])

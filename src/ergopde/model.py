@@ -133,10 +133,6 @@ class ScalarField:
     def from_expression(expr: str, dim: int = 1) -> "ScalarField":
         return ScalarField(fn=compile_expression(expr, dim), dim=dim, expression=expr)
 
-    @staticmethod
-    def from_callable(fn, dim: int = 1, lipschitz: float | None = None) -> "ScalarField":
-        return ScalarField(fn=fn, dim=dim, lipschitz=lipschitz)
-
 
 @dataclass(frozen=True)
 class Box:
@@ -170,12 +166,6 @@ class Box:
         return Box(
             tuple(ci - hi for ci, hi in zip(c, half)),
             tuple(ci + hi for ci, hi in zip(c, half)),
-        )
-
-    def contains(self, point) -> bool:
-        p = np.atleast_1d(np.asarray(point, dtype=float))
-        return bool(
-            np.all(p >= np.array(self.lo)) and np.all(p <= np.array(self.hi))
         )
 
 

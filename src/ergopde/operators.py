@@ -226,15 +226,27 @@ def eval_operator(spec: OperatorSpec, m: SymMatrix) -> float:
 def eval_second_derivative_1d(spec: OperatorSpec, t: np.ndarray) -> np.ndarray:
     """F applied to 1x1 matrices (t) elementwise."""
     t = np.asarray(t, dtype=float)
-    if isinstance(spec, ScaledTrace):
+    if isinstance(spec, ScaledTrace):  # the hot path of the 1D trace solves
         return spec.coefficient * t
+    return policy_1d(spec, t) * t
+
+
+def policy_1d(spec: OperatorSpec, t: np.ndarray) -> np.ndarray:
+    """Slope of F(t) at each t: the Howard policy of F on 1x1 matrices.
+
+    F is positively 1-homogeneous, so F(t) = policy_1d(spec, t) * t; the
+    branch is chosen by the sign of t (the t <= 0 branch at t = 0).
+    """
+    t = np.asarray(t, dtype=float)
+    if isinstance(spec, ScaledTrace):
+        return np.full(t.shape, spec.coefficient)
     if isinstance(spec, PucciPlus):
-        return np.where(t > 0.0, spec.bounds.A * t, spec.bounds.a * t)
+        return np.where(t > 0.0, spec.bounds.A, spec.bounds.a)
     if isinstance(spec, PucciMinus):
-        return np.where(t > 0.0, spec.bounds.a * t, spec.bounds.A * t)
+        return np.where(t > 0.0, spec.bounds.a, spec.bounds.A)
     if isinstance(spec, BellmanMax):
-        qs = np.array([q.upper[0] for q in spec.matrices])
-        return np.where(t > 0.0, qs.max() * t, qs.min() * t)
+        qs = [q.upper[0] for q in spec.matrices]
+        return np.where(t > 0.0, max(qs), min(qs))
     raise TypeError(f"unknown operator spec: {spec!r}")
 
 
@@ -267,6 +279,53 @@ def eval_hessian_2d(
             v = qa[0, 0] * txx + 2.0 * qa[0, 1] * txy + qa[1, 1] * tyy
             vals = v if vals is None else np.maximum(vals, v)
         return vals
+    raise TypeError(f"unknown operator spec: {spec!r}")
+
+
+def policy_2d(
+    spec: OperatorSpec, txx: np.ndarray, txy: np.ndarray, tyy: np.ndarray
+) -> tuple:
+    """dF/dM at 2x2 symmetric matrices given by components: the Howard policy.
+
+    Returns the entries (cxx, cxy, cyy) of the symmetric matrix C with
+    F(M) = tr(C M) = cxx txx + 2 cxy txy + cyy tyy.  The trace gives
+    (a, 0, a); Pucci gives sum_i w(lam_i) e_i e_i^T with w the extremal
+    weight of the sign of lam_i; Bellman gives the maximising Q (the first
+    one on ties).
+    """
+    txx = np.asarray(txx, dtype=float)
+    txy = np.asarray(txy, dtype=float)
+    tyy = np.asarray(tyy, dtype=float)
+    if isinstance(spec, ScaledTrace):
+        coef = np.full(txx.shape, spec.coefficient)
+        return coef, np.zeros(txx.shape), coef
+    if isinstance(spec, (PucciPlus, PucciMinus)):
+        a, big_a = spec.bounds.a, spec.bounds.A
+        w_pos, w_neg = (big_a, a) if isinstance(spec, PucciPlus) else (a, big_a)
+        mean = 0.5 * (txx + tyy)
+        half = 0.5 * (txx - tyy)
+        rad = np.hypot(half, txy)
+        w_hi = np.where(mean + rad > 0.0, w_pos, w_neg)
+        w_lo = np.where(mean - rad > 0.0, w_pos, w_neg)
+        # e_hi e_hi^T = I/2 + (M - mean I)/(2 rad); I/2 for a repeated eigenvalue
+        s = np.where(rad > 0.0, 0.5 / np.where(rad > 0.0, rad, 1.0), 0.0)
+        jump = w_hi - w_lo
+        return (w_lo + jump * (0.5 + half * s), jump * txy * s,
+                w_lo + jump * (0.5 - half * s))
+    if isinstance(spec, BellmanMax):
+        if spec.dim != 2:
+            raise DimensionMismatch("bellman-max dimension is not 2")
+        best = coefs = None
+        for q in spec.matrices:
+            q00, q01, q11 = q.upper
+            v = q00 * txx + 2.0 * q01 * txy + q11 * tyy
+            if best is None:
+                best, coefs = v, [np.full(v.shape, c) for c in (q00, q01, q11)]
+                continue
+            take = v > best
+            best = np.where(take, v, best)
+            coefs = [np.where(take, c, old) for c, old in zip((q00, q01, q11), coefs)]
+        return tuple(coefs)
     raise TypeError(f"unknown operator spec: {spec!r}")
 
 

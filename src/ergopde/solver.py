@@ -1,25 +1,28 @@
 """Discrete Dirichlet solver for -|grad u|^a F(D2 u) + b|grad u|^b = f.
 
 The gradient degeneracy is removed by a continuation over a decreasing
-schedule of regularization parameters delta; at each stage a damped inner
-iteration solves the frozen-coefficient problem
+schedule of regularization parameters delta; at each stage one engine, a
+semismooth Newton iteration (Howard's policy iteration for the max-type
+operators), solves the stage system
 
-    -F(D2 w) + eps |w_prev|^alpha w = (f + eps |u_prev|^alpha u_prev
-        - b min(|grad v|, M)^beta) (delta^2 + |grad v|^2)^(-alpha/2)
+    -F(D2 u) + eps |u|^alpha u
+        = (f + eps |u|^alpha u - b min(|grad u|, M)^beta) rho,
+    rho = (delta^2 + |grad u|^2)^(-alpha/2),
 
-with the Hamiltonian clamped at a truncation level M.  Two inner engines
-are provided: the damped fixed-point iteration with direct/Gauss-Seidel
-linear solves (all operators), and a damped Newton iteration on the stage
-system (scaled-trace operator in 1D), which is far more robust for steep
-boundary-layer profiles.  Both evaluate the stage system on raw value
-arrays, with the constants of each stage computed once.
+with the Hamiltonian clamped at a truncation level M, for every operator
+in 1D and 2D.  F enters the Jacobian through its policy at the current
+Hessian (`operators.policy_1d`, `operators.policy_2d`); only the linear
+solve differs between the dimensions: banded in 1D, a sparse 9-point
+matrix in 2D.  The stage system is evaluated on raw value arrays, with
+the constants of each stage computed once.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -53,19 +56,16 @@ def default_delta_schedule() -> tuple:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Continuation ladder, damping, truncation and tolerances."""
+    """Continuation ladder, truncation, upwinding and tolerances."""
 
     delta_schedule: tuple = field(default_factory=default_delta_schedule)
     epsilon_stab: float | None = None  # None -> 1e-3 * (1 + |f|_inf)
     truncation_M: float | str = "auto"
-    theta: float = 0.5
+    theta: float = 0.5  # read by ergodic.verify_uniqueness, not by the solver
     inner_tol: float = 1e-8
     max_inner_iters: int = 400
-    engine: str = "auto"  # auto | picard | newton
     upwind: bool = False
     peclet_threshold: float = 0.5  # inf -> centered scheme everywhere
-    fallback: bool = False
-    dt_factor: float = 0.2
     divergence_guard: float = 1e9
     max_truncation_rounds: int = 400
 
@@ -80,8 +80,6 @@ class SolverConfig:
             raise OutOfRange("inner_tol must be positive")
         if not (0.0 < self.theta <= 1.0):
             raise OutOfRange("theta must lie in (0, 1]")
-        if self.engine not in ("auto", "picard", "newton"):
-            raise OutOfRange(f"unknown engine {self.engine!r}")
 
 
 @dataclass(frozen=True)
@@ -94,9 +92,6 @@ class SolveReport:
     truncation_activity: float
     truncation_M: float
     delta_stability: float
-    engine: str
-    theta_final: float
-    fallback_used: bool
     truncation_rounds: int
 
     def to_dict(self) -> dict:
@@ -107,9 +102,10 @@ class SolveReport:
             "truncation_activity": self.truncation_activity,
             "truncation_M": self.truncation_M,
             "delta_stability": self.delta_stability,
-            "engine": self.engine,
-            "theta_final": self.theta_final,
-            "fallback_used": self.fallback_used,
+            # constant keys, kept so that report.json keeps its schema
+            "engine": "newton",
+            "theta_final": 1.0,
+            "fallback_used": False,
             "truncation_rounds": self.truncation_rounds,
         }
 
@@ -246,164 +242,25 @@ def residual(instance: EquationInstance, u: GridFunction, node) -> float:
 
 
 # ---------------------------------------------------------------------------
-# linear solves for the frozen-coefficient problem
-
-
-def _solve_trace_1d(coef, h, c0, rhs, left, right):
-    n = rhs.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -coef / h**2
-    ab[1, :] = 2.0 * coef / h**2 + c0
-    ab[2, :-1] = -coef / h**2
-    b = rhs.copy()
-    b[0] += coef / h**2 * left
-    b[-1] += coef / h**2 * right
-    return scipy.linalg.solve_banded((1, 1), ab, b)
-
-
-def _solve_trace_2d(coef, grid, c0, rhs, boundary_values):
-    nx, ny = grid.shape
-    hx, hy = grid.spacing
-    mx, my = nx - 2, ny - 2
-    n = mx * my
-    cx = coef / hx**2
-    cy = coef / hy**2
-    main = 2.0 * (cx + cy) + c0.ravel()
-    offs_x = -cx * np.ones(n - my)
-    offs_y = -cy * np.ones(n - 1)
-    offs_y[my - 1 :: my] = 0.0  # no coupling across grid rows
-    mat = scipy.sparse.diags(
-        [main, offs_x, offs_x, offs_y, offs_y],
-        [0, -my, my, -1, 1],
-        format="csc",
-    )
-    b = rhs.copy()
-    b[0, :] += cx * boundary_values[0, 1:-1]
-    b[-1, :] += cx * boundary_values[-1, 1:-1]
-    b[:, 0] += cy * boundary_values[1:-1, 0]
-    b[:, -1] += cy * boundary_values[1:-1, -1]
-    sol = scipy.sparse.linalg.spsolve(mat, b.ravel())
-    return sol.reshape(mx, my)
-
-
-def _branch_coefficients(spec) -> tuple:
-    """(m_pos, m_neg): slope of F(t) for t > 0 and t < 0 in 1D."""
-    if isinstance(spec, operators.ScaledTrace):
-        return spec.coefficient, spec.coefficient
-    if isinstance(spec, operators.PucciPlus):
-        return spec.bounds.A, spec.bounds.a
-    if isinstance(spec, operators.PucciMinus):
-        return spec.bounds.a, spec.bounds.A
-    if isinstance(spec, operators.BellmanMax):
-        qs = [q.upper[0] for q in spec.matrices]
-        return max(qs), min(qs)
-    raise TypeError(f"unknown operator spec: {spec!r}")
-
-
-def _gs_sweeps_1d(spec, h, c0, rhs, w_full, tol, max_sweeps=400):
-    """Red-black nonlinear Gauss-Seidel for -F(w'') + c0 w = rhs (1D)."""
-    m_pos, m_neg = _branch_coefficients(spec)
-    n = w_full.size
-    idx = np.arange(1, n - 1)
-    colors = (idx[idx % 2 == 1], idx[idx % 2 == 0])
-    for sweep in range(max_sweeps):
-        change = 0.0
-        for color in colors:
-            s = w_full[color - 1] + w_full[color + 1]
-            r = rhs[color - 1]
-            c = c0[color - 1] if np.ndim(c0) else np.full(color.shape, c0)
-            phi_kink = c * 0.5 * s - r
-            m = np.where(phi_kink > 0.0, m_pos, m_neg)
-            w_new = (r + m * s / h**2) / (2.0 * m / h**2 + c)
-            change = max(change, float(np.abs(w_new - w_full[color]).max()))
-            w_full[color] = w_new
-        if change <= tol:
-            break
-    return w_full
-
-
-def _gs_sweeps_2d(spec, grid, c0, rhs, w_full, tol, max_sweeps=400):
-    """Red-black Gauss-Seidel with a contraction nodewise solve (2D)."""
-    hx, hy = grid.spacing
-    big_a = spec.bounds.A if hasattr(spec, "bounds") else spec.coefficient
-    lmax = 2.0 * big_a * (1.0 / hx**2 + 1.0 / hy**2)
-    nx, ny = grid.shape
-    ii, jj = np.meshgrid(np.arange(1, nx - 1), np.arange(1, ny - 1), indexing="ij")
-    parity = (ii + jj) % 2
-    for sweep in range(max_sweeps):
-        change = 0.0
-        for p in (0, 1):
-            sel = parity == p
-            i = ii[sel]
-            j = jj[sel]
-            u_e = w_full[i + 1, j]
-            u_w = w_full[i - 1, j]
-            u_n = w_full[i, j + 1]
-            u_s = w_full[i, j - 1]
-            txy = (
-                w_full[i + 1, j + 1]
-                + w_full[i - 1, j - 1]
-                - w_full[i + 1, j - 1]
-                - w_full[i - 1, j + 1]
-            ) / (4.0 * hx * hy)
-            r = rhs[i - 1, j - 1]
-            c = c0[i - 1, j - 1] if np.ndim(c0) else np.full(i.shape, c0)
-            w = w_full[i, j].copy()
-            denom = lmax + c
-            for _ in range(40):
-                txx = (u_e + u_w - 2.0 * w) / hx**2
-                tyy = (u_n + u_s - 2.0 * w) / hy**2
-                phi = -operators.eval_hessian_2d(spec, txx, txy, tyy) + c * w - r
-                w = w - phi / denom
-            change = max(change, float(np.abs(w - w_full[i, j]).max()))
-            w_full[i, j] = w
-        if change <= tol:
-            break
-    return w_full
-
-
-def _solve_frozen(spec, grid, c0, rhs, boundary_values, w_start, tol):
-    """Solve -F(D2 w) + c0 w = rhs with Dirichlet data from boundary_values."""
-    if isinstance(spec, operators.ScaledTrace):
-        if grid.dim == 1:
-            w = boundary_values.copy()
-            w[1:-1] = _solve_trace_1d(
-                spec.coefficient, grid.spacing[0], c0, rhs,
-                boundary_values[0], boundary_values[-1],
-            )
-            return w
-        w = boundary_values.copy()
-        w[1:-1, 1:-1] = _solve_trace_2d(spec.coefficient, grid, c0, rhs,
-                                        boundary_values)
-        return w
-    w = w_start.copy()
-    if grid.dim == 1:
-        return _gs_sweeps_1d(spec, grid.spacing[0], c0, rhs, w, tol)
-    return _gs_sweeps_2d(spec, grid, c0, rhs, w, tol)
-
-
-# ---------------------------------------------------------------------------
-# stage engines
+# the stage system and its semismooth Newton (Howard) iteration
 
 
 class _Stage:
-    """Shared per-stage data for the inner engines.
+    """One continuation stage: its residual and its semismooth Jacobian.
 
     The constants (spacing, h^2, |b| beta, the diffusion floor) are set
     once; the methods take their stencils straight from the value array.
+    `fields` holds f and b on the interior nodes, which a solve evaluates once.
     """
 
-    def __init__(self, instance, grid, boundary_full, eps, m_level, delta, config):
+    def __init__(self, instance, grid, eps, m_level, delta, config, fields):
         self.instance = instance
         self.grid = grid
-        self.boundary_full = boundary_full
         self.eps = eps
         self.m_level = m_level
         self.delta = delta
         self.config = config
-        ic = _interior_coords(grid)
-        self.f_int = instance.f(*ic)
-        self.b_int = instance.b(*ic)
+        self.f_int, self.b_int = fields
         self.alpha = instance.exponents.alpha
         self.beta = instance.exponents.beta
         self.h = grid.spacing
@@ -432,125 +289,69 @@ class _Stage:
         else:
             g_c = _centered_magnitude(u_full, self.h)
         t_mc = np.minimum(g_c, self.m_level)
-        with np.errstate(divide="ignore") if self.beta < 1.0 else nullcontext():
-            tpow = t_mc ** (self.beta - 1.0)  # 0^(beta-1) = inf for beta < 1
-        q = self.b_beta * tpow * _regularization_factor(g_c, self.delta, self.alpha)
+        # 0^(beta-1) = inf for beta < 1, and 0 * inf = nan where b = 0
+        with np.errstate(divide="ignore", invalid="ignore") if self.beta < 1.0 \
+                else nullcontext():
+            tpow = t_mc ** (self.beta - 1.0)
+            q = self.b_beta * tpow * _regularization_factor(g_c, self.delta, self.alpha)
         mask = q * self.h_min / self.two_floor > self.config.peclet_threshold
         if not mask.any():
             return g_c, mask
         return np.where(mask, _upwind_magnitude(u_full, self.h), g_c), mask
 
-    def rhs_and_c0(self, u_full):
-        u_int = self.interior(u_full)
-        gmag = self.magnitudes(u_full)[0]
-        rho = _regularization_factor(gmag, self.delta, self.alpha)
-        s_prev = _signed_power(u_int, self.alpha)
-        rhs = (
-            self.f_int
-            + self.eps * s_prev
-            - self.b_int * np.minimum(gmag, self.m_level) ** self.beta
-        ) * rho
-        if self.alpha == 0.0:
-            c0 = np.full(u_int.shape, self.eps)
-        else:
-            mag = np.maximum(np.abs(u_int), _U_FLOOR) if self.alpha < 0.0 \
-                else np.abs(u_int)
-            c0 = self.eps * mag**self.alpha
-        return rhs, c0
+    def hessian(self, u_full) -> tuple:
+        if u_full.ndim == 1:  # the second difference straight from the array
+            return ((u_full[2:] - 2.0 * u_full[1:-1] + u_full[:-2]) / self.h2[0],)
+        return hessian_field(GridFunction(self.grid, u_full))
 
     def stage_residual(self, u_full):
-        """Residual of the stage fixed-point system at u (interior array)."""
-        if u_full.ndim == 1:  # the second difference straight from the array
-            hess = ((u_full[2:] - 2.0 * u_full[1:-1] + u_full[:-2]) / self.h2[0],)
-        else:
-            hess = hessian_field(GridFunction(self.grid, u_full))
+        """Residual of the stage system at u (interior array)."""
         gmag = self.magnitudes(u_full)[0]
         rho = _regularization_factor(gmag, self.delta, self.alpha)
         es = self.eps * _signed_power(self.interior(u_full), self.alpha)
         p = self.f_int + es - self.b_int * np.minimum(gmag, self.m_level) ** self.beta
-        return es - _eval_f_hessian(self.instance.operator, hess) - p * rho
+        return es - _eval_f_hessian(self.instance.operator, self.hessian(u_full)) \
+            - p * rho
 
+    def _lower_order_slopes(self, u_full) -> tuple:
+        """(gmag, upwind_mask, q, dstab): the residual's first-order part.
 
-def _run_picard(stage: _Stage, u_full, theta, config) -> tuple:
-    """Damped fixed-point iteration; returns (u, iterations, theta)."""
-    halvings = 0
-    prev_change = math.inf
-    gs_tol = max(0.05 * config.inner_tol, 1e-14)
-    for it in range(1, config.max_inner_iters + 1):
-        rhs, c0 = stage.rhs_and_c0(u_full)
-        w = _solve_frozen(
-            stage.instance.operator, stage.grid, c0, rhs,
-            stage.boundary_full, u_full, gs_tol,
-        )
-        u_new = (1.0 - theta) * u_full + theta * w
-        change = float(np.abs(u_new - u_full).max())
-        if not np.isfinite(change) or np.abs(u_new).max() > config.divergence_guard:
-            raise NonConvergence(
-                f"fixed-point iterate diverged at delta={stage.delta}",
-                stage=stage.delta, iterations=it,
-            )
-        if change > prev_change * 1.2:
-            if halvings < 4:
-                theta *= 0.5
-                halvings += 1
-            else:
-                raise NonConvergence(
-                    f"damping exhausted at delta={stage.delta}",
-                    stage=stage.delta, iterations=it,
-                )
-        prev_change = min(prev_change, change)
-        u_full = u_new
-        if change <= config.inner_tol:
-            return u_full, it, theta
-    raise NonConvergence(
-        f"no convergence in {config.max_inner_iters} fixed-point steps "
-        f"at delta={stage.delta}",
-        stage=stage.delta, iterations=config.max_inner_iters,
-    )
+        q is its derivative in the gradient magnitude (Hamiltonian and
+        regularization factor), dstab its derivative in the node value.
+        """
+        u_int = self.interior(u_full)
+        gmag, upwind_mask = self.magnitudes(u_full)
+        rho = _regularization_factor(gmag, self.delta, self.alpha)
+        t_m = np.minimum(gmag, self.m_level)
+        p = self.f_int + self.eps * _signed_power(u_int, self.alpha) \
+            - self.b_int * t_m**self.beta
+        with np.errstate(divide="ignore") if self.beta < 1.0 else nullcontext():
+            tpow = t_m ** (self.beta - 1.0)
+        if self.beta < 1.0:
+            tpow[t_m == 0.0] = 0.0  # the semismooth slope at g = 0, as sign(0) = 0
+        q = self.b_int * self.beta * tpow * (gmag < self.m_level) * rho
+        q = q + p * self.alpha * gmag / (self.delta**2 + gmag**2) * rho
+        mag = np.maximum(np.abs(u_int), _U_FLOOR)
+        dstab = self.eps * (1.0 + self.alpha) * mag**self.alpha * (1.0 - rho)
+        return gmag, upwind_mask, q, dstab
 
+    def jacobian_1d(self, u_full, lam=0.0):
+        """Semismooth Jacobian of the stage residual, plus lam on the diagonal.
 
-def _rms_norm(r: np.ndarray) -> float:
-    """|r|_2 / sqrt(size); the 2-norm is sqrt(r.r), as np.linalg.norm takes it."""
-    return math.sqrt(r.dot(r)) / math.sqrt(r.size)
-
-
-def _run_newton_1d(stage: _Stage, u_full, config) -> tuple:
-    """Semismooth Newton on the 1D scaled-trace stage system.
-
-    Line search on the l2 residual norm; a Levenberg shift is added to the
-    Jacobian diagonal whenever a full sweep of step halvings fails to
-    reduce the residual.  Convergence is declared on the residual norm
-    (scaled by the data), never on the update size alone.
-    """
-    coef = stage.instance.operator.coefficient
-    h = stage.h[0]
-    h2 = stage.h2[0]
-    n = u_full.size
-    data_tol = config.inner_tol * (1.0 + float(np.abs(stage.f_int).max()))
-    macheps = float(np.finfo(float).eps)
-    lam = 0.0
-    res = stage.stage_residual(u_full)
-    res_norm = _rms_norm(res)
-    for it in range(1, config.max_inner_iters + 1):
-        # the second-difference evaluation has a rounding floor ~ |u| eps/h^2
-        eval_floor = 4.0 * macheps * coef * (1.0 + float(np.abs(u_full).max())) / h2
-        if res_norm <= data_tol + eval_floor:
-            return u_full, it, 1.0
-        u_int = u_full[1:-1]
+        F enters through its Howard policy at the current Hessian, the
+        gradient magnitude through its active branch.  1D: the (3, n) band
+        of `scipy.linalg.solve_banded`.
+        """
+        h = self.h[0]
+        h2 = self.h2[0]
+        n = u_full.size
+        slope = operators.policy_1d(self.instance.operator, self.hessian(u_full)[0])
         gsig = (u_full[2:] - u_full[:-2]) / (2.0 * h)
-        gmag, upwind_mask = stage.magnitudes(u_full)
-        rho = _regularization_factor(gmag, stage.delta, stage.alpha)
-        t_m = np.minimum(gmag, stage.m_level)
-        p = stage.f_int + stage.eps * _signed_power(u_int, stage.alpha) \
-            - stage.b_int * t_m**stage.beta
-        # dG/d g   (through Hamiltonian and the regularization factor)
-        q = stage.b_int * stage.beta * t_m ** (stage.beta - 1.0) \
-            * (gmag < stage.m_level) * rho
-        q = q + p * stage.alpha * gmag / (stage.delta**2 + gmag**2) * rho
+        gmag, upwind_mask, q, dstab = self._lower_order_slopes(u_full)
         # derivative of the gradient magnitude w.r.t. the three stencil
         # values (RMS of one-sided slopes for alpha != 0, centered else)
         back, fwd = _onesided_slopes_1d(u_full, h)
-        if stage.alpha != 0.0:
+        if self.alpha != 0.0:
             safe = np.maximum(gmag, _GRAD_FLOOR)
             d_up = 0.5 * fwd / (h * safe)
             d_lo = -0.5 * back / (h * safe)
@@ -564,22 +365,114 @@ def _run_newton_1d(stage: _Stage, u_full, config) -> tuple:
             # Godunov branch selection: gmag = max(D-, -D+, 0)
             back_sel = (back >= -fwd) & (back >= 0.0)
             fwd_sel = ~back_sel & (-fwd >= 0.0)
-            d_diag = np.where(
-                upwind_mask, (back_sel | fwd_sel) / h, d_diag
-            )
+            d_diag = np.where(upwind_mask, (back_sel | fwd_sel) / h, d_diag)
             d_lo = np.where(upwind_mask, -(back_sel / h), d_lo)
             d_up = np.where(upwind_mask, -(fwd_sel / h), d_up)
-        # diagonal contribution of the zero-order stabilizer
-        mag = np.maximum(np.abs(u_int), _U_FLOOR)
-        dstab = stage.eps * (1.0 + stage.alpha) * mag**stage.alpha * (1.0 - rho)
         ab = np.zeros((3, n - 2))
-        ab[1, :] = 2.0 * coef / h2 + dstab + q * d_diag + lam
-        upper = -coef / h2 + q * d_up
-        lower = -coef / h2 + q * d_lo
+        ab[1, :] = 2.0 * slope / h2 + dstab + q * d_diag + lam
+        upper = -slope / h2 + q * d_up
+        lower = -slope / h2 + q * d_lo
         ab[0, 1:] = upper[:-1]
         ab[2, :-1] = lower[1:]
+        return ab
+
+    def _magnitude_slopes_2d(self, u_full, gmag, upwind_mask) -> dict:
+        """d gmag / d u at the node and its four axis neighbours, by offset.
+
+        Per axis the magnitude depends on the one-sided slopes D-u, D+u
+        through weights (wb, wf) = gmag * (d gmag/d D-u, d gmag/d D+u):
+        centered, RMS (alpha != 0) or, at masked nodes, the Godunov branch.
+        """
+        ui = u_full[1:-1, 1:-1]
+        inv = 1.0 / np.maximum(gmag, _GRAD_FLOOR)  # the weights vanish with gmag
+        slopes = {(0, 0): 0.0}
+        neighbours = ((u_full[:-2, 1:-1], u_full[2:, 1:-1], (1, 0)),
+                      (u_full[1:-1, :-2], u_full[1:-1, 2:], (0, 1)))
+        for (lo, hi, (di, dj)), h in zip(neighbours, self.h):
+            back, fwd = (ui - lo) / h, (hi - ui) / h
+            wb, wf = (0.5 * back, 0.5 * fwd) if self.alpha != 0.0 \
+                else (0.25 * (back + fwd),) * 2
+            if upwind_mask.any():
+                back_sel = (back >= -fwd) & (back >= 0.0)
+                fwd_sel = ~back_sel & (-fwd >= 0.0)
+                god = _godunov(back, fwd)
+                wb = np.where(upwind_mask, god * back_sel, wb)
+                wf = np.where(upwind_mask, -god * fwd_sel, wf)
+            slopes[(0, 0)] = slopes[(0, 0)] + (wb - wf) * inv / h
+            slopes[(-di, -dj)] = -wb * inv / h
+            slopes[(di, dj)] = wf * inv / h
+        return slopes
+
+    def jacobian_2d(self, u_full, lam=0.0):
+        """As `jacobian_1d`; a sparse 9-point CSC matrix on the interior nodes
+        in C order."""
+        (hx, hy), (hx2, hy2) = self.h, self.h2
+        cxx, cxy, cyy = operators.policy_2d(self.instance.operator,
+                                            *self.hessian(u_full))
+        gmag, upwind_mask, q, dstab = self._lower_order_slopes(u_full)
+        kxy = cxy / (2.0 * hx * hy)  # -F's corner weight is -2 cxy / (4 hx hy)
+        stencil = {
+            (0, 0): 2.0 * cxx / hx2 + 2.0 * cyy / hy2 + dstab + lam,
+            (1, 0): -cxx / hx2, (-1, 0): -cxx / hx2, (0, 1): -cyy / hy2,
+            (0, -1): -cyy / hy2, (1, 1): -kxy, (-1, -1): -kxy, (1, -1): kxy,
+            (-1, 1): kxy,
+        }
+        for k, d in self._magnitude_slopes_2d(u_full, gmag, upwind_mask).items():
+            stencil[k] = stencil[k] + q * d
+        n, my = cxx.size, cxx.shape[1]
+        offsets = [di * my + dj for di, dj in stencil]
+        diagonals = []
+        for ((di, dj), coef), k in zip(stencil.items(), offsets):
+            coef = np.array(coef)
+            if dj:  # no coupling across the ends of a grid row
+                coef[:, -1 if dj > 0 else 0] = 0.0
+            diagonals.append(coef.ravel()[: n - k] if k >= 0 else coef.ravel()[-k:])
+        return scipy.sparse.diags(diagonals, offsets, shape=(n, n), format="csc")
+
+    def newton_direction(self, u_full, res, lam):
+        """Solve J d = -res for the interior update d (shape of res)."""
+        if u_full.ndim == 1:
+            jac = self.jacobian_1d(u_full, lam)
+            return scipy.linalg.solve_banded((1, 1), jac, -res)
+        jac = self.jacobian_2d(u_full, lam)
+        with warnings.catch_warnings():  # a singular matrix gives NaN, tested below
+            warnings.simplefilter("ignore", scipy.sparse.linalg.MatrixRankWarning)
+            d = scipy.sparse.linalg.spsolve(jac, -res.ravel())
+        if not np.all(np.isfinite(d)):
+            raise np.linalg.LinAlgError("singular or non-finite sparse system")
+        return d.reshape(res.shape)
+
+
+def _rms_norm(r: np.ndarray) -> float:
+    """|r|_2 / sqrt(size); the 2-norm is sqrt(r.r), as np.linalg.norm takes it."""
+    r = r.ravel()
+    return math.sqrt(r.dot(r)) / math.sqrt(r.size)
+
+
+def _run_newton(stage: _Stage, u_full, config) -> tuple:
+    """Semismooth Newton (Howard's policy iteration) on the stage system.
+
+    Line search on the l2 residual norm; a Levenberg shift is added to the
+    Jacobian diagonal whenever a full sweep of step halvings fails to
+    reduce the residual.  Convergence is declared on the residual norm
+    (scaled by the data), never on the update size alone.  Returns
+    (u, iterations).
+    """
+    big_a = stage.instance.operator.bounds.A
+    h = stage.h_min
+    h2 = min(stage.h2) / u_full.ndim  # sum over axes of 1/h^2 is at most dim/h_min^2
+    data_tol = config.inner_tol * (1.0 + float(np.abs(stage.f_int).max()))
+    macheps = float(np.finfo(float).eps)
+    lam = 0.0
+    res = stage.stage_residual(u_full)
+    res_norm = _rms_norm(res)
+    for it in range(1, config.max_inner_iters + 1):
+        # the second-difference evaluation has a rounding floor ~ |u| eps/h^2
+        eval_floor = 4.0 * macheps * big_a * (1.0 + float(np.abs(u_full).max())) / h2
+        if res_norm <= data_tol + eval_floor:
+            return u_full, it
         try:
-            delta_u = scipy.linalg.solve_banded((1, 1), ab, -res)
+            delta_u = stage.newton_direction(u_full, res, lam)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise NonConvergence(
                 f"newton linear solve failed at delta={stage.delta}: {exc}",
@@ -589,7 +482,7 @@ def _run_newton_1d(stage: _Stage, u_full, config) -> tuple:
         accepted = False
         for _ in range(25):
             trial = u_full.copy()
-            trial[1:-1] += step * delta_u
+            stage.interior(trial)[...] += step * delta_u
             if np.abs(trial).max() > config.divergence_guard:
                 step *= 0.5
                 continue
@@ -620,38 +513,6 @@ def _run_newton_1d(stage: _Stage, u_full, config) -> tuple:
     )
 
 
-def _run_pseudo_time(stage: _Stage, u_full, config) -> tuple:
-    """Explicit pseudo-time fallback on the stage system."""
-    h2 = min(s**2 for s in stage.grid.spacing)
-    big_a = stage.instance.operator.bounds.A
-    max_steps = 50 * config.max_inner_iters
-    for it in range(1, max_steps + 1):
-        res = stage.stage_residual(u_full)
-        gmag = stage.magnitudes(u_full)[0]
-        rho_max = float(
-            np.max(_regularization_factor(gmag, stage.delta, stage.alpha))
-        )
-        dt = config.dt_factor * h2 / (big_a * max(rho_max, 1.0))
-        u_new = u_full.copy()
-        if stage.grid.dim == 1:
-            u_new[1:-1] -= dt * res
-        else:
-            u_new[1:-1, 1:-1] -= dt * res
-        change = float(np.abs(u_new - u_full).max())
-        if not np.isfinite(change) or np.abs(u_new).max() > config.divergence_guard:
-            raise NonConvergence(
-                f"pseudo-time fallback diverged at delta={stage.delta}",
-                stage=stage.delta, iterations=it,
-            )
-        u_full = u_new
-        if change <= config.inner_tol:
-            return u_full, it
-    raise NonConvergence(
-        f"pseudo-time fallback exhausted at delta={stage.delta}",
-        stage=stage.delta, iterations=max_steps,
-    )
-
-
 # ---------------------------------------------------------------------------
 # driver
 
@@ -668,28 +529,36 @@ def _boundary_values_full(grid: UniformGrid, boundary: ScalarField) -> np.ndarra
     return vals
 
 
+def _solve_trace_2d(grid, boundary_values):
+    """Interior values of the discrete harmonic function with the given data."""
+    (mx, my), (hx, hy) = (n - 2 for n in grid.shape), grid.spacing
+    n = mx * my
+    cx = 1.0 / hx**2
+    cy = 1.0 / hy**2
+    offs_x = -cx * np.ones(n - my)
+    offs_y = -cy * np.ones(n - 1)
+    offs_y[my - 1 :: my] = 0.0  # no coupling across grid rows
+    mat = scipy.sparse.diags(
+        [np.full(n, 2.0 * (cx + cy)), offs_x, offs_x, offs_y, offs_y],
+        [0, -my, my, -1, 1],
+        format="csc",
+    )
+    b = np.zeros((mx, my))
+    b[0, :] += cx * boundary_values[0, 1:-1]
+    b[-1, :] += cx * boundary_values[-1, 1:-1]
+    b[:, 0] += cy * boundary_values[1:-1, 0]
+    b[:, -1] += cy * boundary_values[1:-1, -1]
+    return scipy.sparse.linalg.spsolve(mat, b.ravel()).reshape(mx, my)
+
+
 def _initial_guess(grid: UniformGrid, boundary_full: np.ndarray) -> np.ndarray:
     """Harmonic fill of the boundary data (affine interpolation in 1D)."""
     u = boundary_full.copy()
     if grid.dim == 1:
         u[:] = np.linspace(boundary_full[0], boundary_full[-1], grid.shape[0])
         return u
-    zeros = np.zeros((grid.shape[0] - 2, grid.shape[1] - 2))
-    u[1:-1, 1:-1] = _solve_trace_2d(1.0, grid, zeros, zeros, boundary_full)
+    u[1:-1, 1:-1] = _solve_trace_2d(grid, boundary_full)
     return u
-
-
-def _pick_engine(instance: EquationInstance, grid: UniformGrid, config) -> str:
-    newton_capable = grid.dim == 1 and isinstance(
-        instance.operator, operators.ScaledTrace
-    )
-    if config.engine == "newton":
-        if not newton_capable:
-            raise OutOfRange("newton engine requires a 1D scaled-trace instance")
-        return "newton"
-    if config.engine == "auto" and newton_capable:
-        return "newton"
-    return "picard"
 
 
 def solve_dirichlet(
@@ -702,8 +571,7 @@ def solve_dirichlet(
     """Solve the Dirichlet problem by delta-continuation.
 
     Returns (solution GridFunction, SolveReport).  Raises NonConvergence if
-    a continuation stage cannot be completed (and the pseudo-time fallback
-    is disabled or also fails).
+    a continuation stage cannot be completed.
     """
     config = config or SolverConfig()
     boundary_full = _boundary_values_full(grid, boundary)
@@ -715,7 +583,8 @@ def solve_dirichlet(
         u_full = _initial_guess(grid, boundary_full)
 
     ic = _interior_coords(grid)
-    f_scale = float(np.abs(instance.f(*ic)).max())
+    fields = (instance.f(*ic), instance.b(*ic))
+    f_scale = float(np.abs(fields[0]).max())
     eps = config.epsilon_stab
     if eps is None:
         eps = 1e-3 * (1.0 + f_scale)
@@ -730,9 +599,6 @@ def solve_dirichlet(
         if m_level <= 0.0:
             raise OutOfRange("truncation level must be positive")
 
-    engine = _pick_engine(instance, grid, config)
-    theta = config.theta
-    fallback_used = False
     iterations = []
     delta_stability = math.inf
     rounds = 0
@@ -744,20 +610,8 @@ def solve_dirichlet(
         u_prev_stage = None
         try:
             for delta in config.delta_schedule:
-                stage = _Stage(
-                    instance, grid, boundary_full, eps, m_level, delta, config
-                )
-                try:
-                    if engine == "newton":
-                        u_full, its, theta_used = _run_newton_1d(stage, u_full, config)
-                        theta = theta_used
-                    else:
-                        u_full, its, theta = _run_picard(stage, u_full, theta, config)
-                except NonConvergence:
-                    if not config.fallback:
-                        raise
-                    u_full, its = _run_pseudo_time(stage, u_full, config)
-                    fallback_used = True
+                stage = _Stage(instance, grid, eps, m_level, delta, config, fields)
+                u_full, its = _run_newton(stage, u_full, config)
                 round_iters.append(its)
                 if u_prev_stage is not None:
                     delta_stability = float(np.abs(u_full - u_prev_stage).max())
@@ -796,9 +650,6 @@ def solve_dirichlet(
         truncation_activity=activity,
         truncation_M=m_level,
         delta_stability=delta_stability,
-        engine=engine,
-        theta_final=theta,
-        fallback_used=fallback_used,
         truncation_rounds=rounds,
     )
     return solution, report

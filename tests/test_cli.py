@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import yaml
 
-from ergopde.cli import main
+from ergopde import ConfigError
+from ergopde.cli import main, solver_config_from
 
 from conftest import COSINE_C
 
@@ -68,6 +69,31 @@ class TestSolve:
         root = np.sqrt(-c)
         exact0 = np.log(np.cos(root))  # u(0) for zero boundary datum
         assert abs(read_report(out)["u_probe"] - exact0) < 1e-3
+
+
+    def test_solve_pucci_plus_2d(self, tmp_path):
+        cfg = {
+            "instance": {
+                "operator": {"kind": "pucci+", "a": 1.0, "A": 2.0},
+                "alpha": 0.0, "beta": 1.5, "b": "1", "f": "1 + 0.5*x*y",
+                "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+            },
+            "grid": {"shape": [9, 9]},
+            "boundary": "0",
+            "probe_point": [0.0, 0.0],
+        }
+        out = tmp_path / "out"
+        path = write_config(tmp_path, cfg)
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        report = read_report(out)
+        assert report["grid_shape"] == [9, 9]
+        assert report["max_abs_residual"] < 1e-6
+        assert 0.2 < report["u_probe"] < 0.3  # f >= 0.5 pushes u up from 0
+
+    @pytest.mark.parametrize("key", ["engine", "fallback"])
+    def test_removed_solver_keys_are_rejected(self, key):
+        with pytest.raises(ConfigError, match=key):
+            solver_config_from({key: "picard" if key == "engine" else True})
 
 
 class TestOracleAndErgodic:

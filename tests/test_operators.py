@@ -20,6 +20,7 @@ from ergopde import (
     check_uniform_ellipticity,
     eval_operator,
 )
+from ergopde.operators import eval_hessian_2d, policy_2d
 
 BOUNDS = EllipticityBounds(1.0, 2.5)
 # v v^T has the double eigenvalue 0, where Cardano's formula for the pair
@@ -124,6 +125,44 @@ class TestEval:
             fm = eval_operator(spec, m)
             ftm = eval_operator(spec, sym(t * m.to_array()))
             assert ftm == pytest.approx(t * fm, abs=1e-9 * (1.0 + abs(t * fm)))
+
+
+class TestPolicy2D:
+    """The Howard policy C = dF/dM of the 2D kernels."""
+
+    SPECS = (
+        ScaledTrace(1.5),
+        PucciPlus(BOUNDS),
+        PucciMinus(BOUNDS),
+        BellmanMax(matrices=(sym(np.diag([1.0, 2.0])), sym(np.diag([2.0, 1.0])),
+                             sym([[1.5, 0.25], [0.25, 1.5]])), bounds=BOUNDS),
+    )
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    def test_euler_identity_and_derivative(self, spec):
+        # F(M) = tr(C M) (1-homogeneity), and C is the derivative of F:
+        # central differences in (txx, txy, tyy) give (cxx, 2 cxy, cyy)
+        rng = np.random.default_rng(11)
+        txx, txy, tyy = rng.uniform(-2.0, 2.0, size=(3, 200))
+        # two repeated eigenvalues: M = I and M = 0
+        txx[:2], txy[:2], tyy[:2] = (1.0, 0.0), (0.0, 0.0), (1.0, 0.0)
+        cxx, cxy, cyy = policy_2d(spec, txx, txy, tyy)
+        fval = eval_hessian_2d(spec, txx, txy, tyy)
+        np.testing.assert_allclose(cxx * txx + 2.0 * cxy * txy + cyy * tyy, fval,
+                                   rtol=1e-12, atol=1e-12)
+        # C has its spectrum in [a, A]
+        mean, rad = 0.5 * (cxx + cyy), np.hypot(0.5 * (cxx - cyy), cxy)
+        assert (mean - rad >= spec.bounds.a - 1e-12).all()
+        assert (mean + rad <= spec.bounds.A + 1e-12).all()
+        step = 1e-7
+        for comp, want in ((0, cxx), (1, 2.0 * cxy), (2, cyy)):
+            up = [txx, txy, tyy]
+            dn = [txx, txy, tyy]
+            up[comp] = up[comp] + step
+            dn[comp] = dn[comp] - step
+            fd = (eval_hessian_2d(spec, *up) - eval_hessian_2d(spec, *dn)) / (2 * step)
+            # no seeded sample lies within the step of a policy switch
+            np.testing.assert_allclose(fd[2:], want[2:], atol=1e-6)
 
 
 class TestChecks:

@@ -6,21 +6,29 @@ import numpy as np
 import pytest
 
 from ergopde import (
+    BellmanMax,
+    Box,
+    EllipticityBounds,
     EquationInstance,
     ExponentPair,
     GridFunction,
     NonConvergence,
     PreconditionViolated,
+    PucciMinus,
+    PucciPlus,
     ScalarField,
     ScaledTrace,
     SolverConfig,
+    SymMatrix,
+    UniformGrid,
     comparison_probe,
+    eval_operator,
     exact_dirichlet_1d,
     residual,
     residual_field,
     solve_dirichlet,
 )
-from ergopde.solver import _Stage
+from ergopde.solver import _interior_coords, _Stage
 from conftest import (
     COSINE_C,
     INTERVAL,
@@ -30,6 +38,33 @@ from conftest import (
 )
 
 ZERO = ScalarField.constant(0.0, 1)
+SQUARE = Box(lo=(-1.0, -1.0), hi=(1.0, 1.0))
+AC6_BOUNDS = EllipticityBounds(1.0, 2.0)
+# the diffusion matrices of the AC-6 Bellman operator; 1D uses their xx entries
+AC6_MATRICES = (np.diag([1.0, 2.0]), np.diag([2.0, 1.0]),
+                np.array([[1.5, 0.25], [0.25, 1.5]]))
+
+
+def ac6_operator(kind, dim):
+    if kind == "trace":
+        return ScaledTrace(1.5)
+    if kind == "pucci+":
+        return PucciPlus(AC6_BOUNDS)
+    if kind == "pucci-":
+        return PucciMinus(AC6_BOUNDS)
+    mats = tuple(SymMatrix.from_array(q[:dim, :dim]) for q in AC6_MATRICES)
+    return BellmanMax(mats, AC6_BOUNDS)
+
+
+OPERATOR_KINDS = ("trace", "pucci+", "pucci-", "bellman-max")
+# centered differences everywhere, and a residual tolerance well below the
+# 1e-9 the stencil-exact solves are held to
+EXACT_CONFIG = SolverConfig(inner_tol=1e-12, peclet_threshold=math.inf)
+
+
+def make_stage(inst, grid, *args):
+    ic = _interior_coords(grid)
+    return _Stage(inst, grid, *args, (inst.f(*ic), inst.b(*ic)))
 
 
 def solve(instance, boundary, n, config=None):
@@ -75,6 +110,168 @@ class TestDirichletExactness:
         assert np.max(np.abs(u.values - exact(x))) < 1e-4
 
 
+class TestEveryOperator:
+    """The Newton (Howard) engine on every operator, in 1D and 2D."""
+
+    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    @pytest.mark.parametrize("k", [-1.3, 0.7])
+    def test_quadratic_1d_is_stencil_exact(self, kind, k):
+        # u = k x^2 / 2 + 0.4 x: centered differences are exact, so u solves
+        # -F(u'') + |u'|^1.5 = f with f = -F(k) + |k x + 0.4|^1.5 on the grid
+        spec = ac6_operator(kind, 1)
+        fk = eval_operator(spec, SymMatrix(1, (k,)))
+        inst = EquationInstance(
+            operator=spec, exponents=ExponentPair(0.0, 1.5),
+            b=ScalarField.constant(1.0, 1),
+            f=ScalarField.from_expression(f"abs({k}*x + 0.4)**1.5 - {fk!r}", dim=1),
+            domain=INTERVAL,
+        )
+        exact = f"0.5*{k}*x**2 + 0.4*x"
+        grid = interval_grid(33)
+        u, _ = solve_dirichlet(inst, ScalarField.from_expression(exact, dim=1), grid,
+                               EXACT_CONFIG)
+        x = grid.axes()[0]
+        assert np.abs(u.values - (0.5 * k * x**2 + 0.4 * x)).max() < 1e-9
+
+    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    def test_quadratic_2d_is_stencil_exact(self, kind):
+        # u = x^T H x / 2 + g.x with H of mixed-sign spectrum and an xy term:
+        # the 5-point second differences and the 4-point cross difference
+        # are exact, and so is the centered gradient
+        (hxx, hxy, hyy), (gx, gy) = (1.0, 0.8, -0.5), (0.3, -0.2)
+        spec = ac6_operator(kind, 2)
+        fh = eval_operator(spec, SymMatrix(2, (hxx, hxy, hyy)))
+        forcing = (f"(({gx} + {hxx}*x + {hxy}*y)**2 + ({gy} + {hxy}*x + {hyy}*y)**2)"
+                   f"**0.75 - {fh!r}")
+        inst = EquationInstance(
+            operator=spec, exponents=ExponentPair(0.0, 1.5),
+            b=ScalarField.constant(1.0, 2),
+            f=ScalarField.from_expression(forcing, dim=2), domain=SQUARE,
+        )
+        exact = f"0.5*({hxx}*x**2 + 2*{hxy}*x*y + {hyy}*y**2) + {gx}*x + {gy}*y"
+        grid = UniformGrid((9, 9), SQUARE)
+        u, _ = solve_dirichlet(inst, ScalarField.from_expression(exact, dim=2), grid,
+                               EXACT_CONFIG)
+        x, y = grid.coords()
+        ref = 0.5 * (hxx * x**2 + 2 * hxy * x * y + hyy * y**2) + gx * x + gy * y
+        assert np.abs(u.values - ref).max() < 1e-9
+
+    def test_pucci_sandwich_2d(self):
+        # F- <= 1.5 tr <= F+ for bounds (1, 2), so by comparison the
+        # solutions of -F(D2 u) + |grad u|^1.5 = 1 + 0.5xy are ordered
+        grid = UniformGrid((9, 9), SQUARE)
+        sols = {}
+        for kind in ("pucci-", "trace", "pucci+"):
+            inst = EquationInstance(
+                operator=ac6_operator(kind, 2), exponents=ExponentPair(0.0, 1.5),
+                b=ScalarField.constant(1.0, 2),
+                f=ScalarField.from_expression("1 + 0.5*x*y", dim=2), domain=SQUARE,
+            )
+            u, rep = solve_dirichlet(inst, ScalarField.constant(0.0, 2), grid)
+            assert rep.final_residual < 1e-6
+            sols[kind] = u.values
+        inner = (slice(1, -1), slice(1, -1))
+        assert (sols["pucci-"] <= sols["trace"] + 1e-12).all()
+        assert (sols["trace"] <= sols["pucci+"] + 1e-12).all()
+        assert (sols["trace"][inner] - sols["pucci-"][inner]).min() > 1e-3
+        assert (sols["pucci+"][inner] - sols["trace"][inner]).min() > 1e-3
+
+
+    def test_singular_sparse_solve_raises(self, monkeypatch):
+        # spsolve only warns on a singular matrix and returns NaN
+        import scipy.sparse.linalg
+
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve",
+                            lambda mat, rhs: np.full(rhs.shape, np.nan))
+        inst = EquationInstance(
+            operator=ac6_operator("pucci+", 2), exponents=ExponentPair(0.0, 1.5),
+            b=ScalarField.constant(1.0, 2), f=ScalarField.constant(1.0, 2),
+            domain=SQUARE,
+        )
+        grid = UniformGrid((5, 5), SQUARE)
+        start = GridFunction(grid, np.zeros(grid.shape))  # no harmonic fill
+        with pytest.raises(NonConvergence, match="newton linear solve failed"):
+            solve_dirichlet(inst, ScalarField.constant(0.0, 2), grid, initial=start)
+
+
+class TestBetaBelowOne:
+    def test_solves_and_refines(self):
+        # beta < 1: the Hamiltonian's slope is infinite where the gradient
+        # vanishes; the Jacobian takes the slope 0 there
+        inst = make_instance(-0.3, 0.9, b="1", f="1")
+        centers = []
+        for n in (81, 161):
+            u, _ = solve(inst, 0.0, n)
+            x = interval_grid(n).axes()[0][1:-1]
+            res = residual_field(inst, u)
+            assert np.abs(res[np.abs(x) > 0.2]).max() < 1e-2
+            centers.append(u.values[n // 2])
+        assert abs(centers[0] - centers[1]) < 1e-2
+
+
+def dense_jacobian(stage, u):
+    if u.ndim == 1:  # the (3, n) band of solve_banded
+        jac = stage.jacobian_1d(u)
+        return np.diag(jac[1]) + np.diag(jac[0, 1:], 1) + np.diag(jac[2, :-1], -1)
+    return stage.jacobian_2d(u).toarray()
+
+
+def fd_jacobian(stage, u, step=1e-6):
+    cols = []
+    for k in np.ndindex(stage.interior(u).shape):
+        up, dn = u.copy(), u.copy()
+        stage.interior(up)[k] += step
+        stage.interior(dn)[k] -= step
+        cols.append(((stage.stage_residual(up) - stage.stage_residual(dn))
+                     / (2.0 * step)).ravel())
+    return np.array(cols).T
+
+
+class TestJacobian:
+    """The assembled Jacobian against central differences of the residual.
+
+    The profiles are smooth, with centered slopes bounded away from 0 and
+    second differences away from the policy switches, so the residual is
+    differentiable there.
+    """
+
+    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("upwind", [False, True], ids=["centered", "godunov"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_finite_differences(self, kind, alpha, upwind, dim):
+        if dim == 1:
+            grid, domain = interval_grid(21), INTERVAL
+            x = grid.axes()[0]
+            u = 5.0 + 0.8 * np.sin(2.5 * x + 0.4)  # rises, then falls
+            h = grid.spacing[0]
+            hess = ((u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2,)
+            assert np.abs(u[2:] - u[:-2]).min() / (2.0 * h) > 0.05
+        else:
+            grid, domain = UniformGrid((7, 7), SQUARE), SQUARE
+            x, y = grid.coords()
+            # u rises along x and falls along y: both Godunov branches
+            u = 5.0 + 2.0 * x - 2.0 * y + 0.5 * x**2 + 0.6 * x * y - 0.4 * y**2 \
+                + 0.05 * np.sin(x + 2.0 * y)
+            hess = ()
+        inst = EquationInstance(
+            operator=ac6_operator(kind, dim),
+            exponents=ExponentPair(alpha, alpha + 1.5),
+            b=ScalarField.from_expression("1 + 0.2*x", dim=dim),
+            f=ScalarField.from_expression("0.5*cos(3.0*x)", dim=dim), domain=domain,
+        )
+        config = SolverConfig(upwind=True) if upwind \
+            else SolverConfig(peclet_threshold=math.inf)
+        stage = make_stage(inst, grid, 0.1, 100.0, 0.25, config)
+        mask = stage.magnitudes(u)[1]
+        assert mask.all() if upwind else not mask.any()
+        for t in hess:  # 1D: no node sits on the kink of F
+            assert np.abs(t).min() > 1e-2 and (t > 0).any() and (t < 0).any()
+        jac = dense_jacobian(stage, u)
+        fd = fd_jacobian(stage, u)
+        np.testing.assert_allclose(jac, fd, rtol=0, atol=1e-6 * np.abs(jac).max())
+
+
 class TestResidual:
     def test_closed_form_residual_small_away_from_apex(self):
         inst = make_instance(1.0, 2.5, b="0", f="1")
@@ -107,7 +304,7 @@ class TestStageResidual:
             b=ScalarField.from_expression(self.b, dim=1),
             f=ScalarField.from_expression(self.f, dim=1), domain=INTERVAL,
         )
-        return inst, _Stage(inst, grid, u, 1e-3, m_level, 0.25, config)
+        return inst, make_stage(inst, grid, 1e-3, m_level, 0.25, config)
 
     def test_centered_matches_residual_field(self):
         # alpha = 0, M above max|u'| and no upwinding: the stage system's
