@@ -85,27 +85,27 @@ def load_config(path: Path) -> tuple:
 
 def solver_config_from(cfg: dict) -> SolverConfig:
     """SolverConfig from the `solver:` section (all keys optional)."""
-    for key in ("engine", "fallback"):
+    if not isinstance(cfg, dict):
+        raise ConfigError("the solver section must be a mapping")
+    for key in ("engine", "fallback", "theta"):
         if key in cfg:
             raise ConfigError(
                 f"solver key {key!r} is not supported: every solve runs the one "
                 "semismooth Newton engine"
             )
     kwargs = {}
-    if "delta_schedule" in cfg:
-        kwargs["delta_schedule"] = tuple(float(d) for d in cfg["delta_schedule"])
-    if "theta" in cfg:
-        kwargs["theta"] = float(cfg["theta"])
-    if "inner_tol" in cfg:
-        kwargs["inner_tol"] = float(cfg["inner_tol"])
-    if "max_iters" in cfg:
-        kwargs["max_inner_iters"] = int(cfg["max_iters"])
-    if "truncation" in cfg:
-        trunc = cfg["truncation"]
-        kwargs["truncation_M"] = "auto" if trunc == "auto" else float(trunc)
     try:
+        if "delta_schedule" in cfg:
+            kwargs["delta_schedule"] = tuple(float(d) for d in cfg["delta_schedule"])
+        if "inner_tol" in cfg:
+            kwargs["inner_tol"] = float(cfg["inner_tol"])
+        if "max_iters" in cfg:
+            kwargs["max_inner_iters"] = int(cfg["max_iters"])
+        if "truncation" in cfg:
+            trunc = cfg["truncation"]
+            kwargs["truncation_M"] = "auto" if trunc == "auto" else float(trunc)
         return SolverConfig(**kwargs)
-    except ErgopdeError as exc:
+    except (ErgopdeError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid solver config: {exc}") from exc
 
 
@@ -128,13 +128,16 @@ def _instance(cfg: dict):
 
 
 def _experiment(cfg: dict, instance, grid) -> ErgodicExperiment:
-    ladder = tuple(float(v) for v in _require(cfg, "ladder"))
-    probe = tuple(float(v) for v in np.atleast_1d(_require(cfg, "probe_point")))
-    kwargs = {}
-    if "fit_span" in cfg:
-        kwargs["fit_span"] = tuple(float(v) for v in cfg["fit_span"])
-    if "drift_tol" in cfg:
-        kwargs["drift_tol"] = float(cfg["drift_tol"])
+    try:
+        ladder = tuple(float(v) for v in _require(cfg, "ladder"))
+        probe = tuple(float(v) for v in np.atleast_1d(_require(cfg, "probe_point")))
+        kwargs = {}
+        if "fit_span" in cfg:
+            kwargs["fit_span"] = tuple(float(v) for v in cfg["fit_span"])
+        if "drift_tol" in cfg:
+            kwargs["drift_tol"] = float(cfg["drift_tol"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid experiment config: {exc}") from exc
     try:
         return ErgodicExperiment(
             instance=instance, grid=grid, ladder=ladder, probe_point=probe,

@@ -90,10 +90,50 @@ class TestSolve:
         assert report["max_abs_residual"] < 1e-6
         assert 0.2 < report["u_probe"] < 0.3  # f >= 0.5 pushes u up from 0
 
-    @pytest.mark.parametrize("key", ["engine", "fallback"])
+    @pytest.mark.parametrize("key", ["engine", "fallback", "theta"])
     def test_removed_solver_keys_are_rejected(self, key):
+        value = {"engine": "picard", "fallback": True, "theta": 0.5}[key]
         with pytest.raises(ConfigError, match=key):
-            solver_config_from({key: "picard" if key == "engine" else True})
+            solver_config_from({key: value})
+
+    def test_every_accepted_solver_key(self, tmp_path):
+        # a key the CLI reads but SolverConfig has dropped fails here
+        cfg = dict(INSTANCE_YAML)
+        cfg["instance"] = dict(INSTANCE_YAML["instance"], f=str(COSINE_C + 0.5))
+        cfg["grid"] = {"shape": [101]}
+        cfg["boundary"] = "0"
+        cfg["solver"] = {
+            "delta_schedule": [1.0, 0.5, 0.25],
+            "truncation": 50.0,
+            "inner_tol": 1e-9,
+            "max_iters": 100,
+        }
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        solver = read_report(out)["solver"]
+        assert solver["truncation_M"] == 50.0
+        assert len(solver["iterations_per_stage"]) == 3
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("solve", "solver", {"truncation": "abc"}),
+        ("solve", "solver", {"max_iters": "many"}),
+        ("solve", "solver", {"truncation": -2}),
+        ("solve", "solver", {"inner_tol": [1e-8]}),
+        ("ergodic", "ladder", [10.0, "twenty"]),
+    ], ids=["truncation-abc", "max-iters-many", "truncation-negative",
+            "inner-tol-list", "ladder-word"])
+    def test_bad_values_are_config_errors(self, tmp_path, command, key, value):
+        cfg = dict(INSTANCE_YAML)
+        cfg["grid"] = {"shape": [21]}
+        cfg["boundary"] = "0"
+        cfg["ladder"] = [10.0, 20.0]
+        cfg["probe_point"] = [0.0]
+        cfg[key] = value
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
 
 
 class TestOracleAndErgodic:

@@ -127,6 +127,26 @@ class TestUniqueness:
         report = verify_uniqueness(exp, COSINE_C + 0.1)
         assert report["max_deviation"] <= 1e-8
 
+    def test_nonconstant_difference_is_detected(self, cosine_instance, monkeypatch):
+        # a non-constant bump of 0.05 on the top rung must show as a deviation
+        from ergopde import ergodic
+
+        exp = experiment(cosine_instance, 201, (8.0, 12.0))
+        amplitudes = []
+
+        def bumped(exp, c, amplitude, **kwargs):
+            u, report = solve_at(exp, c, amplitude, **kwargs)
+            amplitudes.append(amplitude)
+            if amplitude == exp.ladder[-1]:
+                x = exp.grid.axes()[0]
+                u = GridFunction(exp.grid, u.values + 0.05 * np.cos(np.pi * x))
+            return u, report
+
+        monkeypatch.setattr(ergodic, "solve_at", bumped)
+        report = verify_uniqueness(exp, COSINE_C + 0.1)
+        assert amplitudes == [8.0, 12.0]
+        assert report["max_deviation"] > 1e-2
+
     def test_hypothesis_check_rejects_large_f(self):
         inst = make_instance(0.0, 2.0, f="10.0")
         exp = experiment(inst, 101, (5.0, 10.0))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergopde import (
     BellmanMax,
@@ -24,11 +26,12 @@ from ergopde import (
     comparison_probe,
     eval_operator,
     exact_dirichlet_1d,
+    lipschitz_seminorm,
     residual,
     residual_field,
     solve_dirichlet,
 )
-from ergopde.solver import _interior_coords, _Stage
+from ergopde.solver import _interior_coords, _max_axis_slope, _Stage
 from conftest import (
     COSINE_C,
     INTERVAL,
@@ -260,8 +263,7 @@ class TestJacobian:
             b=ScalarField.from_expression("1 + 0.2*x", dim=dim),
             f=ScalarField.from_expression("0.5*cos(3.0*x)", dim=dim), domain=domain,
         )
-        config = SolverConfig(upwind=True) if upwind \
-            else SolverConfig(peclet_threshold=math.inf)
+        config = SolverConfig(peclet_threshold=-math.inf if upwind else math.inf)
         stage = make_stage(inst, grid, 0.1, 100.0, 0.25, config)
         mask = stage.magnitudes(u)[1]
         assert mask.all() if upwind else not mask.any()
@@ -349,6 +351,30 @@ class TestStageResidual:
                                    rtol=1e-12, atol=1e-12 * scale)
 
 
+class TestTruncationLevel:
+    """The automatic truncation level against the pairwise Lipschitz seminorm."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 60), st.integers(0, 2**32 - 1))
+    def test_exact_in_1d(self, n, seed):
+        grid = UniformGrid((n,), Box((-1.0,), (2.0,)))
+        u = GridFunction(grid, np.random.default_rng(seed).normal(size=n))
+        pairwise = lipschitz_seminorm(u)
+        level = _max_axis_slope(u.values, grid.spacing)
+        assert level == pytest.approx(pairwise, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 20), st.integers(3, 20), st.integers(0, 2**32 - 1))
+    def test_within_sqrt2_in_2d(self, nx, ny, seed):
+        # at most 400 nodes: the pairwise seminorm is exhaustive below 2000
+        grid = UniformGrid((nx, ny), Box((0.0, -1.0), (1.0, 2.0)))
+        u = GridFunction(grid, np.random.default_rng(seed).normal(size=(nx, ny)))
+        pairwise = lipschitz_seminorm(u)
+        level = _max_axis_slope(u.values, grid.spacing)
+        assert pairwise / math.sqrt(2.0) * (1.0 - 1e-12) <= level
+        assert level <= pairwise * (1.0 + 1e-12)
+
+
 class TestReports:
     def test_report_fields(self):
         inst = make_instance(0.0, 1.5, b="1", f="-2.0")
@@ -378,7 +404,9 @@ class TestFailureModes:
     def test_invalid_config_rejected(self):
         from ergopde import OutOfRange
         with pytest.raises(OutOfRange):
-            SolverConfig(theta=0.0)
+            SolverConfig(truncation_M=-1.0)
+        with pytest.raises(OutOfRange):
+            SolverConfig(truncation_M="bogus")
         with pytest.raises(OutOfRange):
             SolverConfig(delta_schedule=(0.5, 1.0))
 
