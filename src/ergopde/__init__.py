@@ -32,12 +32,10 @@ from .errors import (
 from .model import (
     Box,
     EquationInstance,
-    ErgodicData,
     ExponentPair,
     ScalarField,
     amplitude_C,
     chi,
-    ergodic_data_for,
     face_normals,
     instance_from_config,
     instance_to_config,
@@ -108,9 +106,9 @@ __all__ = [
     "BracketFailure", "LadderNonConvergence", "UnresolvedLayer",
     "UnsupportedCase", "HypothesisViolated", "ConfigError",
     # model
-    "ExponentPair", "ScalarField", "Box", "EquationInstance", "ErgodicData",
+    "ExponentPair", "ScalarField", "Box", "EquationInstance",
     "validate_exponents", "chi", "amplitude_C", "rescale_residual_factor",
-    "face_normals", "ergodic_data_for", "instance_to_config",
+    "face_normals", "instance_to_config",
     "instance_from_config",
     # operators
     "SymMatrix", "EllipticityBounds", "ScaledTrace", "PucciPlus",

@@ -67,6 +67,18 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _number(cfg: dict, key: str, default=None, kind=float):
+    """kind(cfg[key]), or of `default` when one is given and the key is absent.
+
+    A value that kind cannot convert is a ConfigError naming the key.
+    """
+    value = _require(cfg, key) if default is None else cfg.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid value for {key!r}: {value!r}") from exc
+
+
 def load_config(path: Path) -> tuple:
     """Returns (config dict, sha256 of the raw bytes)."""
     try:
@@ -83,15 +95,18 @@ def load_config(path: Path) -> tuple:
     return cfg, digest
 
 
+_SOLVER_KEYS = ("delta_schedule", "inner_tol", "max_iters", "truncation")
+
+
 def solver_config_from(cfg: dict) -> SolverConfig:
     """SolverConfig from the `solver:` section (all keys optional)."""
     if not isinstance(cfg, dict):
         raise ConfigError("the solver section must be a mapping")
-    for key in ("engine", "fallback", "theta"):
-        if key in cfg:
+    for key in cfg:
+        if key not in _SOLVER_KEYS:
             raise ConfigError(
-                f"solver key {key!r} is not supported: every solve runs the one "
-                "semismooth Newton engine"
+                f"unknown solver key {key!r}; the accepted keys are "
+                + ", ".join(_SOLVER_KEYS)
             )
     kwargs = {}
     try:
@@ -228,7 +243,7 @@ def run_ergodic(cfg: dict, out: Path, seed) -> dict:
     instance = _instance(cfg)
     grid = grid_from(_require(cfg, "grid"), instance.domain)
     exp = _experiment(cfg, instance, grid)
-    tol = float(cfg.get("tol", 1e-2))
+    tol = _number(cfg, "tol", 1e-2)
     c_est, rep = estimate_ergodic_constant(exp, tol=tol)
     return {"experiment": "ergodic", **rep}
 
@@ -237,7 +252,7 @@ def run_asymptotics(cfg: dict, out: Path, seed) -> dict:
     instance = _instance(cfg)
     grid = grid_from(_require(cfg, "grid"), instance.domain)
     exp = _experiment(cfg, instance, grid)
-    c = float(_require(cfg, "c"))
+    c = _number(cfg, "c")
     u, _ = solve_at(exp, c, exp.ladder[-1])
     profile = verify_blowup_profile(exp, c, u=u)
     grad = verify_gradient_rate(exp, u)
@@ -251,7 +266,7 @@ def run_asymptotics(cfg: dict, out: Path, seed) -> dict:
         "gradient_rate": grad,
     }
     if cfg.get("uniqueness", False):
-        report["uniqueness"] = verify_uniqueness(exp, c)
+        report["uniqueness"] = verify_uniqueness(exp, c, u=u)
     rows = []
     for fc in profile["faces"]:
         for d, v, scaled in fc["profile_rows"]:
@@ -263,16 +278,16 @@ def run_asymptotics(cfg: dict, out: Path, seed) -> dict:
 
 def run_convergence(cfg: dict, out: Path, seed) -> dict:
     instance = _instance(cfg)
-    sizes = [int(n) for n in _require(cfg, "grid_sizes")]
+    sizes = _number(cfg, "grid_sizes", kind=lambda v: [int(n) for n in v])
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigError("grid_sizes must be strictly increasing")
     ref = _require(cfg, "reference")
     kind = _require(ref, "kind")
     if kind == "dirichlet-1d":
-        exact = exact_dirichlet_1d(float(ref["alpha"]), float(ref["c0"]))
+        exact = exact_dirichlet_1d(_number(ref, "alpha"), _number(ref, "c0"))
     elif kind == "cosine":
-        c_val = float(ref["c"])
-        amp = float(ref.get("amplitude", 0.0))
+        c_val = _number(ref, "c")
+        amp = _number(ref, "amplitude", 0.0)
         if c_val >= 0.0 or c_val <= -np.pi**2 / 4:
             raise ConfigError("cosine reference requires c in (-pi^2/4, 0)")
         root = np.sqrt(-c_val)
@@ -322,7 +337,7 @@ def _suite_operators() -> tuple:
 
 
 def run_property_suite(cfg: dict, out: Path, seed) -> dict:
-    trials = int(cfg.get("trials", 1000))
+    trials = _number(cfg, "trials", 1000, int)
     seed = 0 if seed is None else int(seed)
     checks = []
     for spec in _suite_operators():
@@ -361,15 +376,13 @@ def run_property_suite(cfg: dict, out: Path, seed) -> dict:
 
 
 def run_oracle(cfg: dict, out: Path, seed) -> dict:
-    alpha = float(_require(cfg, "alpha"))
-    beta = float(_require(cfg, "beta"))
-    exponents = validate_exponents(alpha, beta)
+    exponents = validate_exponents(_number(cfg, "alpha"), _number(cfg, "beta"))
     f = ScalarField.from_expression(str(cfg.get("f", "0")), dim=1)
-    tol = float(cfg.get("tol", 1e-8))
+    tol = _number(cfg, "tol", 1e-8)
     c_erg, rep = ergodic_constant_1d(exponents, f, tol=tol)
     report = {"experiment": "oracle", "c_erg": c_erg, **rep}
     if "shoot_c" in cfg:
-        x_star, _ = shoot_blowup(exponents, float(cfg["shoot_c"]), f)
+        x_star, _ = shoot_blowup(exponents, _number(cfg, "shoot_c"), f)
         report["x_star"] = x_star
     return report
 

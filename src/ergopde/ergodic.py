@@ -398,18 +398,21 @@ def check_uniqueness_hypotheses(exp: ErgodicExperiment, c: float) -> None:
         )
 
 
-def verify_uniqueness(exp: ErgodicExperiment, c: float) -> dict:
+def verify_uniqueness(
+    exp: ErgodicExperiment, c: float, u: GridFunction | None = None
+) -> dict:
     """Max deviation from constancy of u - v over the inner-half core.
 
-    u and v are the solutions at the lowest and the highest ladder
-    amplitude; the mean of u - v over the core is removed before the
-    maximum is taken.  Raises HypothesisViolated if the experiment lies
-    outside the regime where uniqueness holds (inapplicable, not a failure).
+    u and v are the solutions at the highest and the lowest ladder
+    amplitude; u is solved here unless given.  The mean of u - v over the
+    core is removed before the maximum is taken.  Raises HypothesisViolated
+    if the experiment lies outside the regime where uniqueness holds
+    (inapplicable, not a failure).
     """
     check_uniqueness_hypotheses(exp, c)
     lo_amp, hi_amp = exp.ladder[0], exp.ladder[-1]
     u_lo, _ = solve_at(exp, c, lo_amp)
-    u_hi, _ = solve_at(exp, c, hi_amp)
+    u_hi = u if u is not None else solve_at(exp, c, hi_amp)[0]
     mask = _core_mask(exp.grid)
     diff = u_hi.values[mask] - u_lo.values[mask]
     return {

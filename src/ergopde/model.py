@@ -8,7 +8,7 @@ zoom residual factor) used by the asymptotic experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -202,20 +202,6 @@ class EquationInstance:
         )
 
 
-@dataclass(frozen=True)
-class ErgodicData:
-    """Derived blow-up data: exponent chi, per-face amplitude, ergodic constant."""
-
-    chi: float
-    case: str  # "chi>0" | "chi=0"
-    c_of_x: dict  # face key -> amplitude at that boundary face
-    c_omega: float | None = None
-
-    def __post_init__(self):
-        if self.chi < 0.0:
-            raise OutOfRange("chi must be nonnegative")
-
-
 def face_normals(domain: Box) -> dict:
     """Inward unit normals of the box faces, keyed by 'axis{i}_{lo|hi}'."""
     out = {}
@@ -226,23 +212,6 @@ def face_normals(domain: Box) -> dict:
         n[axis] = -1.0
         out[f"axis{axis}_hi"] = n.copy()
     return out
-
-
-def ergodic_data_for(
-    instance: EquationInstance, c_omega: float | None = None
-) -> ErgodicData:
-    """ErgodicData with the amplitude evaluated at every face of the box."""
-    x = chi(instance.exponents)
-    amplitudes = {
-        key: amplitude_C(instance.operator, n, instance.exponents)
-        for key, n in face_normals(instance.domain).items()
-    }
-    return ErgodicData(
-        chi=x,
-        case=instance.exponents.chi_case,
-        c_of_x=amplitudes,
-        c_omega=c_omega,
-    )
 
 
 # ---------------------------------------------------------------------------

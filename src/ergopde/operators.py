@@ -103,9 +103,9 @@ def _eig3(upper: tuple) -> tuple:
     m00, m01, m02, m11, m12, m22 = upper
     p1 = m01**2 + m02**2 + m12**2
     q = (m00 + m11 + m22) / 3.0
-    if p1 == 0.0:
-        return tuple(sorted((m00, m11, m22)))
     p = math.sqrt(((m00 - q) ** 2 + (m11 - q) ** 2 + (m22 - q) ** 2 + 2.0 * p1) / 6.0)
+    if p1 == 0.0 or p == 0.0:  # diagonal, or m - qI underflows to 0 in p
+        return tuple(sorted((m00, m11, m22)))
     b = ((m00 - q) / p, m01 / p, m02 / p), (m01 / p, (m11 - q) / p, m12 / p), \
         (m02 / p, m12 / p, (m22 - q) / p)
     det = _dot(b[0], _cross(b[1], b[2]))

@@ -11,14 +11,17 @@ operators), solves the stage system
 
 with the Hamiltonian clamped at a truncation level M, for every operator
 in 1D and 2D.  F enters the Jacobian through its policy at the current
-Hessian (`operators.policy_1d`, `operators.policy_2d`); only the linear
-solve differs between the dimensions: banded in 1D, a sparse 9-point
-matrix in 2D.  The stage system is evaluated on raw value arrays, with
-the constants of each stage computed once.
+Hessian (`operators.policy_1d`, `operators.policy_2d`).  The stencils are
+written once over the axes, from each node's neighbours along it; only
+the d_xy stencil, the packing of the Jacobian and the linear solve differ
+between the dimensions: banded in 1D, a sparse 9-point matrix in 2D.  The
+stage system is evaluated on raw value arrays, with the constants of each
+stage computed once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from contextlib import nullcontext
@@ -149,20 +152,8 @@ def _eval_f_hessian(spec, hess_components):
 
 
 def _interior_coords(grid: UniformGrid) -> tuple:
-    coords = grid.coords()
-    if grid.dim == 1:
-        return (coords[0][1:-1],)
-    return (coords[0][1:-1, 1:-1], coords[1][1:-1, 1:-1])
-
-
-def _centered_magnitude(u: np.ndarray, h: tuple) -> np.ndarray:
-    """|grad u| from centered differences on the interior of a raw array."""
-    if u.ndim == 1:
-        return np.abs((u[2:] - u[:-2]) / (2.0 * h[0]))
-    return np.hypot(
-        (u[2:, 1:-1] - u[:-2, 1:-1]) / (2.0 * h[0]),
-        (u[1:-1, 2:] - u[1:-1, :-2]) / (2.0 * h[1]),
-    )
+    inner = (slice(1, -1),) * grid.dim
+    return tuple(c[inner] for c in grid.coords())
 
 
 def _max_axis_slope(u: np.ndarray, h: tuple) -> float:
@@ -174,14 +165,36 @@ def _max_axis_slope(u: np.ndarray, h: tuple) -> float:
     return max(float(np.abs(np.diff(u, axis=k)).max()) / hk for k, hk in enumerate(h))
 
 
-def _onesided_slopes_1d(u: np.ndarray, h: float) -> tuple:
-    back = (u[1:-1] - u[:-2]) / h
-    fwd = (u[2:] - u[1:-1]) / h
-    return back, fwd
+@functools.cache
+def _neighbour_slices(ndim: int) -> tuple:
+    """Per axis, the index tuples of the (lower, centre, upper) interior views."""
+    inner = (slice(1, -1),) * ndim
+    return tuple((inner[:k] + (slice(None, -2),) + inner[k + 1:], inner,
+                  inner[:k] + (slice(2, None),) + inner[k + 1:]) for k in range(ndim))
 
 
-def _rms_magnitude(u: np.ndarray, h: tuple) -> np.ndarray:
-    """Root-mean-square of the one-sided slopes on the interior.
+def _axis_neighbours(u: np.ndarray) -> list:
+    """Per axis, the (lower, centre, upper) values on the interior of u."""
+    return [(u[lo], u[c], u[hi]) for lo, c, hi in _neighbour_slices(u.ndim)]
+
+
+def _one_sided_slopes(nbrs: list, h: tuple) -> list:
+    """Per axis, the backward and forward slopes (D-u, D+u)."""
+    return [((c - lo) / hk, (hi - c) / hk) for (lo, c, hi), hk in zip(nbrs, h)]
+
+
+def _norm(parts: list) -> np.ndarray:
+    """Euclidean norm of nonnegative per-axis parts: the part itself in 1D."""
+    return functools.reduce(np.hypot, parts)
+
+
+def _centered_magnitude(nbrs: list, h: tuple) -> np.ndarray:
+    """|grad u| from centered differences, given `_axis_neighbours(u)`."""
+    return _norm([np.abs((hi - lo) / (2.0 * hk)) for (lo, _, hi), hk in zip(nbrs, h)])
+
+
+def _rms_magnitude(nbrs: list, h: tuple) -> np.ndarray:
+    """Root-mean-square of the one-sided slopes, given `_axis_neighbours(u)`.
 
     Used in place of the centered magnitude inside the degenerate factor
     when alpha != 0: the centered difference vanishes identically at a
@@ -189,17 +202,8 @@ def _rms_magnitude(u: np.ndarray, h: tuple) -> np.ndarray:
     singularity into an O(h/delta) point defect.  The RMS form is smooth
     in u, second-order accurate away from extrema, and positive at them.
     """
-    if u.ndim == 1:
-        back, fwd = _onesided_slopes_1d(u, h[0])
-        return np.sqrt(0.5 * (back**2 + fwd**2))
-    ui = u[1:-1, 1:-1]
-    gx2 = 0.5 * (
-        ((ui - u[:-2, 1:-1]) / h[0]) ** 2 + ((u[2:, 1:-1] - ui) / h[0]) ** 2
-    )
-    gy2 = 0.5 * (
-        ((ui - u[1:-1, :-2]) / h[1]) ** 2 + ((u[1:-1, 2:] - ui) / h[1]) ** 2
-    )
-    return np.sqrt(gx2 + gy2)
+    squares = [0.5 * (back**2 + fwd**2) for back, fwd in _one_sided_slopes(nbrs, h)]
+    return np.sqrt(functools.reduce(np.add, squares))
 
 
 def _godunov(back: np.ndarray, fwd: np.ndarray) -> np.ndarray:
@@ -207,14 +211,9 @@ def _godunov(back: np.ndarray, fwd: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(back, -fwd), 0.0)
 
 
-def _upwind_magnitude(u: np.ndarray, h: tuple) -> np.ndarray:
-    """Monotone (Rouy-Tourin) gradient magnitude on the interior."""
-    if u.ndim == 1:
-        return _godunov(*_onesided_slopes_1d(u, h[0]))
-    ui = u[1:-1, 1:-1]
-    gx = _godunov((ui - u[:-2, 1:-1]) / h[0], (u[2:, 1:-1] - ui) / h[0])
-    gy = _godunov((ui - u[1:-1, :-2]) / h[1], (u[1:-1, 2:] - ui) / h[1])
-    return np.hypot(gx, gy)
+def _upwind_magnitude(nbrs: list, h: tuple) -> np.ndarray:
+    """Monotone (Rouy-Tourin) gradient magnitude, given `_axis_neighbours(u)`."""
+    return _norm([_godunov(back, fwd) for back, fwd in _one_sided_slopes(nbrs, h)])
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +225,7 @@ def residual_field(instance: EquationInstance, u: GridFunction) -> np.ndarray:
     grid = u.grid
     alpha = instance.exponents.alpha
     beta = instance.exponents.beta
-    gmag = _centered_magnitude(u.values, grid.spacing)
+    gmag = _centered_magnitude(_axis_neighbours(u.values), grid.spacing)
     fvals = _eval_f_hessian(instance.operator, hessian_field(u))
     ic = _interior_coords(grid)
     return (
@@ -266,7 +265,6 @@ class _Stage:
 
     def __init__(self, instance, grid, eps, m_level, delta, config, fields):
         self.instance = instance
-        self.grid = grid
         self.eps = eps
         self.m_level = m_level
         self.delta = delta
@@ -281,9 +279,9 @@ class _Stage:
         self.two_floor = 2.0 * instance.operator.bounds.a
 
     def interior(self, u_full):
-        return u_full[1:-1] if u_full.ndim == 1 else u_full[1:-1, 1:-1]
+        return u_full[(slice(1, -1),) * u_full.ndim]
 
-    def magnitudes(self, u_full) -> tuple:
+    def magnitudes(self, u_full, nbrs=None) -> tuple:
         """Gradient magnitude for the Hamiltonian/degenerate factor + mask.
 
         The smooth (centered / one-sided RMS) magnitude is second-order
@@ -291,11 +289,14 @@ class _Stage:
         cell Peclet number q h / (2 a) of the linearized Hamiltonian
         exceeds ~1; at such nodes the monotone Godunov magnitude
         max(D-, -D+, 0) is used instead.  Returns (gmag, upwind_mask).
+        `nbrs` is `_axis_neighbours(u_full)`, computed here if not given.
         """
+        if nbrs is None:
+            nbrs = _axis_neighbours(u_full)
         if self.alpha != 0.0:
-            g_c = _rms_magnitude(u_full, self.h)
+            g_c = _rms_magnitude(nbrs, self.h)
         else:
-            g_c = _centered_magnitude(u_full, self.h)
+            g_c = _centered_magnitude(nbrs, self.h)
         t_mc = np.minimum(g_c, self.m_level)
         # 0^(beta-1) = inf for beta < 1, and 0 * inf = nan where b = 0
         with np.errstate(divide="ignore", invalid="ignore") if self.beta < 1.0 \
@@ -305,20 +306,28 @@ class _Stage:
         mask = q * self.h_min / self.two_floor > self.config.peclet_threshold
         if not mask.any():
             return g_c, mask
-        return np.where(mask, _upwind_magnitude(u_full, self.h), g_c), mask
+        return np.where(mask, _upwind_magnitude(nbrs, self.h), g_c), mask
 
-    def hessian(self, u_full) -> tuple:
-        if u_full.ndim == 1:  # the second difference straight from the array
-            return ((u_full[2:] - 2.0 * u_full[1:-1] + u_full[:-2]) / self.h2[0],)
-        return hessian_field(GridFunction(self.grid, u_full))
+    def hessian(self, u_full, nbrs) -> tuple:
+        """Second differences on the interior: (dxx,) in 1D, (dxx, dxy, dyy) in 2D.
+
+        `nbrs` is `_axis_neighbours(u_full)`.
+        """
+        second = [(hi - 2.0 * c + lo) / h2 for (lo, c, hi), h2 in zip(nbrs, self.h2)]
+        if u_full.ndim == 1:
+            return tuple(second)
+        u, (hx, hy) = u_full, self.h
+        dxy = (u[2:, 2:] + u[:-2, :-2] - u[2:, :-2] - u[:-2, 2:]) / (4.0 * hx * hy)
+        return second[0], dxy, second[1]
 
     def stage_residual(self, u_full):
         """Residual of the stage system at u (interior array)."""
-        gmag = self.magnitudes(u_full)[0]
+        nbrs = _axis_neighbours(u_full)
+        gmag = self.magnitudes(u_full, nbrs)[0]
         rho = _regularization_factor(gmag, self.delta, self.alpha)
         es = self.eps * _signed_power(self.interior(u_full), self.alpha)
         p = self.f_int + es - self.b_int * np.minimum(gmag, self.m_level) ** self.beta
-        return es - _eval_f_hessian(self.instance.operator, self.hessian(u_full)) \
+        return es - _eval_f_hessian(self.instance.operator, self.hessian(u_full, nbrs)) \
             - p * rho
 
     def _lower_order_slopes(self, u_full) -> tuple:
@@ -343,91 +352,74 @@ class _Stage:
         dstab = self.eps * (1.0 + self.alpha) * mag**self.alpha * (1.0 - rho)
         return gmag, upwind_mask, q, dstab
 
-    def jacobian_1d(self, u_full, lam=0.0):
-        """Semismooth Jacobian of the stage residual, plus lam on the diagonal.
+    def _magnitude_weights(self, nbrs, upwind_mask) -> list:
+        """Per axis, gmag * (d gmag / d D-u, d gmag / d D+u) on the active branch.
 
-        F enters through its Howard policy at the current Hessian, the
-        gradient magnitude through its active branch.  1D: the (3, n) band
-        of `scipy.linalg.solve_banded`.
+        Centered: half the centered slope for both; RMS (alpha != 0): half
+        the one-sided slopes; at masked nodes the Godunov slope G on the
+        selected one-sided slope.  Where G = 0 both weights are 0, an element
+        of the generalized gradient of max(D-, -D+, 0) there.
         """
-        h = self.h[0]
-        h2 = self.h2[0]
-        n = u_full.size
-        slope = operators.policy_1d(self.instance.operator, self.hessian(u_full)[0])
-        gsig = (u_full[2:] - u_full[:-2]) / (2.0 * h)
-        gmag, upwind_mask, q, dstab = self._lower_order_slopes(u_full)
-        # derivative of the gradient magnitude w.r.t. the three stencil
-        # values (RMS of one-sided slopes for alpha != 0, centered else)
-        back, fwd = _onesided_slopes_1d(u_full, h)
-        if self.alpha != 0.0:
-            safe = np.maximum(gmag, _GRAD_FLOOR)
-            d_up = 0.5 * fwd / (h * safe)
-            d_lo = -0.5 * back / (h * safe)
-            d_diag = 0.5 * (back - fwd) / (h * safe)
-        else:
-            sgn = np.sign(gsig)
-            d_up = sgn / (2.0 * h)
-            d_lo = -sgn / (2.0 * h)
-            d_diag = np.zeros(n - 2)
-        if upwind_mask.any():
-            # Godunov branch selection: gmag = max(D-, -D+, 0)
-            back_sel = (back >= -fwd) & (back >= 0.0)
-            fwd_sel = ~back_sel & (-fwd >= 0.0)
-            d_diag = np.where(upwind_mask, (back_sel | fwd_sel) / h, d_diag)
-            d_lo = np.where(upwind_mask, -(back_sel / h), d_lo)
-            d_up = np.where(upwind_mask, -(fwd_sel / h), d_up)
-        ab = np.zeros((3, n - 2))
-        ab[1, :] = 2.0 * slope / h2 + dstab + q * d_diag + lam
-        upper = -slope / h2 + q * d_up
-        lower = -slope / h2 + q * d_lo
-        ab[0, 1:] = upper[:-1]
-        ab[2, :-1] = lower[1:]
-        return ab
-
-    def _magnitude_slopes_2d(self, u_full, gmag, upwind_mask) -> dict:
-        """d gmag / d u at the node and its four axis neighbours, by offset.
-
-        Per axis the magnitude depends on the one-sided slopes D-u, D+u
-        through weights (wb, wf) = gmag * (d gmag/d D-u, d gmag/d D+u):
-        centered, RMS (alpha != 0) or, at masked nodes, the Godunov branch.
-        """
-        ui = u_full[1:-1, 1:-1]
-        inv = 1.0 / np.maximum(gmag, _GRAD_FLOOR)  # the weights vanish with gmag
-        slopes = {(0, 0): 0.0}
-        neighbours = ((u_full[:-2, 1:-1], u_full[2:, 1:-1], (1, 0)),
-                      (u_full[1:-1, :-2], u_full[1:-1, 2:], (0, 1)))
-        for (lo, hi, (di, dj)), h in zip(neighbours, self.h):
-            back, fwd = (ui - lo) / h, (hi - ui) / h
-            wb, wf = (0.5 * back, 0.5 * fwd) if self.alpha != 0.0 \
-                else (0.25 * (back + fwd),) * 2
+        weights = []
+        for (lo, c, hi), h in zip(nbrs, self.h):
+            back, fwd = (c - lo) / h, (hi - c) / h
+            if self.alpha != 0.0:
+                wb, wf = 0.5 * back, 0.5 * fwd
+            else:  # half the centered slope, as `_centered_magnitude` takes it
+                wb = wf = 0.5 * ((hi - lo) / (2.0 * h))
             if upwind_mask.any():
                 back_sel = (back >= -fwd) & (back >= 0.0)
                 fwd_sel = ~back_sel & (-fwd >= 0.0)
                 god = _godunov(back, fwd)
                 wb = np.where(upwind_mask, god * back_sel, wb)
                 wf = np.where(upwind_mask, -god * fwd_sel, wf)
-            slopes[(0, 0)] = slopes[(0, 0)] + (wb - wf) * inv / h
-            slopes[(-di, -dj)] = -wb * inv / h
-            slopes[(di, dj)] = wf * inv / h
-        return slopes
+            weights.append((wb, wf))
+        return weights
 
-    def jacobian_2d(self, u_full, lam=0.0):
-        """As `jacobian_1d`; a sparse 9-point CSC matrix on the interior nodes
-        in C order."""
-        (hx, hy), (hx2, hy2) = self.h, self.h2
-        cxx, cxy, cyy = operators.policy_2d(self.instance.operator,
-                                            *self.hessian(u_full))
+    def jacobian(self, u_full, lam=0.0):
+        """Semismooth Jacobian of the stage residual, plus lam on the diagonal.
+
+        One {offset: coefficient} stencil on the interior nodes: F through
+        its Howard policy at the current Hessian, the gradient magnitude
+        through the chain rule of its active branch, the stabiliser's
+        slope, and lam.  Packed as the (3, n) band of
+        `scipy.linalg.solve_banded` in 1D, and as a sparse 9-point CSC
+        matrix on the interior nodes in C order in 2D.
+        """
+        ndim, nbrs = u_full.ndim, _axis_neighbours(u_full)
+        hess = self.hessian(u_full, nbrs)
+        if ndim == 1:
+            axis_coefs = (operators.policy_1d(self.instance.operator, hess[0]),)
+        else:
+            cxx, cxy, cyy = operators.policy_2d(self.instance.operator, *hess)
+            axis_coefs = (cxx, cyy)
         gmag, upwind_mask, q, dstab = self._lower_order_slopes(u_full)
-        kxy = cxy / (2.0 * hx * hy)  # -F's corner weight is -2 cxy / (4 hx hy)
-        stencil = {
-            (0, 0): 2.0 * cxx / hx2 + 2.0 * cyy / hy2 + dstab + lam,
-            (1, 0): -cxx / hx2, (-1, 0): -cxx / hx2, (0, 1): -cyy / hy2,
-            (0, -1): -cyy / hy2, (1, 1): -kxy, (-1, -1): -kxy, (1, -1): kxy,
-            (-1, 1): kxy,
-        }
-        for k, d in self._magnitude_slopes_2d(u_full, gmag, upwind_mask).items():
-            stencil[k] = stencil[k] + q * d
-        n, my = cxx.size, cxx.shape[1]
+        centre = (0,) * ndim
+        steps = [tuple(int(i == k) for i in range(ndim)) for k in range(ndim)]
+        axes = [(tuple(-i for i in e), e) for e in steps]  # (lower, upper) offsets
+        stencil = {centre: 0.0}
+        for (lo, hi), c, h2 in zip(axes, axis_coefs, self.h2):
+            stencil[centre] = stencil[centre] + 2.0 * c / h2
+            stencil[hi] = stencil[lo] = -c / h2
+        if ndim == 2:  # the d_xy corners: -F's weight is -2 cxy / (4 hx hy)
+            kxy = cxy / (2.0 * self.h[0] * self.h[1])
+            stencil.update({(1, 1): -kxy, (-1, -1): -kxy, (1, -1): kxy, (-1, 1): kxy})
+        stencil[centre] = stencil[centre] + dstab
+        safe = np.maximum(gmag, _GRAD_FLOOR)  # the weights vanish with gmag
+        d_centre = 0.0
+        for (lo, hi), (wb, wf), h in zip(axes, self._magnitude_weights(nbrs, upwind_mask),
+                                         self.h):
+            stencil[lo] = stencil[lo] - q * (wb / safe / h)
+            stencil[hi] = stencil[hi] + q * (wf / safe / h)
+            d_centre = d_centre + (wb - wf) / safe / h
+        stencil[centre] = stencil[centre] + q * d_centre + lam
+        if ndim == 1:
+            ab = np.zeros((3, gmag.size))
+            ab[0, 1:] = stencil[(1,)][:-1]
+            ab[1] = stencil[centre]
+            ab[2, :-1] = stencil[(-1,)][1:]
+            return ab
+        n, my = gmag.size, gmag.shape[1]
         offsets = [di * my + dj for di, dj in stencil]
         diagonals = []
         for ((di, dj), coef), k in zip(stencil.items(), offsets):
@@ -439,10 +431,9 @@ class _Stage:
 
     def newton_direction(self, u_full, res, lam):
         """Solve J d = -res for the interior update d (shape of res)."""
+        jac = self.jacobian(u_full, lam)
         if u_full.ndim == 1:
-            jac = self.jacobian_1d(u_full, lam)
             return scipy.linalg.solve_banded((1, 1), jac, -res)
-        jac = self.jacobian_2d(u_full, lam)
         with warnings.catch_warnings():  # a singular matrix gives NaN, tested below
             warnings.simplefilter("ignore", scipy.sparse.linalg.MatrixRankWarning)
             d = scipy.sparse.linalg.spsolve(jac, -res.ravel())
@@ -628,7 +619,7 @@ def solve_dirichlet(
             m_level = growth * prev_m
             continue
         iterations = round_iters
-        gmag = _centered_magnitude(u_full, grid.spacing)
+        gmag = _centered_magnitude(_axis_neighbours(u_full), grid.spacing)
         activity = float(np.mean(gmag >= m_level))
         if not auto_m or activity == 0.0:
             break

@@ -121,8 +121,11 @@ class TestSolve:
         ("solve", "solver", {"truncation": -2}),
         ("solve", "solver", {"inner_tol": [1e-8]}),
         ("ergodic", "ladder", [10.0, "twenty"]),
+        ("solve", "solver", {"inner_tols": 1e-3, "max_iters": 2}),
+        ("ergodic", "tol", "abc"),
+        ("asymptotics", "c", "abc"),
     ], ids=["truncation-abc", "max-iters-many", "truncation-negative",
-            "inner-tol-list", "ladder-word"])
+            "inner-tol-list", "ladder-word", "solver-key-misspelt", "tol-abc", "c-abc"])
     def test_bad_values_are_config_errors(self, tmp_path, command, key, value):
         cfg = dict(INSTANCE_YAML)
         cfg["grid"] = {"shape": [21]}

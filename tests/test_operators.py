@@ -120,6 +120,7 @@ class TestEval:
     @settings(max_examples=100, deadline=None)
     @given(random_sym(3), st.floats(min_value=0.01, max_value=10.0))
     @example(RANK_ONE, 3.0)
+    @example(SymMatrix(3, (0.0, 2.2284849821942767e-162, 0.0, 0.0, 0.0, 0.0)), 1.0)
     def test_positive_homogeneity(self, m, t):
         for spec in (ScaledTrace(), PucciPlus(BOUNDS), PucciMinus(BOUNDS)):
             fm = eval_operator(spec, m)

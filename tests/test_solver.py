@@ -214,9 +214,9 @@ class TestBetaBelowOne:
 
 def dense_jacobian(stage, u):
     if u.ndim == 1:  # the (3, n) band of solve_banded
-        jac = stage.jacobian_1d(u)
+        jac = stage.jacobian(u)
         return np.diag(jac[1]) + np.diag(jac[0, 1:], 1) + np.diag(jac[2, :-1], -1)
-    return stage.jacobian_2d(u).toarray()
+    return stage.jacobian(u).toarray()
 
 
 def fd_jacobian(stage, u, step=1e-6):
@@ -300,21 +300,33 @@ class TestStageResidual:
     b = "1 + 0.5*x"
     f = "0.5*cos(3.0*x)"
 
-    def stage(self, grid, u, m_level, config):
+    def stage(self, grid, m_level, config, operator=None):
         inst = EquationInstance(
-            operator=ScaledTrace(self.coef), exponents=ExponentPair(0.0, 2.0),
-            b=ScalarField.from_expression(self.b, dim=1),
-            f=ScalarField.from_expression(self.f, dim=1), domain=INTERVAL,
+            operator=operator or ScaledTrace(self.coef),
+            exponents=ExponentPair(0.0, 2.0),
+            b=ScalarField.from_expression(self.b, dim=grid.dim),
+            f=ScalarField.from_expression(self.f, dim=grid.dim), domain=grid.box,
         )
         return inst, make_stage(inst, grid, 1e-3, m_level, 0.25, config)
 
-    def test_centered_matches_residual_field(self):
-        # alpha = 0, M above max|u'| and no upwinding: the stage system's
-        # residual is the equation's residual (the eps terms cancel)
-        grid = interval_grid(41)
-        x = grid.axes()[0]
-        u = 3.0 + np.sin(2.0 * x) + x**2
-        inst, stage = self.stage(grid, u, 10.0, SolverConfig(peclet_threshold=math.inf))
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_centered_matches_residual_field(self, dim):
+        # alpha = 0, M above max|grad u| and no upwinding: the stage system's
+        # residual is the equation's residual (the eps terms cancel).  In 2D
+        # the Bellman operator's off-diagonal matrix reads d_xy with its sign
+        # at the nodes where it is the maximiser.
+        if dim == 1:
+            grid, operator = interval_grid(41), None
+            x = grid.axes()[0]
+            u = 3.0 + np.sin(2.0 * x) + x**2
+        else:
+            grid = UniformGrid((13, 13), SQUARE)
+            operator = ac6_operator("bellman-max", 2)
+            x, y = grid.coords()
+            u = 3.0 + np.sin(2.0 * x) + x**2 + 0.7 * x * y - 0.3 * y**2
+        inst, stage = self.stage(grid, 10.0, SolverConfig(peclet_threshold=math.inf),
+                                 operator)
+        assert stage.magnitudes(u)[0].max() < 10.0
         ref = residual_field(inst, GridFunction(grid, u))
         assert not stage.magnitudes(u)[1].any()
         scale = float(np.abs(ref).max())
@@ -331,7 +343,7 @@ class TestStageResidual:
         u = 10.0 - 3.0 * np.log(1.02 - x**2)
         u[2] = u[3] - 0.1  # a dip: both one-sided slopes point uphill there
         m_level = 1e3
-        inst, stage = self.stage(grid, u, m_level, SolverConfig())
+        inst, stage = self.stage(grid, m_level, SolverConfig())
         xi = x[1:-1]
         b = 1.0 + 0.5 * xi
         centered = np.abs(u[2:] - u[:-2]) / (2.0 * h)
