@@ -5,7 +5,8 @@ The package studies equations of the form
     -|grad u|^alpha F(D^2 u) + b(x) |grad u|^beta = f(x)
 
 with a regularized-continuation Dirichlet solver, a 1D shooting oracle,
-ergodic-constant estimation via boundary-amplitude ladders, and
+ergodic-constant estimation by bordered continuation in the boundary
+offset with extrapolation in h and in the offset, and
 verification of boundary blow-up asymptotics (exponent, amplitude,
 gradient rate, uniqueness up to additive constants).
 """
@@ -22,7 +23,6 @@ from .errors import (
     InsufficientSpan,
     InvalidBoundary,
     InvalidRegime,
-    LadderNonConvergence,
     NonConvergence,
     OutOfRange,
     PreconditionViolated,
@@ -55,16 +55,12 @@ from .operators import (
     eval_operator,
 )
 from .grid import (
-    BoundaryLayer,
     GridFunction,
     UniformGrid,
-    boundary_distance,
-    boundary_layer,
     gradient,
     hessian,
     holder_seminorm,
     lipschitz_seminorm,
-    load_binary,
     save_binary,
     save_csv,
 )
@@ -72,7 +68,6 @@ from .solver import (
     SolveReport,
     SolverConfig,
     comparison_probe,
-    residual,
     residual_field,
     solve_dirichlet,
 )
@@ -103,7 +98,7 @@ __all__ = [
     "ErgopdeError", "OutOfRange", "DimensionMismatch", "DegenerateOperator",
     "BoundaryNode", "EmptyRegion", "InsufficientSpan", "InvalidBoundary",
     "NonConvergence", "PreconditionViolated", "InvalidRegime",
-    "BracketFailure", "LadderNonConvergence", "UnresolvedLayer",
+    "BracketFailure", "UnresolvedLayer",
     "UnsupportedCase", "HypothesisViolated", "ConfigError",
     # model
     "ExponentPair", "ScalarField", "Box", "EquationInstance",
@@ -115,11 +110,10 @@ __all__ = [
     "PucciMinus", "BellmanMax", "CheckReport", "eval_operator",
     "check_uniform_ellipticity", "check_homogeneity",
     # grid
-    "UniformGrid", "GridFunction", "BoundaryLayer", "gradient", "hessian",
-    "holder_seminorm", "lipschitz_seminorm", "boundary_distance",
-    "boundary_layer", "save_csv", "save_binary", "load_binary",
+    "UniformGrid", "GridFunction", "gradient", "hessian",
+    "holder_seminorm", "lipschitz_seminorm", "save_csv", "save_binary",
     # solver
-    "SolverConfig", "SolveReport", "residual", "residual_field",
+    "SolverConfig", "SolveReport", "residual_field",
     "solve_dirichlet", "comparison_probe",
     # oracle1d
     "ShootState", "exact_dirichlet_1d", "shoot_blowup",

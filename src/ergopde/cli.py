@@ -143,14 +143,14 @@ def _instance(cfg: dict):
 
 
 def _experiment(cfg: dict, instance, grid) -> ErgodicExperiment:
+    if "drift_tol" in cfg:  # the ladder classifier's key: nothing reads it
+        raise ConfigError("the key 'drift_tol' is refused: the estimate has no drifts")
     try:
         ladder = tuple(float(v) for v in _require(cfg, "ladder"))
         probe = tuple(float(v) for v in np.atleast_1d(_require(cfg, "probe_point")))
         kwargs = {}
         if "fit_span" in cfg:
             kwargs["fit_span"] = tuple(float(v) for v in cfg["fit_span"])
-        if "drift_tol" in cfg:
-            kwargs["drift_tol"] = float(cfg["drift_tol"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid experiment config: {exc}") from exc
     try:
@@ -244,6 +244,8 @@ def run_ergodic(cfg: dict, out: Path, seed) -> dict:
     grid = grid_from(_require(cfg, "grid"), instance.domain)
     exp = _experiment(cfg, instance, grid)
     tol = _number(cfg, "tol", 1e-2)
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"tol must be a finite positive number, not {tol!r}")
     c_est, rep = estimate_ergodic_constant(exp, tol=tol)
     return {"experiment": "ergodic", **rep}
 
@@ -282,6 +284,8 @@ def run_convergence(cfg: dict, out: Path, seed) -> dict:
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigError("grid_sizes must be strictly increasing")
     ref = _require(cfg, "reference")
+    if not isinstance(ref, dict):
+        raise ConfigError("the reference section must be a mapping")
     kind = _require(ref, "kind")
     if kind == "dirichlet-1d":
         exact = exact_dirichlet_1d(_number(ref, "alpha"), _number(ref, "c0"))

@@ -1,33 +1,31 @@
 """Ergodic-constant estimation and blow-up asymptotics on the grid solver.
 
 The ergodic problem replaces Dirichlet data with u = +infinity on the
-boundary; the constant c_erg is the unique c for which that problem has a
-solution.  Numerically the infinite datum is approximated by a ladder of
-finite boundary amplitudes L1 < L2 < ...:
+boundary; the constant c_Omega is the unique c for which it has a
+solution.  The estimate replaces the infinite datum by an offset L: the
+pair (u, c) with u = L on the boundary and u(x0) = 0 at the probe point
+has a constant c_h(L) that is smooth in the spacing h and in L, and falls
+to c_Omega as L grows.  One converged solve above c_Omega starts the
+pairs, and bordered Newton steps (Keller's continuation, c one more
+unknown) raise L.  c_h(L) is extrapolated in h from the grid and its two
+refinements, then in L at the predicted rate: exp(-L/C) in the log case
+(the Hopf-Cole picture), L^(-1/chi) in the power case.
 
-* for c above c_erg the Dirichlet family exists for every amplitude and
-  u(x0) - L stabilizes along the ladder (the solutions differ by nearly
-  additive constants);
-* for c below c_erg the maximal interior solution blows up strictly
-  inside the domain, so the ladder solves either fail to converge or
-  u(x0) - L keeps drifting downward as L grows.
-
-Bisection on this classification yields c_erg.  With c in hand, the
-boundary-layer behaviour is compared against the predicted power/log
-profiles, the gradient rate, and uniqueness up to additive constants.
+With c in hand, the boundary-layer behaviour is compared against the
+predicted power/log profiles, the gradient rate, and uniqueness up to
+additive constants.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import (
-    BracketFailure,
     HypothesisViolated,
-    LadderNonConvergence,
     NonConvergence,
     OutOfRange,
     UnresolvedLayer,
@@ -38,7 +36,7 @@ from .model import EquationInstance, ExponentPair, ScalarField, amplitude_C, chi
     face_normals
 from .operators import ScaledTrace
 from .oracle1d import blowup_profile_fit
-from .solver import SolverConfig, solve_dirichlet
+from .solver import SolverConfig, solve_bordered, solve_dirichlet
 
 
 def _default_fit_span() -> tuple:
@@ -47,7 +45,11 @@ def _default_fit_span() -> tuple:
 
 @dataclass(frozen=True)
 class ErgodicExperiment:
-    """A gradient-coercive instance plus the ladder/probe/fit-layer data."""
+    """A gradient-coercive instance plus the ladder/probe/fit-layer data.
+
+    The ladder's top bounds the ergodic estimate's offsets; the checks
+    solve at its rungs.
+    """
 
     instance: EquationInstance
     grid: UniformGrid
@@ -55,7 +57,6 @@ class ErgodicExperiment:
     probe_point: tuple
     fit_span: tuple = field(default_factory=_default_fit_span)
     solver_config: SolverConfig | None = None
-    drift_tol: float | None = None
 
     def __post_init__(self):
         ladder = tuple(float(v) for v in self.ladder)
@@ -82,118 +83,160 @@ class ErgodicExperiment:
     def config(self) -> SolverConfig:
         return self.solver_config or SolverConfig()
 
-    def effective_drift_tol(self) -> float:
-        if self.drift_tol is not None:
-            return self.drift_tol
-        gap = min(b - a for a, b in zip(self.ladder, self.ladder[1:]))
-        return 1e-3 * gap
 
-
-def solve_at(
-    exp: ErgodicExperiment,
-    c: float,
-    amplitude: float,
-    initial: GridFunction | None = None,
-    strict: bool = False,
-) -> tuple:
+def solve_at(exp: ErgodicExperiment, c: float, amplitude: float) -> tuple:
     """One ladder rung: Dirichlet solve of the c-shifted instance.
 
     The hybrid (Peclet-switched upwind) solve is robust but its numerical
     diffusion admits solutions slightly past the solvability threshold.
     A centered-scheme polish warm-started from the hybrid solution removes
-    that bias.  If the polish fails, strict=True raises NonConvergence
-    (the threshold classifier's choice); otherwise the hybrid solution is
-    returned.
+    that bias; if the polish fails, the hybrid solution is returned.
     """
     shifted = exp.instance.shifted_f(c)
     datum = ScalarField.constant(float(amplitude), exp.grid.dim)
     cfg = exp.config()
-    u, report = solve_dirichlet(shifted, datum, exp.grid, cfg, initial=initial)
+    u, report = solve_dirichlet(shifted, datum, exp.grid, cfg)
     centered = replace(cfg, peclet_threshold=math.inf)
     try:
         return solve_dirichlet(shifted, datum, exp.grid, centered, initial=u)
     except NonConvergence:
-        if strict:
-            raise
         return u, report
 
 
 # ---------------------------------------------------------------------------
 # ergodic constant
 
+_MAX_LAYER_CELLS = 3.0  # L rises while the layer spans at least h / 3
+_ORDER_RATIOS = (3.0, 5.0)  # difference ratios in h that confirm second order
+_RATE_SLACK = 1.25  # ... and in L: within e / 1.25 and 1.25 e
 
-def _classify(exp: ErgodicExperiment, c: float) -> tuple:
-    """Ladder classification of a candidate c: 'above' or 'below' c_erg."""
-    drift_tol = exp.effective_drift_tol()
-    node = exp.probe_node
-    offsets = []
-    warm = None
-    for amp in exp.ladder:
-        try:
-            u, _ = solve_at(exp, c, amp, initial=warm, strict=True)
-        except NonConvergence as exc:
-            return "below", {"rung": amp, "failure": str(exc), "offsets": offsets}
-        warm = u
-        offsets.append(float(u(node)) - amp)
-    drifts = [b - a for a, b in zip(offsets, offsets[1:])]
-    if drifts[-1] < -drift_tol:
-        return "below", {"offsets": offsets, "drifts": drifts}
-    return "above", {"offsets": offsets, "drifts": drifts}
+
+def _layer_scale(exp: ErgodicExperiment) -> tuple:
+    """(chi, C), C the largest face amplitude: the widest layer converges slowest."""
+    normals = face_normals(exp.instance.domain).values()
+    amp = max(amplitude_C(exp.instance.operator, n, exp.exponents) for n in normals)
+    return chi(exp.exponents), amp
+
+
+def _layer_cells(u: GridFunction, level: float, chi_val: float, amp: float) -> float:
+    """h / d_L: the largest jump of u across a first cell, read through the
+    layer L - C log(1 + d / d_L) (log case) or C (d + d_L)^-chi with
+    C d_L^-chi = L (power case).
+    """
+    inner = u.values[(slice(1, -1),) * u.grid.dim]
+    jump = level - min(np.take(inner, [0, -1], axis=k).min() for k in range(inner.ndim))
+    if chi_val == 0.0:
+        return math.expm1(jump / amp)
+    return math.inf if jump >= level else (1.0 - jump / level) ** (-1.0 / chi_val) - 1.0
+
+
+def _refine(u: GridFunction) -> GridFunction:
+    """Linear interpolation of u onto the grid with 2n - 1 nodes per axis."""
+    fine = UniformGrid(tuple(2 * n - 1 for n in u.grid.shape), u.grid.box)
+    values = u.values
+    for k, (x, x_fine) in enumerate(zip(u.grid.axes(), fine.axes())):
+        values = np.apply_along_axis(lambda col: np.interp(x_fine, x, col), k, values)
+    return GridFunction(fine, values)
+
+
+def _extrapolate(g, values) -> float:
+    """Value at g = 0 of the polynomial in g through the points (Neville)."""
+    table = list(values)
+    for j in range(1, len(table)):
+        table = [b + (b - a) * g[i + j] / (g[i] - g[i + j])
+                 for i, (a, b) in enumerate(zip(table, table[1:]))]
+    return table[0]
+
+
+def offset_constants(exp: ErgodicExperiment, offsets):
+    """Yield (c_h(L), u) on the experiment's grid at each of the increasing offsets.
+
+    One converged solve at c = 1 - min f, shifted to u(probe) = 0, starts
+    the pairs; bordered Newton solves from the translation u + dL raise L
+    by C, or by half of L once that is more.  The sequence ends once the
+    layer is narrower than a third of a cell; a failed solve raises
+    NonConvergence.
+    """
+    chi_val, amp = _layer_scale(exp)
+    c = 1.0 - float(np.min(exp.instance.f(*exp.grid.coords())))
+    u, _ = solve_at(exp, c, 0.0)
+    level = -u(exp.probe_node)
+    u = GridFunction(exp.grid, u.values + level)
+    for target in offsets:
+        while level < target:
+            step = min(target - level, max(amp, 0.5 * level))
+            guess = GridFunction(exp.grid, u.values + step)
+            u, c, _ = solve_bordered(exp.instance, guess, c, exp.probe_node, exp.config())
+            level += step
+            if _layer_cells(u, level, chi_val, amp) > _MAX_LAYER_CELLS:
+                return
+        yield c, u
 
 
 def estimate_ergodic_constant(exp: ErgodicExperiment, tol: float = 1e-2) -> tuple:
-    """Bisection for the ergodic constant of the experiment's instance.
+    """The ergodic constant, extrapolated from c_h(L) in h and then in L.
 
-    Returns (c_est, report); the report records the final bracket (the
-    upper end is always on the solvable side), the ladder classifications,
-    and the drift tolerance.  Raises BracketFailure if no sign change is
-    found, LadderNonConvergence if even the initial upper candidate fails.
+    The k-th offset, L = C k (log case) or C e^(chi k) (power case), thins
+    the layer to e^-k.  c_h(L) on the grid and its refinements with 2n - 1
+    and 4n - 3 nodes per axis goes to h = 0 at second order while its
+    ratio of differences lies in [3, 5]; then to g = e^-k = 0 through the
+    top three offsets (two if three resolve), if their ratio is near e.
+    The bar adds the changes when the top offset and when the finest grid
+    are left out.  Returns (c_est, report); raises UnresolvedLayer if that
+    fails or the bar exceeds tol, NonConvergence if a step fails.
     """
-    if tol <= 0.0:
-        raise OutOfRange("tol must be positive")
-    xs = exp.grid.coords()
-    f_min = float(np.min(exp.instance.f(*xs)))
-    history = []
-
-    c_hi = 1.0 - f_min
-    label, detail = _classify(exp, c_hi)
-    history.append({"c": c_hi, "label": label, **detail})
-    if label != "above":
-        raise LadderNonConvergence(
-            f"initial upper candidate c={c_hi} did not produce a stable ladder"
-        )
-    step = 1.0
-    c_lo = c_hi - step
-    for _ in range(60):
-        label, detail = _classify(exp, c_lo)
-        history.append({"c": c_lo, "label": label, **detail})
-        if label == "below":
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise OutOfRange(f"tol must be a finite positive number, not {tol!r}")
+    chi_val, amp = _layer_scale(exp)
+    levels = list(itertools.takewhile(lambda v: v <= exp.ladder[-1], (
+        amp * (k if chi_val == 0.0 else math.exp(chi_val * k)) for k in itertools.count(1))))
+    fine_nodes = [tuple(m * i for i in exp.probe_node) for m in (2, 4)]  # the same point
+    c_h = []
+    for c, u in offset_constants(exp, levels):
+        row = [c]
+        for node in fine_nodes:
+            u, c, _ = solve_bordered(exp.instance, _refine(u), c, node, exp.config())
+            row.append(c)
+        ratio = (row[0] - row[1]) / (row[1] - row[2]) if row[1] != row[2] else math.inf
+        if not _ORDER_RATIOS[0] <= ratio <= _ORDER_RATIOS[1]:
             break
-        c_hi = c_lo
-        step *= 2.0
-        c_lo = c_hi - step
-    else:
-        raise BracketFailure("no lower bracket end found within 60 expansions")
-
-    while c_hi - c_lo > tol:
-        mid = 0.5 * (c_lo + c_hi)
-        label, detail = _classify(exp, mid)
-        history.append({"c": mid, "label": label, **detail})
-        if label == "above":
-            c_hi = mid
-        else:
-            c_lo = mid
-    c_est = 0.5 * (c_lo + c_hi)
-    report = {
+        c_h.append(row)
+    offsets = levels[:len(c_h)]
+    where = f"offsets {[round(v, 4) for v in offsets]} on {exp.grid.shape} refined twice"
+    if len(c_h) < 3:
+        raise UnresolvedLayer(f"only {len(c_h)} resolved {where}; need 3")
+    c_fine = [f + (f - m) / 3.0 for _, m, f in c_h]  # Richardson in h
+    c_coarse = [m + (m - c0) / 3.0 for c0, m, _ in c_h]
+    rate = (c_fine[-3] - c_fine[-2]) / (c_fine[-2] - c_fine[-1])
+    if not math.e / _RATE_SLACK <= rate <= math.e * _RATE_SLACK:
+        raise UnresolvedLayer(f"c(L) - c_Omega shrinks by {rate:.3g} per offset, "
+                              f"not by e: short of the asymptotic rate ({where})")
+    g = [math.exp(-k) for k in range(1, len(c_h) + 1)]
+    top = slice(-min(3, len(c_h) - 1), None)
+    below = slice(top.start - 1, -1)  # the top offset left out
+    c_est = _extrapolate(g[top], c_fine[top])
+    bar = abs(c_est - _extrapolate(g[below], c_fine[below])) \
+        + abs(c_est - _extrapolate(g[top], c_coarse[top]))
+    if bar > tol:
+        raise UnresolvedLayer(f"error bar {bar:.3g} of the estimate {c_est:.6g} "
+                              f"exceeds tol {tol:.3g} ({where})")
+    return c_est, {
         "c_est": c_est,
-        "bracket": [c_lo, c_hi],
+        "bar": bar,
+        "bracket": [c_est - bar, c_est + bar],
         "tol": tol,
-        "drift_tol": exp.effective_drift_tol(),
+        "case": "log" if chi_val == 0.0 else "power",
+        "offsets": offsets,
+        "grid_shapes": [[m * (n - 1) + 1 for n in exp.grid.shape] for m in (1, 2, 4)],
+        "c_h": c_h,  # the discrete constants, per offset and grid
+        "c_h_extrapolated": c_fine,  # c(L) at h = 0
+        "L_rate": rate,
         "ladder": list(exp.ladder),
-        "classifications": history,
         "grid_shape": list(exp.grid.shape),
+        # read by the benchmark's span counters until they are redefined
+        # for this estimator: there are no verdicts any more
+        "classifications": [],
     }
-    return c_est, report
 
 
 # ---------------------------------------------------------------------------

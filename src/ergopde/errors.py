@@ -58,12 +58,8 @@ class BracketFailure(ErgopdeError):
     """Bisection could not establish a sign-changing bracket."""
 
 
-class LadderNonConvergence(ErgopdeError):
-    """A boundary-amplitude ladder rung failed to converge."""
-
-
 class UnresolvedLayer(ErgopdeError):
-    """Too few usable boundary-layer shells for an asymptotic fit."""
+    """The grid or the offsets do not resolve the boundary layer a result needs."""
 
 
 class UnsupportedCase(ErgopdeError):

@@ -1,4 +1,4 @@
-"""Uniform-grid discretization: stencils, seminorms, boundary bookkeeping.
+"""Uniform-grid discretization: stencils, seminorms, snapshots.
 
 Grids are 1D or 2D tensor products of equally spaced nodes.  Values are
 stored row-major (2D shape = (nx, ny)).  Gradients use centered
@@ -263,74 +263,6 @@ def lipschitz_seminorm(
 
 
 # ---------------------------------------------------------------------------
-# boundary distance and layers
-
-
-def boundary_distance(grid: UniformGrid):
-    """Exact distance to the box boundary and inward normal per node.
-
-    Returns (d, normal, tie) where d has the grid shape, normal has shape
-    grid.shape + (dim,) (the inward normal of the nearest face) and `tie`
-    flags nodes where two faces are within one spacing of realizing the
-    minimum (near the medial axis or corners).
-    """
-    coords = grid.coords()
-    dim = grid.dim
-    face_d = []
-    face_n = []
-    for ax in range(dim):
-        n_lo = np.zeros(dim)
-        n_lo[ax] = 1.0
-        n_hi = -n_lo
-        face_d.append(coords[ax] - grid.box.lo[ax])
-        face_n.append(n_lo)
-        face_d.append(grid.box.hi[ax] - coords[ax])
-        face_n.append(n_hi)
-    stacked = np.stack(face_d, axis=0)
-    order = np.argsort(stacked, axis=0)
-    d = np.take_along_axis(stacked, order[:1], axis=0)[0]
-    second = np.take_along_axis(stacked, order[1:2], axis=0)[0]
-    tie_tol = max(grid.spacing)
-    tie = (second - d) < tie_tol
-    nearest = order[0]
-    normal = np.zeros(grid.shape + (dim,))
-    for k, n in enumerate(face_n):
-        sel = nearest == k
-        normal[sel] = n
-    return d, normal, tie
-
-
-@dataclass(frozen=True)
-class BoundaryLayer:
-    """Interior nodes with boundary distance in [delta, 2*delta]."""
-
-    delta: float
-    nodes: tuple  # tuple of index tuples
-    distances: np.ndarray
-    normals: np.ndarray  # inward normals, shape (len(nodes), dim)
-
-
-def boundary_layer(grid: UniformGrid, delta: float) -> BoundaryLayer:
-    """Collect the layer nodes, excluding medial-axis ties (2D)."""
-    if delta <= 0.0:
-        raise OutOfRange("layer offset must be positive")
-    if delta >= 0.5 * min(grid.box.sides):
-        raise EmptyRegion("layer offset exceeds the domain half-width")
-    d, normal, tie = boundary_distance(grid)
-    sel = grid.interior_mask() & (d >= delta) & (d <= 2.0 * delta) & ~tie
-    idx = np.argwhere(sel)
-    if idx.shape[0] == 0:
-        raise EmptyRegion("boundary layer holds no nodes at this offset")
-    nodes = tuple(tuple(int(i) for i in row) for row in idx)
-    return BoundaryLayer(
-        delta=float(delta),
-        nodes=nodes,
-        distances=d[sel],
-        normals=normal[sel],
-    )
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 
@@ -355,16 +287,3 @@ def save_binary(u: GridFunction, path) -> None:
         fh.write(struct.pack(f"<{g.dim}d", *g.box.hi))
         fh.write(np.ascontiguousarray(u.values, dtype="<f8").tobytes())
 
-
-def load_binary(path) -> GridFunction:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _BINARY_MAGIC:
-            raise OutOfRange(f"bad snapshot magic {magic!r}")
-        (dim,) = struct.unpack("<i", fh.read(4))
-        shape = struct.unpack(f"<{dim}i", fh.read(4 * dim))
-        lo = struct.unpack(f"<{dim}d", fh.read(8 * dim))
-        hi = struct.unpack(f"<{dim}d", fh.read(8 * dim))
-        count = int(np.prod(shape))
-        values = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape)
-    return GridFunction(UniformGrid(shape, Box(lo, hi)), values)

@@ -25,7 +25,7 @@ import functools
 import math
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -34,13 +34,12 @@ import scipy.sparse.linalg
 
 from . import operators
 from .errors import (
-    BoundaryNode,
     InvalidBoundary,
     NonConvergence,
     OutOfRange,
     PreconditionViolated,
 )
-from .grid import GridFunction, UniformGrid, gradient, hessian, hessian_field
+from .grid import GridFunction, UniformGrid, hessian_field
 from .model import EquationInstance, ScalarField
 
 _GRAD_FLOOR = 1e-14
@@ -235,22 +234,6 @@ def residual_field(instance: EquationInstance, u: GridFunction) -> np.ndarray:
     )
 
 
-def residual(instance: EquationInstance, u: GridFunction, node) -> float:
-    """Residual of the original equation at one interior node."""
-    grid = u.grid
-    if not grid.is_interior(node):
-        raise BoundaryNode(f"node {node} is not interior")
-    g = gradient(u, node)
-    gmag = float(np.linalg.norm(g))
-    fval = operators.eval_operator(instance.operator, hessian(u, node))
-    pos = grid.node_position(node)
-    alpha = instance.exponents.alpha
-    beta = instance.exponents.beta
-    bval = float(instance.b(*pos))
-    fxval = float(instance.f(*pos))
-    return float(-_gradient_power(gmag, alpha) * fval + bval * gmag**beta - fxval)
-
-
 # ---------------------------------------------------------------------------
 # the stage system and its semismooth Newton (Howard) iteration
 
@@ -269,7 +252,8 @@ class _Stage:
         self.m_level = m_level
         self.delta = delta
         self.config = config
-        self.f_int, self.b_int = fields
+        self.f_base, self.b_int = fields
+        self.set_c(0.0)
         self.alpha = instance.exponents.alpha
         self.beta = instance.exponents.beta
         self.h = grid.spacing
@@ -277,6 +261,11 @@ class _Stage:
         self.h_min = min(self.h)
         self.b_beta = np.abs(self.b_int) * self.beta
         self.two_floor = 2.0 * instance.operator.bounds.a
+
+    def set_c(self, c: float) -> None:
+        """Shift the source term: the stage solves with f + c."""
+        self.c = c
+        self.f_int = self.f_base + c if c else self.f_base
 
     def interior(self, u_full):
         return u_full[(slice(1, -1),) * u_full.ndim]
@@ -429,17 +418,33 @@ class _Stage:
             diagonals.append(coef.ravel()[: n - k] if k >= 0 else coef.ravel()[-k:])
         return scipy.sparse.diags(diagonals, offsets, shape=(n, n), format="csc")
 
-    def newton_direction(self, u_full, res, lam):
-        """Solve J d = -res for the interior update d (shape of res)."""
+    def c_column(self, u_full):
+        """dR/dc = -rho, the column of the shift c in the bordered Jacobian."""
+        rho = _regularization_factor(self.magnitudes(u_full)[0], self.delta, self.alpha)
+        return np.broadcast_to(-rho, self.f_base.shape)
+
+    def bordered_step(self, u_full, res, lam, border) -> tuple:
+        """(du, dc) with J du + (dR/dc) dc = -res and du(x0) = -u(x0), x0 = border.
+
+        J y = -res and J z = dR/dc share one factorization; then
+        dc = (y(x0) + u(x0)) / z(x0) and du = y - z dc.
+        """
+        yz = self.solve(u_full, np.stack([-res, self.c_column(u_full)], -1), lam)
+        y, z = yz[..., 0], yz[..., 1]
+        dc = (y[border] + self.interior(u_full)[border]) / z[border]
+        return y - z * dc, float(dc)
+
+    def solve(self, u_full, rhs, lam):
+        """Solve J d = rhs for one interior array or a stack of them (last axis)."""
         jac = self.jacobian(u_full, lam)
         if u_full.ndim == 1:
-            return scipy.linalg.solve_banded((1, 1), jac, -res)
+            return scipy.linalg.solve_banded((1, 1), jac, rhs)
         with warnings.catch_warnings():  # a singular matrix gives NaN, tested below
             warnings.simplefilter("ignore", scipy.sparse.linalg.MatrixRankWarning)
-            d = scipy.sparse.linalg.spsolve(jac, -res.ravel())
+            d = scipy.sparse.linalg.spsolve(jac, rhs.reshape(jac.shape[0], -1))
         if not np.all(np.isfinite(d)):
             raise np.linalg.LinAlgError("singular or non-finite sparse system")
-        return d.reshape(res.shape)
+        return d.reshape(rhs.shape)
 
 
 def _rms_norm(r: np.ndarray) -> float:
@@ -448,7 +453,7 @@ def _rms_norm(r: np.ndarray) -> float:
     return math.sqrt(r.dot(r)) / math.sqrt(r.size)
 
 
-def _run_newton(stage: _Stage, u_full, config) -> tuple:
+def _run_newton(stage: _Stage, u_full, config, border=None) -> tuple:
     """Semismooth Newton (Howard's policy iteration) on the stage system.
 
     Line search on the l2 residual norm; a Levenberg shift is added to the
@@ -456,27 +461,42 @@ def _run_newton(stage: _Stage, u_full, config) -> tuple:
     reduce the residual.  Convergence is declared on the residual norm
     (scaled by the data), never on the update size alone.  Returns
     (u, iterations).
+
+    With `border`, an interior index x0, the system is bordered (Keller):
+    the shift c of f (`stage.c`) is one more unknown and u(x0) = 0 one more
+    equation (`_Stage.bordered_step`).  The first step is taken whole: from
+    a predictor that solves the stage system, it is the tangent step.
     """
     big_a = stage.instance.operator.bounds.A
     h = stage.h_min
     h2 = min(stage.h2) / u_full.ndim  # sum over axes of 1/h^2 is at most dim/h_min^2
     data_tol = config.inner_tol * (1.0 + float(np.abs(stage.f_int).max()))
     macheps = float(np.finfo(float).eps)
+
+    def norm(res, u_full):  # bordered: u(x0) is one more entry of the residual
+        return _rms_norm(res if border is None else
+                         np.append(res, stage.interior(u_full)[border]))
+
     lam = 0.0
+    dc = 0.0
     res = stage.stage_residual(u_full)
-    res_norm = _rms_norm(res)
+    res_norm = norm(res, u_full)
     for it in range(1, config.max_inner_iters + 1):
         # the second-difference evaluation has a rounding floor ~ |u| eps/h^2
         eval_floor = 4.0 * macheps * big_a * (1.0 + float(np.abs(u_full).max())) / h2
         if res_norm <= data_tol + eval_floor:
             return u_full, it
         try:
-            delta_u = stage.newton_direction(u_full, res, lam)
+            if border is None:
+                delta_u = stage.solve(u_full, -res, lam)
+            else:
+                delta_u, dc = stage.bordered_step(u_full, res, lam, border)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise NonConvergence(
                 f"newton linear solve failed at delta={stage.delta}: {exc}",
                 stage=stage.delta, iterations=it,
             ) from exc
+        c = stage.c
         step = 1.0
         accepted = False
         for _ in range(25):
@@ -485,10 +505,12 @@ def _run_newton(stage: _Stage, u_full, config) -> tuple:
             if np.abs(trial).max() > _DIVERGENCE_GUARD:
                 step *= 0.5
                 continue
+            stage.set_c(c + step * dc)
             trial_res = stage.stage_residual(trial)
-            trial_norm = _rms_norm(trial_res)
-            if math.isfinite(trial_norm) and \
-                    trial_norm <= res_norm * (1.0 - 1e-4 * step):
+            trial_norm = norm(trial_res, trial)
+            if math.isfinite(trial_norm) and (
+                    trial_norm <= res_norm * (1.0 - 1e-4 * step)
+                    or (border is not None and it == 1)):
                 accepted = True
                 break
             step *= 0.5
@@ -498,6 +520,7 @@ def _run_newton(stage: _Stage, u_full, config) -> tuple:
             res_norm = trial_norm
             lam = 0.5 * lam if lam > 1e-8 / h2 else 0.0
         else:
+            stage.set_c(c)
             # steepen the model and recompute the direction
             lam = max(4.0 * lam, 1.0 / h)
             if lam > 1e12 / h2:
@@ -644,6 +667,25 @@ def solve_dirichlet(
         truncation_rounds=rounds,
     )
     return solution, report
+
+
+def solve_bordered(instance, guess: GridFunction, c: float, probe, config=None) -> tuple:
+    """Newton on the pair (u, c) of the final-delta stage with f + c.
+
+    The boundary values of `guess` are the data, u(probe) = 0 is the extra
+    equation; the scheme is centered and the truncation off.  Returns
+    (u, c, iterations).
+    """
+    config = replace(config or SolverConfig(), peclet_threshold=math.inf)
+    ic = _interior_coords(guess.grid)
+    fields = (instance.f(*ic), instance.b(*ic))
+    eps = _EPS_SCALE * (1.0 + float(np.abs(fields[0]).max()))
+    stage = _Stage(instance, guess.grid, eps, math.inf, config.delta_schedule[-1],
+                   config, fields)
+    stage.set_c(c)
+    border = tuple(int(i) - 1 for i in probe)
+    u_full, its = _run_newton(stage, guess.values.copy(), config, border)
+    return GridFunction(guess.grid, u_full), stage.c, its
 
 
 # ---------------------------------------------------------------------------

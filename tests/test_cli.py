@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from ergopde import ConfigError
-from ergopde.cli import main, solver_config_from
+from ergopde.cli import _experiment, main, solver_config_from
 
 from conftest import COSINE_C
 
@@ -90,11 +90,15 @@ class TestSolve:
         assert report["max_abs_residual"] < 1e-6
         assert 0.2 < report["u_probe"] < 0.3  # f >= 0.5 pushes u up from 0
 
-    @pytest.mark.parametrize("key", ["engine", "fallback", "theta"])
+    @pytest.mark.parametrize("key", ["engine", "fallback", "theta", "drift_tol"])
     def test_removed_solver_keys_are_rejected(self, key):
-        value = {"engine": "picard", "fallback": True, "theta": 0.5}[key]
+        value = {"engine": "picard", "fallback": True, "theta": 0.5, "drift_tol": 1e-3}[key]
         with pytest.raises(ConfigError, match=key):
-            solver_config_from({key: value})
+            if key == "drift_tol":  # an experiment key, not a solver key
+                _experiment({key: value, "ladder": [10.0, 20.0], "probe_point": [0.0]},
+                            None, None)
+            else:
+                solver_config_from({key: value})
 
     def test_every_accepted_solver_key(self, tmp_path):
         # a key the CLI reads but SolverConfig has dropped fails here
@@ -124,11 +128,15 @@ class TestSolve:
         ("solve", "solver", {"inner_tols": 1e-3, "max_iters": 2}),
         ("ergodic", "tol", "abc"),
         ("asymptotics", "c", "abc"),
+        ("ergodic", "tol", float("nan")),
+        ("convergence", "reference", 5),
     ], ids=["truncation-abc", "max-iters-many", "truncation-negative",
-            "inner-tol-list", "ladder-word", "solver-key-misspelt", "tol-abc", "c-abc"])
+            "inner-tol-list", "ladder-word", "solver-key-misspelt", "tol-abc", "c-abc",
+            "tol-nan", "reference-not-mapping"])
     def test_bad_values_are_config_errors(self, tmp_path, command, key, value):
         cfg = dict(INSTANCE_YAML)
         cfg["grid"] = {"shape": [21]}
+        cfg["grid_sizes"] = [21, 41]
         cfg["boundary"] = "0"
         cfg["ladder"] = [10.0, 20.0]
         cfg["probe_point"] = [0.0]
@@ -158,6 +166,8 @@ class TestOracleAndErgodic:
         assert main(["ergodic", "--config", str(path), "--out", str(out)]) == 0
         report = read_report(out)
         assert abs(report["c_est"] - COSINE_C) / abs(COSINE_C) < 0.05
+        lo, hi = report["bracket"]
+        assert lo <= COSINE_C <= hi
 
 
 class TestConvergence:

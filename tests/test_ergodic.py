@@ -1,4 +1,6 @@
-"""Ladder estimation, asymptotic verification, uniqueness, zoom rescaling."""
+"""Ergodic estimation, asymptotic verification, uniqueness, zoom rescaling."""
+
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from ergopde import (
     ExponentPair,
     GridFunction,
     HypothesisViolated,
+    NonConvergence,
     OutOfRange,
     PucciPlus,
     ScalarField,
@@ -19,6 +22,7 @@ from ergopde import (
     UnresolvedLayer,
     UnsupportedCase,
     check_uniqueness_hypotheses,
+    ergodic_constant_1d,
     estimate_ergodic_constant,
     rescaled_solution,
     solve_at,
@@ -26,6 +30,7 @@ from ergopde import (
     verify_gradient_rate,
     verify_uniqueness,
 )
+from ergopde.ergodic import offset_constants
 from conftest import (
     COSINE_C,
     POWER_C,
@@ -62,15 +67,93 @@ class TestEstimate:
         lo, hi = report["bracket"]
         assert lo <= c_est <= hi
 
-    def test_classification_monotone_in_c(self, cosine_instance):
-        from ergopde.ergodic import _classify
+    def test_offset_constant_decreases_in_L(self, cosine_instance):
+        # c_h(L) falls towards c_Omega as the boundary offset grows
         exp = experiment(cosine_instance, 201, (10.0, 15.0, 20.0))
-        labels = [_classify(exp, c)[0]
-                  for c in (-4.0, -3.0, COSINE_C - 0.2, COSINE_C + 0.2, -1.0)]
-        # once "above" is reached, larger c stays "above"
-        first_above = labels.index("above")
-        assert all(lab == "above" for lab in labels[first_above:])
-        assert all(lab == "below" for lab in labels[:first_above])
+        cs = [c for c, _ in offset_constants(exp, (1.0, 2.0, 3.0, 4.0))]
+        assert len(cs) == 4
+        assert all(b < a for a, b in zip(cs, cs[1:]))
+        assert cs[-1] > COSINE_C
+
+    def test_offset_constant_normalizes_at_the_probe(self, cosine_instance):
+        exp = experiment(cosine_instance, 101, (10.0, 15.0, 20.0))
+        (c, u), = offset_constants(exp, (2.0,))
+        assert u(exp.probe_node) == pytest.approx(0.0, abs=1e-12)
+        assert u.values[0] == u.values[-1] == pytest.approx(2.0)
+
+    def test_square_offset_constants_smoke(self):
+        square = Box((-1.0, -1.0), (1.0, 1.0))
+        inst = EquationInstance(
+            operator=ScaledTrace(), exponents=ExponentPair(0.0, 2.0),
+            b=ScalarField.constant(1.0, 2), f=ScalarField.constant(0.0, 2),
+            domain=square,
+        )
+        exp = ErgodicExperiment(instance=inst, grid=UniformGrid((33, 33), square),
+                                ladder=(5.0, 10.0), probe_point=(0.0, 0.0))
+        c2, c3 = (c for c, _ in offset_constants(exp, (2.0, 3.0)))
+        assert c2 > c3 > -np.pi**2 / 2
+
+    def test_matches_oracle_with_forcing(self):
+        # the benchmark's instance: f = 0.5 cos 3x on 101 nodes
+        inst = make_instance(0.0, 2.0, f="0.5*cos(3.0*x)")
+        c_ref, _ = ergodic_constant_1d(ExponentPair(0.0, 2.0), inst.f)
+        c_est, report = estimate_ergodic_constant(
+            experiment(inst, 101, (10.0, 15.0, 20.0)), tol=0.02)
+        assert abs(c_est - c_ref) / abs(c_ref) < 1e-3
+        lo, hi = report["bracket"]
+        assert lo <= c_ref <= hi
+        assert report["bar"] <= 0.02
+        assert report["grid_shapes"] == [[101], [201], [401]]
+        assert len(report["offsets"]) == len(report["c_h"]) >= 3
+
+    def test_exact_case_fast_and_accurate(self, cosine_instance):
+        exp = experiment(cosine_instance, 801, (10.0, 15.0, 20.0))
+        t0 = time.perf_counter()
+        c_est, report = estimate_ergodic_constant(exp, tol=0.02)
+        assert time.perf_counter() - t0 < 2.0
+        assert abs(c_est - COSINE_C) / abs(COSINE_C) < 1e-4
+        lo, hi = report["bracket"]
+        assert lo <= COSINE_C <= hi
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_tol_must_be_finite_positive(self, cosine_instance, tol):
+        with pytest.raises(OutOfRange):
+            estimate_ergodic_constant(experiment(cosine_instance, 101, (8.0, 12.0)), tol)
+
+    def test_failed_continuation_raises(self, cosine_instance, monkeypatch):
+        from ergopde import ergodic
+
+        def fail(*args, **kwargs):
+            raise NonConvergence("newton trust damping exhausted")
+
+        monkeypatch.setattr(ergodic, "solve_bordered", fail)
+        with pytest.raises(NonConvergence, match="damping"):
+            estimate_ergodic_constant(experiment(cosine_instance, 101, (8.0, 12.0)))
+
+    def test_power_case_meets_its_bar(self, power_instance):
+        # offsets up to 594 are resolved on 401 nodes: five of them
+        exp = experiment(power_instance, 401, (10.0, 20.0, 600.0))
+        c_est, report = estimate_ergodic_constant(exp, tol=0.1)
+        assert report["case"] == "power"
+        assert len(report["offsets"]) == 5
+        lo, hi = report["bracket"]
+        assert lo <= POWER_C <= hi
+        assert abs(c_est - POWER_C) / abs(POWER_C) < 1e-3
+
+    def test_power_case_short_of_its_rate_raises(self, power_instance):
+        # with the offsets capped at 300, c(L) has not reached its L^-1 rate
+        exp = experiment(power_instance, 401, (10.0, 20.0, 300.0))
+        with pytest.raises(UnresolvedLayer, match="rate"):
+            estimate_ergodic_constant(exp, tol=0.1)
+
+    @pytest.mark.parametrize("alpha, beta, why", [
+        (0.5, 2.0, "only 0 resolved"),  # c_h converges at first order in h
+        (-0.3, 1.5, "rate"),  # c(L) shrinks by about 1.6 per offset, not e
+    ])
+    def test_degenerate_cases_raise(self, alpha, beta, why):
+        exp = experiment(make_instance(alpha, beta), 401, (10.0, 20.0, 1e4))
+        with pytest.raises(UnresolvedLayer, match=why):
+            estimate_ergodic_constant(exp, tol=0.1)
 
     def test_shift_identity(self, cosine_instance):
         exp0 = experiment(cosine_instance, 101, (8.0, 12.0))

@@ -27,7 +27,6 @@ from ergopde import (
     eval_operator,
     exact_dirichlet_1d,
     lipschitz_seminorm,
-    residual,
     residual_field,
     solve_dirichlet,
 )
@@ -230,6 +229,33 @@ def fd_jacobian(stage, u, step=1e-6):
     return np.array(cols).T
 
 
+def smooth_profile(dim):
+    """(grid, u, 1D second differences) of a profile with nonzero slopes."""
+    if dim == 1:
+        grid = interval_grid(21)
+        x = grid.axes()[0]
+        u = 5.0 + 0.8 * np.sin(2.5 * x + 0.4)  # rises, then falls
+        h = grid.spacing[0]
+        assert np.abs(u[2:] - u[:-2]).min() / (2.0 * h) > 0.05
+        return grid, u, ((u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2,)
+    grid = UniformGrid((7, 7), SQUARE)
+    x, y = grid.coords()
+    # u rises along x and falls along y: both Godunov branches
+    u = 5.0 + 2.0 * x - 2.0 * y + 0.5 * x**2 + 0.6 * x * y - 0.4 * y**2 \
+        + 0.05 * np.sin(x + 2.0 * y)
+    return grid, u, ()
+
+
+def profile_instance(operator, alpha, dim):
+    return EquationInstance(
+        operator=operator,
+        exponents=ExponentPair(alpha, alpha + 1.5),
+        b=ScalarField.from_expression("1 + 0.2*x", dim=dim),
+        f=ScalarField.from_expression("0.5*cos(3.0*x)", dim=dim),
+        domain=INTERVAL if dim == 1 else SQUARE,
+    )
+
+
 class TestJacobian:
     """The assembled Jacobian against central differences of the residual.
 
@@ -243,26 +269,8 @@ class TestJacobian:
     @pytest.mark.parametrize("upwind", [False, True], ids=["centered", "godunov"])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_matches_finite_differences(self, kind, alpha, upwind, dim):
-        if dim == 1:
-            grid, domain = interval_grid(21), INTERVAL
-            x = grid.axes()[0]
-            u = 5.0 + 0.8 * np.sin(2.5 * x + 0.4)  # rises, then falls
-            h = grid.spacing[0]
-            hess = ((u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2,)
-            assert np.abs(u[2:] - u[:-2]).min() / (2.0 * h) > 0.05
-        else:
-            grid, domain = UniformGrid((7, 7), SQUARE), SQUARE
-            x, y = grid.coords()
-            # u rises along x and falls along y: both Godunov branches
-            u = 5.0 + 2.0 * x - 2.0 * y + 0.5 * x**2 + 0.6 * x * y - 0.4 * y**2 \
-                + 0.05 * np.sin(x + 2.0 * y)
-            hess = ()
-        inst = EquationInstance(
-            operator=ac6_operator(kind, dim),
-            exponents=ExponentPair(alpha, alpha + 1.5),
-            b=ScalarField.from_expression("1 + 0.2*x", dim=dim),
-            f=ScalarField.from_expression("0.5*cos(3.0*x)", dim=dim), domain=domain,
-        )
+        grid, u, hess = smooth_profile(dim)
+        inst = profile_instance(ac6_operator(kind, dim), alpha, dim)
         config = SolverConfig(peclet_threshold=-math.inf if upwind else math.inf)
         stage = make_stage(inst, grid, 0.1, 100.0, 0.25, config)
         mask = stage.magnitudes(u)[1]
@@ -272,6 +280,42 @@ class TestJacobian:
         jac = dense_jacobian(stage, u)
         fd = fd_jacobian(stage, u)
         np.testing.assert_allclose(jac, fd, rtol=0, atol=1e-6 * np.abs(jac).max())
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_bordered_system_matches_finite_differences(self, alpha, dim):
+        # the bordered map (u, c) -> (R(u; f + c), u(x0)), no truncation
+        grid, u, _ = smooth_profile(dim)
+        inst = profile_instance(ScaledTrace(1.5), alpha, dim)
+        stage = make_stage(inst, grid, 0.1, math.inf, 0.25,
+                           SolverConfig(peclet_threshold=math.inf))
+        c, step = -0.7, 1e-6
+        columns = []
+        for shift in (step, -step):
+            stage.set_c(c + shift)
+            columns.append(stage.stage_residual(u))
+        stage.set_c(c)
+        fd_c = (columns[0] - columns[1]) / (2.0 * step)
+        np.testing.assert_allclose(stage.c_column(u), fd_c, rtol=0, atol=1e-8)
+        if alpha:
+            assert np.ptp(fd_c) > 1e-2  # -rho varies with the gradient
+        jac = dense_jacobian(stage, u)
+        np.testing.assert_allclose(jac, fd_jacobian(stage, u), rtol=0,
+                                   atol=1e-6 * np.abs(jac).max())
+        # the step solves the bordered system built from the differences
+        x0 = tuple(n // 2 - 1 for n in grid.shape)  # interior index of the centre
+        res = stage.stage_residual(u)
+        du, dc = stage.bordered_step(u, res, 0.0, x0)
+        m = res.size
+        bordered = np.zeros((m + 1, m + 1))
+        bordered[:m, :m] = fd_jacobian(stage, u)
+        bordered[:m, m] = fd_c.ravel()
+        bordered[m, np.ravel_multi_index(x0, res.shape)] = 1.0
+        rhs = np.append(-res.ravel(), -stage.interior(u)[x0])
+        want = np.linalg.solve(bordered, rhs)
+        got = np.append(du.ravel(), dc)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
+        assert du[x0] == pytest.approx(-stage.interior(u)[x0])
 
 
 class TestResidual:
@@ -284,13 +328,6 @@ class TestResidual:
         mid = 256 - 1  # interior array index of the apex node
         keep = np.abs(np.arange(res.size) - mid) > 2
         assert np.max(np.abs(res[keep])) <= 1e-2
-
-    def test_residual_node_matches_field(self):
-        inst = make_instance(0.0, 1.5, b="0", f="1")
-        grid = interval_grid(65)
-        x = grid.axes()[0]
-        u = GridFunction(grid, 0.5 * (1 - x**2))
-        assert residual(inst, u, (32,)) == pytest.approx(residual_field(inst, u)[31])
 
 
 class TestStageResidual:
