@@ -25,7 +25,6 @@ from .errors import (
     InvalidRegime,
     NonConvergence,
     OutOfRange,
-    PreconditionViolated,
     UnresolvedLayer,
     UnsupportedCase,
 )
@@ -67,7 +66,6 @@ from .grid import (
 from .solver import (
     SolveReport,
     SolverConfig,
-    comparison_probe,
     residual_field,
     solve_dirichlet,
 )
@@ -97,7 +95,7 @@ __all__ = [
     # errors
     "ErgopdeError", "OutOfRange", "DimensionMismatch", "DegenerateOperator",
     "BoundaryNode", "EmptyRegion", "InsufficientSpan", "InvalidBoundary",
-    "NonConvergence", "PreconditionViolated", "InvalidRegime",
+    "NonConvergence", "InvalidRegime",
     "BracketFailure", "UnresolvedLayer",
     "UnsupportedCase", "HypothesisViolated", "ConfigError",
     # model
@@ -113,8 +111,7 @@ __all__ = [
     "UniformGrid", "GridFunction", "gradient", "hessian",
     "holder_seminorm", "lipschitz_seminorm", "save_csv", "save_binary",
     # solver
-    "SolverConfig", "SolveReport", "residual_field",
-    "solve_dirichlet", "comparison_probe",
+    "SolverConfig", "SolveReport", "residual_field", "solve_dirichlet",
     # oracle1d
     "ShootState", "exact_dirichlet_1d", "shoot_blowup",
     "ergodic_constant_1d", "blowup_profile_fit", "export_report",

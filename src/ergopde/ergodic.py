@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     HypothesisViolated,
-    NonConvergence,
     OutOfRange,
     UnresolvedLayer,
     UnsupportedCase,
@@ -85,22 +84,13 @@ class ErgodicExperiment:
 
 
 def solve_at(exp: ErgodicExperiment, c: float, amplitude: float) -> tuple:
-    """One ladder rung: Dirichlet solve of the c-shifted instance.
+    """One ladder rung: the Dirichlet solve of the c-shifted instance with
+    constant data, on the experiment's (Peclet-switched hybrid) scheme.
 
-    The hybrid (Peclet-switched upwind) solve is robust but its numerical
-    diffusion admits solutions slightly past the solvability threshold.
-    A centered-scheme polish warm-started from the hybrid solution removes
-    that bias; if the polish fails, the hybrid solution is returned.
+    Returns (u, SolveReport); a failed solve raises NonConvergence.
     """
-    shifted = exp.instance.shifted_f(c)
     datum = ScalarField.constant(float(amplitude), exp.grid.dim)
-    cfg = exp.config()
-    u, report = solve_dirichlet(shifted, datum, exp.grid, cfg)
-    centered = replace(cfg, peclet_threshold=math.inf)
-    try:
-        return solve_dirichlet(shifted, datum, exp.grid, centered, initial=u)
-    except NonConvergence:
-        return u, report
+    return solve_dirichlet(exp.instance.shifted_f(c), datum, exp.grid, exp.config())
 
 
 # ---------------------------------------------------------------------------

@@ -42,14 +42,6 @@ class NonConvergence(ErgopdeError):
         self.iterations = iterations
 
 
-class PreconditionViolated(ErgopdeError):
-    """A diagnostic probe was called with inputs violating its contract."""
-
-    def __init__(self, message, nodes=None):
-        super().__init__(message)
-        self.nodes = list(nodes) if nodes is not None else []
-
-
 class InvalidRegime(ErgopdeError):
     """ODE shooting launched in a regime where the slope cannot leave zero."""
 

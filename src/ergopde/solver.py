@@ -33,19 +33,17 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import operators
-from .errors import (
-    InvalidBoundary,
-    NonConvergence,
-    OutOfRange,
-    PreconditionViolated,
-)
+from .errors import InvalidBoundary, NonConvergence, OutOfRange
 from .grid import GridFunction, UniformGrid, hessian_field
 from .model import EquationInstance, ScalarField
 
 _GRAD_FLOOR = 1e-14
 _DELTA_FLOOR = 1e-8
 _U_FLOOR = 1e-6
-_EPS_SCALE = 1e-3  # stabilization eps = _EPS_SCALE * (1 + |f|_inf)
+# stabilization eps = _EPS_SCALE * (1 + |f|_inf).  Every solve converges
+# without it, but at alpha = 1 (-|u'| u'' = 1, zero data) the observed
+# orders on 129/257/513 nodes then fall from >= 1 to 0.97 and 0.98.
+_EPS_SCALE = 1e-3
 _DIVERGENCE_GUARD = 1e9  # trial steps with larger |u| are halved
 _MAX_TRUNCATION_ROUNDS = 400
 
@@ -88,9 +86,8 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one Dirichlet solve."""
+    """Outcome of one converged Dirichlet solve (a failed one raises)."""
 
-    converged: bool
     final_residual: float
     iterations_per_stage: tuple
     truncation_activity: float
@@ -100,16 +97,11 @@ class SolveReport:
 
     def to_dict(self) -> dict:
         return {
-            "converged": self.converged,
             "final_residual": self.final_residual,
             "iterations_per_stage": list(self.iterations_per_stage),
             "truncation_activity": self.truncation_activity,
             "truncation_M": self.truncation_M,
             "delta_stability": self.delta_stability,
-            # constant keys, kept so that report.json keeps its schema
-            "engine": "newton",
-            "theta_final": 1.0,
-            "fallback_used": False,
             "truncation_rounds": self.truncation_rounds,
         }
 
@@ -588,7 +580,6 @@ def solve_dirichlet(
     boundary: ScalarField,
     grid: UniformGrid,
     config: SolverConfig | None = None,
-    initial: GridFunction | None = None,
 ) -> tuple:
     """Solve the Dirichlet problem by delta-continuation.
 
@@ -596,13 +587,7 @@ def solve_dirichlet(
     a continuation stage cannot be completed.
     """
     config = config or SolverConfig()
-    boundary_full = _boundary_values_full(grid, boundary)
-    if initial is not None:
-        u_full = initial.values.copy()
-        mask = grid.boundary_mask()
-        u_full[mask] = boundary_full[mask]
-    else:
-        u_full = _initial_guess(grid, boundary_full)
+    u_full = _initial_guess(grid, _boundary_values_full(grid, boundary))
 
     ic = _interior_coords(grid)
     fields = (instance.f(*ic), instance.b(*ic))
@@ -658,7 +643,6 @@ def solve_dirichlet(
     solution = GridFunction(grid, u_full)
     res = residual_field(instance, solution)
     report = SolveReport(
-        converged=True,
         final_residual=float(np.abs(res).max()),
         iterations_per_stage=tuple(iterations),
         truncation_activity=activity,
@@ -686,51 +670,3 @@ def solve_bordered(instance, guess: GridFunction, c: float, probe, config=None) 
     border = tuple(int(i) - 1 for i in probe)
     u_full, its = _run_newton(stage, guess.values.copy(), config, border)
     return GridFunction(guess.grid, u_full), stage.c, its
-
-
-# ---------------------------------------------------------------------------
-# comparison diagnostic
-
-
-def comparison_probe(
-    instance: EquationInstance,
-    u_sub: GridFunction,
-    u_super: GridFunction,
-    pre_tol: float = 1e-2,
-    tol: float = 1e-10,
-) -> dict:
-    """Check the discrete ordering u_sub <= u_super + tol.
-
-    Preconditions (residual signs within pre_tol, boundary ordering) are
-    verified first; violations raise PreconditionViolated with the
-    offending nodes.  This is a sanity diagnostic, not a proof.
-    """
-    if u_sub.grid != u_super.grid:
-        raise PreconditionViolated("probe requires a shared grid")
-    grid = u_sub.grid
-    res_sub = residual_field(instance, u_sub)
-    res_super = residual_field(instance, u_super)
-    bad = []
-    interior_idx = np.argwhere(grid.interior_mask())
-    sub_bad = np.argwhere(res_sub > pre_tol)
-    sup_bad = np.argwhere(res_super < -pre_tol)
-    for row in sub_bad:
-        bad.append(("sub", tuple(int(v) + 1 for v in row)))
-    for row in sup_bad:
-        bad.append(("super", tuple(int(v) + 1 for v in row)))
-    mask = grid.boundary_mask()
-    if np.any(u_sub.values[mask] > u_super.values[mask] + pre_tol):
-        bad.append(("boundary", None))
-    if bad:
-        raise PreconditionViolated(
-            "sub/supersolution preconditions violated", nodes=bad
-        )
-    gap = u_sub.values - u_super.values
-    max_violation = float(gap.max())
-    return {
-        "passed": bool(max_violation <= tol),
-        "max_violation": max_violation,
-        "tol": tol,
-        "pre_tol": pre_tol,
-        "interior_nodes": int(interior_idx.shape[0]),
-    }

@@ -130,6 +130,29 @@ class TestEstimate:
         with pytest.raises(NonConvergence, match="damping"):
             estimate_ergodic_constant(experiment(cosine_instance, 101, (8.0, 12.0)))
 
+    def test_solve_at_is_one_dirichlet_solve(self, cosine_instance, monkeypatch):
+        # one solve on the experiment's config; its failure reaches the caller
+        from ergopde import ergodic, solve_dirichlet
+
+        exp = experiment(cosine_instance, 101, (8.0, 12.0))
+        configs = []
+
+        def counted(instance, boundary, grid, config):
+            configs.append(config)
+            return solve_dirichlet(instance, boundary, grid, config)
+
+        monkeypatch.setattr(ergodic, "solve_dirichlet", counted)
+        u, _ = solve_at(exp, COSINE_C + 1.0, 8.0)
+        assert configs == [exp.config()]
+        assert u.values[0] == u.values[-1] == 8.0
+
+        def fail(*args, **kwargs):
+            raise NonConvergence("no convergence in 400 newton steps")
+
+        monkeypatch.setattr(ergodic, "solve_dirichlet", fail)
+        with pytest.raises(NonConvergence, match="400 newton steps"):
+            solve_at(exp, COSINE_C + 1.0, 8.0)
+
     def test_power_case_meets_its_bar(self, power_instance):
         # offsets up to 594 are resolved on 401 nodes: five of them
         exp = experiment(power_instance, 401, (10.0, 20.0, 600.0))
