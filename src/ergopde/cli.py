@@ -79,6 +79,14 @@ def _number(cfg: dict, key: str, default=None, kind=float):
         raise ConfigError(f"invalid value for {key!r}: {value!r}") from exc
 
 
+def _tol(cfg: dict, default: float) -> float:
+    """The `tol` key as a float, which must be finite and positive."""
+    tol = _number(cfg, "tol", default)
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"tol must be a finite positive number, not {tol!r}")
+    return tol
+
+
 def load_config(path: Path) -> tuple:
     """Returns (config dict, sha256 of the raw bytes)."""
     try:
@@ -243,10 +251,7 @@ def run_ergodic(cfg: dict, out: Path, seed) -> dict:
     instance = _instance(cfg)
     grid = grid_from(_require(cfg, "grid"), instance.domain)
     exp = _experiment(cfg, instance, grid)
-    tol = _number(cfg, "tol", 1e-2)
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ConfigError(f"tol must be a finite positive number, not {tol!r}")
-    c_est, rep = estimate_ergodic_constant(exp, tol=tol)
+    c_est, rep = estimate_ergodic_constant(exp, tol=_tol(cfg, 1e-2))
     return {"experiment": "ergodic", **rep}
 
 
@@ -382,8 +387,7 @@ def run_property_suite(cfg: dict, out: Path, seed) -> dict:
 def run_oracle(cfg: dict, out: Path, seed) -> dict:
     exponents = validate_exponents(_number(cfg, "alpha"), _number(cfg, "beta"))
     f = ScalarField.from_expression(str(cfg.get("f", "0")), dim=1)
-    tol = _number(cfg, "tol", 1e-8)
-    c_erg, rep = ergodic_constant_1d(exponents, f, tol=tol)
+    c_erg, rep = ergodic_constant_1d(exponents, f, tol=_tol(cfg, 1e-8))
     report = {"experiment": "oracle", "c_erg": c_erg, **rep}
     if "shoot_c" in cfg:
         x_star, _ = shoot_blowup(exponents, _number(cfg, "shoot_c"), f)

@@ -47,7 +47,7 @@ class InvalidRegime(ErgopdeError):
 
 
 class BracketFailure(ErgopdeError):
-    """Bisection could not establish a sign-changing bracket."""
+    """A root search found no sign-changing bracket, or missed its tolerance."""
 
 
 class UnresolvedLayer(ErgopdeError):

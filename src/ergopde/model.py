@@ -119,6 +119,14 @@ class ScalarField:
             raise OutOfRange("field evaluated to a non-finite value")
         return out
 
+    def at(self, *point: float) -> float:
+        """Value at one point as a float, without the array round-trip of
+        __call__ (for integrators that step one point at a time)."""
+        value = float(self.fn(*point))
+        if not math.isfinite(value):
+            raise OutOfRange("field evaluated to a non-finite value")
+        return value
+
     @staticmethod
     def constant(value: float, dim: int = 1) -> "ScalarField":
         v = float(value)

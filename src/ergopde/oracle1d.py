@@ -5,9 +5,11 @@ Two closed-form/ODE constructions are provided:
 * an explicit Dirichlet solution of -|u'|^alpha u'' = c0 on (-1, 1), used
   to measure convergence orders of the grid solver;
 * a shooting integrator for the symmetric ergodic ODE
-  -a |u'|^alpha u'' + |u'|^beta = f(x) + c, which tracks the blow-up
-  location x*(c) of the maximal solution with u'(0) = 0 and recovers the
-  ergodic constant of (-1, 1) by bisection on c (x*(c_erg) = 1).
+  -a |u'|^alpha u'' + |u'|^beta = f(x) + c with even f, which tracks the
+  blow-up location x*(c) of the maximal solution with u'(0) = 0 and
+  recovers the ergodic constant of (-1, 1) as the root of log x*(c) = 0,
+  solved in the scaling variable t = log(-sup f - c), in which it is
+  affine for constant f.
 
 The shooting integration works in the variable s = p^(1+alpha) (p = u')
 near p = 0, switches to log p once p is O(1), and closes the remaining
@@ -31,6 +33,13 @@ from .model import ExponentPair, ScalarField
 _P_SWITCH_CAP = 2.0
 _P_MAX = 1e8
 _IVP_OPTS = {"rtol": 1e-11, "atol": 1e-13, "method": "DOP853"}
+# root search for the ergodic constant in t = log(-sup f - c)
+_SEARCH_STEPS = 60
+_T_MAX = 25.0  # |t| beyond this: -sup f - c outside [1.4e-11, 7.2e10]
+_STEP_FLOOR = 1e-10  # least overshoot of a secant step, in g: above the noise
+_BRACKET_WIDTH = 0.1  # widest bracket in t for brentq, whose rtol scales with it
+_XTOL_C, _RTOL_C = 1e-14, 8.9e-16  # brentq tolerances, as if applied in c
+_EVEN_RTOL = 1e-12  # rounding-level bound on f(x) - f(-x)
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +114,7 @@ def shoot_blowup(
     a = trace_coefficient
     opa = 1.0 + alpha
 
-    def f_at(x) -> float:
-        return float(np.asarray(f(np.atleast_1d(x)))[0])
+    f_at = f.at  # per Runge-Kutta stage: one float, no array round-trip
 
     def denom(x, p):
         return (p**beta - f_at(x) - c) / a
@@ -115,9 +123,9 @@ def shoot_blowup(
     p_switch = min(_P_SWITCH_CAP, max(1.0, (2.0 * abs(margin)) ** (1.0 / beta)))
     s_end = p_switch**opa
 
-    def rhs_s(s, x):
+    def rhs_s(s, y):
         p = s ** (1.0 / opa) if s > 0.0 else 0.0
-        return 1.0 / (opa * denom(x, p))
+        return 1.0 / (opa * denom(y[0], p))
 
     sol1 = solve_ivp(rhs_s, (0.0, s_end), [0.0], **_IVP_OPTS)
     if not sol1.success:
@@ -126,9 +134,9 @@ def shoot_blowup(
     states = [ShootState(x=x1, p=p_switch, phase="power")]
 
     # phase 2: ell = log p up to a large cutoff
-    def rhs_log(ell, x):
+    def rhs_log(ell, y):
         p = math.exp(ell)
-        return a * p**opa / (p**beta - f_at(x) - c)
+        return a * p**opa / (p**beta - f_at(y[0]) - c)
 
     sol2 = solve_ivp(
         rhs_log, (math.log(p_switch), math.log(_P_MAX)), [x1], **_IVP_OPTS
@@ -149,6 +157,37 @@ def shoot_blowup(
     return x_star, tuple(states)
 
 
+def _scaling_bracket(g, gamma: float) -> list:
+    """Sign change of g(t) = log x*(c), t = log(-sup f - c), as two sorted
+    (t, g) pairs at most _BRACKET_WIDTH apart.
+
+    g decreases in t, with slope -gamma for constant f.  Each secant step
+    (slope -gamma until two points exist) is carried past the root it
+    predicts by the floor plus the step times the relative change of the
+    last secant slope, which is about twice the secant method's error.
+    """
+    floor = _STEP_FLOOR / gamma
+    t, g_t, slope, drift = 0.0, g(0.0), -gamma, 0.0
+    for _ in range(_SEARCH_STEPS):
+        step = -g_t / slope
+        t_next = t + step + math.copysign(drift * abs(step) + floor, step)
+        if abs(t_next) > _T_MAX:
+            break
+        g_next = g(t_next)
+        if g_t * g_next <= 0.0 and abs(t_next - t) <= _BRACKET_WIDTH:
+            return sorted([(t, g_t), (t_next, g_next)])
+        secant = (g_next - g_t) / (t_next - t)
+        if secant < 0.0:
+            drift, slope = abs(secant / slope - 1.0), secant
+        else:  # g is decreasing: a rising secant is noise
+            drift, slope = 1.0, -gamma
+        t, g_t = t_next, g_next
+    raise BracketFailure(
+        f"no sign change of log x*(c) within {_SEARCH_STEPS} secant steps "
+        f"and |log(-sup f - c)| <= {_T_MAX:g}"
+    )
+
+
 def ergodic_constant_1d(
     exponents: ExponentPair,
     f: ScalarField,
@@ -157,53 +196,69 @@ def ergodic_constant_1d(
 ) -> tuple:
     """Ergodic constant of (-1, 1): the c with blow-up location x*(c) = 1.
 
-    Returns (c_erg, report).  The report records the bracket that was
-    expanded from below/above and the shooting evaluations used; the final
+    f must be even, since the shooting starts from the symmetry point x = 0,
+    and tol finite and positive (OutOfRange otherwise).  The root of
+    g(t) = log x*(c) is found in the scaling variable t = log(-sup f - c):
+    for constant f the ODE's scaling makes g affine in t with slope
+    -(beta - alpha - 1)/beta, and for any f it stays close to affine.
+    Secant steps from t = 0 reach a sign change of g (_scaling_bracket);
+    brentq in t then fixes c at least as tightly as xtol=1e-14,
+    rtol=8.9e-16 in c would.
+
+    Returns (c_erg, report).  The report records the bracket handed to
+    brentq (mapped back to c) and the shooting evaluations used; the final
     |x*(c) - 1| is guaranteed <= tol (BracketFailure otherwise).
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise OutOfRange(f"tol must be a finite positive number, not {tol!r}")
     xs = np.linspace(-1.0, 1.0, 8001)
-    sup_f = float(np.max(f(xs)))
+    values = f(xs)
+    sup_f = float(np.max(values))
+    odd = float(np.max(np.abs(values - f(-xs))))
+    if odd > _EVEN_RTOL * (1.0 + float(np.max(np.abs(values)))):
+        raise OutOfRange(
+            f"the shooting oracle needs an even forcing, but max |f(x) - f(-x)| "
+            f"= {odd:.3e}"
+        )
     evaluations = []
 
-    def xstar(c):
-        val, _ = shoot_blowup(exponents, c, f, trace_coefficient)
-        evaluations.append((c, val))
-        return val
+    def g(margin):
+        c = -sup_f - margin
+        x_star, _ = shoot_blowup(exponents, c, f, trace_coefficient)
+        evaluations.append(c)
+        return math.log(x_star)
 
-    # expand downward until the blow-up point enters the domain
-    c_lo = -sup_f - 1.0
-    for _ in range(200):
-        if xstar(c_lo) < 1.0:
-            break
-        c_lo = -sup_f + 2.0 * (c_lo + sup_f)
-    else:
-        raise BracketFailure("could not bracket the ergodic constant from below")
-    # expand upward (toward -sup f) until the blow-up point leaves the domain
-    c_hi = None
-    step = 0.5 * (-sup_f - c_lo)
-    cand = c_lo + step
-    for _ in range(200):
-        if cand >= -sup_f - 1e-13:
-            cand = 0.5 * (cand + (-sup_f))
-            continue
-        if xstar(cand) > 1.0:
-            c_hi = cand
-            break
-        c_lo = cand
-        cand = 0.5 * (cand + (-sup_f))
-    else:
-        raise BracketFailure("could not bracket the ergodic constant from above")
+    gamma = (exponents.beta - exponents.alpha - 1.0) / exponents.beta
+    (t_lo, g_lo), (t_hi, g_hi) = _scaling_bracket(lambda t: g(math.exp(t)), gamma)
+    # brentq in tau = t - t_lo, so that its rtol acts on the bracket's width
+    # and not on |t|; the margin -sup f - c is k_lo e^tau
+    width = t_hi - t_lo
+    k_lo = math.exp(t_lo)
+    k_hi = k_lo * math.exp(width)
+    c_lo, c_hi = -sup_f - k_hi, -sup_f - k_lo
+    c_min = min(abs(c_lo), abs(c_hi)) if c_lo * c_hi > 0.0 else 0.0
+    # a tau-interval of length w spans at most k_hi w in c
+    xtol = (_XTOL_C + _RTOL_C * c_min) / k_hi - _RTOL_C * width
+    known = {0.0: g_lo, width: g_hi}
 
-    c_erg = brentq(lambda c: xstar(c) - 1.0, c_lo, c_hi, xtol=1e-14, rtol=8.9e-16)
-    final = xstar(c_erg)
-    if abs(final - 1.0) > tol:
+    def g_tau(tau):
+        if tau not in known:
+            known[tau] = g(k_lo * math.exp(tau))
+        return known[tau]
+
+    # the max keeps xtol positive when c ~ 0 but sup f << 0: there
+    # -sup f - c cannot resolve c to 1e-14 anyway
+    tau = brentq(g_tau, 0.0, width, xtol=max(xtol, _RTOL_C * width), rtol=_RTOL_C)
+    c_erg = -sup_f - k_lo * math.exp(tau)
+    x_final = math.exp(g_tau(tau))
+    if abs(x_final - 1.0) > tol:
         raise BracketFailure(
-            f"bisection finished with |x* - 1| = {abs(final - 1.0):.3e} > {tol:.1e}"
+            f"root search finished with |x* - 1| = {abs(x_final - 1.0):.3e} > {tol:.1e}"
         )
     report = {
         "c_erg": float(c_erg),
         "bracket": [float(c_lo), float(c_hi)],
-        "x_star_at_c": float(final),
+        "x_star_at_c": x_final,
         "evaluations": len(evaluations),
         "sup_f": sup_f,
         "tol": tol,

@@ -130,9 +130,11 @@ class TestSolve:
         ("asymptotics", "c", "abc"),
         ("ergodic", "tol", float("nan")),
         ("convergence", "reference", 5),
+        ("oracle", "tol", float("nan")),
+        ("oracle", "tol", -1.0),
     ], ids=["truncation-abc", "max-iters-many", "truncation-negative",
             "inner-tol-list", "ladder-word", "solver-key-misspelt", "tol-abc", "c-abc",
-            "tol-nan", "reference-not-mapping"])
+            "tol-nan", "reference-not-mapping", "oracle-tol-nan", "oracle-tol-negative"])
     def test_bad_values_are_config_errors(self, tmp_path, command, key, value):
         cfg = dict(INSTANCE_YAML)
         cfg["grid"] = {"shape": [21]}
@@ -140,6 +142,7 @@ class TestSolve:
         cfg["boundary"] = "0"
         cfg["ladder"] = [10.0, 20.0]
         cfg["probe_point"] = [0.0]
+        cfg["alpha"], cfg["beta"] = 0.0, 2.0  # the oracle's exponents
         cfg[key] = value
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"

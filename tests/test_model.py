@@ -125,6 +125,15 @@ class TestScalarField:
         xs = np.zeros((4, 4))
         assert np.all(f(xs, xs) == 3.0)
 
+    def test_at_is_the_array_value_as_a_float(self):
+        for f in (ScalarField.from_expression("0.5*cos(3.0*x)", dim=1),
+                  ScalarField.constant(-2.0, dim=1)):
+            value = f.at(0.3)
+            assert type(value) is float
+            assert value == f(np.array([0.3]))[0]
+        with pytest.raises(OutOfRange), np.errstate(divide="ignore"):
+            ScalarField.from_expression("log(x)", dim=1).at(0.0)
+
     def test_expression_round_trip_through_config(self):
         inst = make_instance(0.0, 1.5, b="1", f="cos(x)")
         cfg = instance_to_config(inst)

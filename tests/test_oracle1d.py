@@ -1,4 +1,4 @@
-"""Closed forms, shooting, ergodic-constant bisection, profile fitting."""
+"""Closed forms, shooting, the ergodic-constant root search, profile fitting."""
 
 import json
 import time
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from ergopde import (
     ExponentPair,
@@ -20,6 +21,7 @@ from ergopde import (
     export_report,
     shoot_blowup,
 )
+from ergopde import oracle1d
 from conftest import COSINE_C, POWER_C
 
 ZERO = ScalarField.constant(0.0, 1)
@@ -99,6 +101,46 @@ class TestErgodicConstant:
         c, report = ergodic_constant_1d(EP_LOG, f)
         # constant-comparison bounds: c_erg(max f) <= c <= c_erg(min f)
         assert COSINE_C - 0.5 <= c <= COSINE_C + 0.5
+
+    @pytest.mark.parametrize("alpha, beta, a", [
+        (-0.5, 0.9, 0.5), (-0.5, 1.5, 2.0), (1.0, 2.4, 0.5), (1.0, 3.0, 2.0),
+    ])
+    def test_closed_form_across_exponents_and_trace(self, alpha, beta, a):
+        # corners of alpha in [-0.5, 1], beta - alpha - 1 in [0.4, 1], a in
+        # [0.5, 2]; f = 0 has c = -[a pi / (beta sin(pi (alpha+1)/beta))]
+        # ^ (beta / (beta - alpha - 1))
+        closed = -(a * np.pi / (beta * np.sin(np.pi * (alpha + 1.0) / beta))) ** (
+            beta / (beta - alpha - 1.0))
+        c, report = ergodic_constant_1d(
+            ExponentPair(alpha, beta), ZERO, trace_coefficient=a)
+        assert abs(c - closed) <= 1e-9 * abs(closed)
+        assert report["evaluations"] <= 12
+
+    def test_even_forcing_matches_hopf_cole_eigenvalue(self):
+        # alpha = 0, beta = 2, a = 1: u = -log phi turns the ODE into
+        # -phi'' + f phi = -c phi with phi(+-1) = 0, so c = -lambda_1
+        f = ScalarField.from_expression("0.5*cos(3.0*x)", dim=1)
+        c, _ = ergodic_constant_1d(EP_LOG, f)
+        xs = np.linspace(-1.0, 1.0, 20001)[1:-1]
+        h2 = (2.0 / 20000) ** 2
+        lam = eigh_tridiagonal(2.0 / h2 + f(xs), np.full(xs.size - 1, -1.0 / h2),
+                               eigvals_only=True, select="i", select_range=(0, 0))[0]
+        assert abs(c + lam) < 1e-7
+
+    def test_refuses_forcing_that_is_not_even(self):
+        # shooting from x = 0 assumes f(-x) = f(x); 0.5 x would give -2.6156
+        # against the Hopf-Cole eigenvalue -2.4630
+        with pytest.raises(OutOfRange, match="even"):
+            ergodic_constant_1d(EP_LOG, ScalarField.from_expression("0.5*x", dim=1))
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_rejects_bad_tol_before_shooting(self, monkeypatch, tol):
+        def no_shooting(*args, **kwargs):
+            raise AssertionError("shot before tol was checked")
+
+        monkeypatch.setattr(oracle1d, "shoot_blowup", no_shooting)
+        with pytest.raises(OutOfRange, match="tol"):
+            ergodic_constant_1d(EP_LOG, ZERO, tol=tol)
 
 
 class TestProfileFit:
