@@ -54,7 +54,7 @@ from .oracle1d import (
     exact_dirichlet_1d,
     shoot_blowup,
 )
-from .solver import SolverConfig, residual_field, solve_dirichlet
+from .solver import SolverConfig, solve_dirichlet
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def load_config(path: Path) -> tuple:
     return cfg, digest
 
 
-_SOLVER_KEYS = ("delta_schedule", "inner_tol", "max_iters", "truncation")
+_SOLVER_KEYS = ("delta_schedule", "inner_tol", "max_iters")
 
 
 def solver_config_from(cfg: dict) -> SolverConfig:
@@ -124,9 +124,6 @@ def solver_config_from(cfg: dict) -> SolverConfig:
             kwargs["inner_tol"] = float(cfg["inner_tol"])
         if "max_iters" in cfg:
             kwargs["max_inner_iters"] = int(cfg["max_iters"])
-        if "truncation" in cfg:
-            trunc = cfg["truncation"]
-            kwargs["truncation_M"] = "auto" if trunc == "auto" else float(trunc)
         return SolverConfig(**kwargs)
     except (ErgopdeError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid solver config: {exc}") from exc
@@ -236,7 +233,7 @@ def run_solve(cfg: dict, out: Path, seed) -> dict:
         "experiment": "solve",
         "solver": rep.to_dict(),
         "grid_shape": list(grid.shape),
-        "max_abs_residual": float(np.max(np.abs(residual_field(instance, u)))),
+        "max_abs_residual": rep.final_residual,
     }
     if probe is not None:
         node = grid.nearest_node(np.atleast_1d(probe))

@@ -215,8 +215,7 @@ def holder_seminorm(
     grid: UniformGrid,
     gamma: float,
     subregion: Box | None = None,
-    return_report: bool = False,
-):
+) -> float:
     """Discrete Hoelder seminorm sup |v(x)-v(y)| / |x-y|^gamma over node pairs.
 
     `field_values` has shape grid.shape (scalar) or grid.shape + (m,)
@@ -248,18 +247,12 @@ def holder_seminorm(
         dval = np.sqrt(((f[:, None, :] - f[None, :, :]) ** 2).sum(axis=-1))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(dist > 0.0, dval / dist**gamma, 0.0)
-    value = float(ratio.max())
-    if return_report:
-        return value, {"nodes": int(n), "stride": int(stride), "cap": _PAIR_CAP,
-                       "gamma": float(gamma)}
-    return value
+    return float(ratio.max())
 
 
-def lipschitz_seminorm(
-    u: GridFunction, subregion: Box | None = None, return_report: bool = False
-):
+def lipschitz_seminorm(u: GridFunction, subregion: Box | None = None) -> float:
     """Discrete Lipschitz seminorm: the Hoelder seminorm with gamma = 1."""
-    return holder_seminorm(u.values, u.grid, 1.0, subregion, return_report)
+    return holder_seminorm(u.values, u.grid, 1.0, subregion)
 
 
 # ---------------------------------------------------------------------------

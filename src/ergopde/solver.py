@@ -1,22 +1,24 @@
 """Discrete Dirichlet solver for -|grad u|^a F(D2 u) + b|grad u|^b = f.
 
 The gradient degeneracy is removed by a continuation over a decreasing
-schedule of regularization parameters delta; at each stage one engine, a
-semismooth Newton iteration (Howard's policy iteration for the max-type
-operators), solves the stage system
+schedule of regularization parameters delta (its last stage alone at
+alpha = 0, where rho = 1); at each stage one engine, a semismooth Newton
+iteration (Howard's policy iteration for the max-type operators), solves
+the stage system
 
     -F(D2 u) + eps |u|^alpha u
         = (f + eps |u|^alpha u - b min(|grad u|, M)^beta) rho,
     rho = (delta^2 + |grad u|^2)^(-alpha/2),
 
-with the Hamiltonian clamped at a truncation level M, for every operator
-in 1D and 2D.  F enters the Jacobian through its policy at the current
-Hessian (`operators.policy_1d`, `operators.policy_2d`).  The stencils are
-written once over the axes, from each node's neighbours along it; only
-the d_xy stencil, the packing of the Jacobian and the linear solve differ
-between the dimensions: banded in 1D, a sparse 9-point matrix in 2D.  The
-stage system is evaluated on raw value arrays, with the constants of each
-stage computed once.
+with the Hamiltonian clamped at a truncation level M, raised until no node
+reaches it, for every operator in 1D and 2D.  F enters the Jacobian
+through its policy at the current Hessian (`operators.policy_1d`,
+`operators.policy_2d`).  The stencils are written once over the axes,
+from each node's neighbours along it; only the d_xy stencil, the packing
+of the Jacobian and the linear solve differ between the dimensions:
+banded in 1D, a sparse 9-point matrix in 2D.  The stage system is
+evaluated on raw value arrays, with the constants of each stage computed
+once.
 """
 
 from __future__ import annotations
@@ -58,10 +60,9 @@ def default_delta_schedule() -> tuple:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Continuation ladder, truncation, Peclet switch and Newton tolerances."""
+    """Continuation ladder, Peclet switch and Newton tolerances."""
 
     delta_schedule: tuple = field(default_factory=default_delta_schedule)
-    truncation_M: float | str = "auto"
     inner_tol: float = 1e-8
     max_inner_iters: int = 400
     peclet_threshold: float = 0.5  # inf -> centered, -inf -> Godunov everywhere
@@ -73,11 +74,6 @@ class SolverConfig:
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise OutOfRange("delta schedule must be strictly decreasing")
         object.__setattr__(self, "delta_schedule", sched)
-        if isinstance(self.truncation_M, str):
-            if self.truncation_M != "auto":
-                raise OutOfRange(f"unknown truncation level {self.truncation_M!r}")
-        elif not self.truncation_M > 0.0:
-            raise OutOfRange("truncation level must be 'auto' or positive")
         if self.inner_tol <= 0.0:
             raise OutOfRange("inner_tol must be positive")
         if self.max_inner_iters < 1:
@@ -90,18 +86,14 @@ class SolveReport:
 
     final_residual: float
     iterations_per_stage: tuple
-    truncation_activity: float
     truncation_M: float
-    delta_stability: float
     truncation_rounds: int
 
     def to_dict(self) -> dict:
         return {
             "final_residual": self.final_residual,
             "iterations_per_stage": list(self.iterations_per_stage),
-            "truncation_activity": self.truncation_activity,
             "truncation_M": self.truncation_M,
-            "delta_stability": self.delta_stability,
             "truncation_rounds": self.truncation_rounds,
         }
 
@@ -594,48 +586,38 @@ def solve_dirichlet(
     f_scale = float(np.abs(fields[0]).max())
     eps = _EPS_SCALE * (1.0 + f_scale)
 
-    auto_m = isinstance(config.truncation_M, str)
-    if auto_m:
-        m_level = max(1.0, 2.0 * _max_axis_slope(u_full, grid.spacing))
-    else:
-        m_level = float(config.truncation_M)
-
-    iterations = []
-    delta_stability = math.inf
+    # at alpha = 0, rho = 1: every delta stage solves the same system
+    schedule = config.delta_schedule[-1:] if instance.exponents.alpha == 0 \
+        else config.delta_schedule
+    m_level = max(1.0, 2.0 * _max_axis_slope(u_full, grid.spacing))
     rounds = 0
     growth = 2.0  # truncation continuation factor; shrunk on failures
     last_good = None  # (u_full, m_level) of the last completed round
     while True:
         rounds += 1
-        round_iters = []
-        u_prev_stage = None
+        iterations = []
         try:
-            for delta in config.delta_schedule:
+            for delta in schedule:
                 stage = _Stage(instance, grid, eps, m_level, delta, config, fields)
                 u_full, its = _run_newton(stage, u_full, config)
-                round_iters.append(its)
-                if u_prev_stage is not None:
-                    delta_stability = float(np.abs(u_full - u_prev_stage).max())
-                u_prev_stage = u_full.copy()
+                iterations.append(its)
         except NonConvergence:
             # retry the truncation continuation with a gentler growth factor
-            if not auto_m or last_good is None or growth <= 1.05:
+            if last_good is None or growth <= 1.05:
                 raise
             growth = 1.0 + 0.5 * (growth - 1.0)
             u_full, prev_m = last_good
             u_full = u_full.copy()
             m_level = growth * prev_m
             continue
-        iterations = round_iters
         gmag = _centered_magnitude(_axis_neighbours(u_full), grid.spacing)
-        activity = float(np.mean(gmag >= m_level))
-        if not auto_m or activity == 0.0:
+        if not (gmag >= m_level).any():
             break
         if rounds >= _MAX_TRUNCATION_ROUNDS:
             raise NonConvergence(
                 f"truncation level still active after {rounds} rounds "
                 f"(M = {m_level:.3g})",
-                stage=config.delta_schedule[-1], iterations=rounds,
+                stage=schedule[-1], iterations=rounds,
             )
         last_good = (u_full.copy(), m_level)
         m_level = growth * max(_max_axis_slope(u_full, grid.spacing), m_level)
@@ -645,9 +627,7 @@ def solve_dirichlet(
     report = SolveReport(
         final_residual=float(np.abs(res).max()),
         iterations_per_stage=tuple(iterations),
-        truncation_activity=activity,
         truncation_M=m_level,
-        delta_stability=delta_stability,
         truncation_rounds=rounds,
     )
     return solution, report

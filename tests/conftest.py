@@ -1,5 +1,7 @@
 """Shared fixtures: canonical 1D instances used across the suite."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -69,3 +71,12 @@ def cosine_exact(c: float, amplitude: float):
         return amplitude + np.log(np.cos(root)) - np.log(np.cos(root * np.asarray(x)))
 
     return u
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not standard JSON")
+
+
+def strict_json(text):
+    """json.loads that refuses the non-standard tokens Infinity and NaN."""
+    return json.loads(text, parse_constant=_refuse_constant)

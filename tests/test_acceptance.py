@@ -3,7 +3,6 @@
 Each test prints a single PASS/FAIL line with the measured quantities.
 """
 
-import json
 import math
 import time
 
@@ -43,7 +42,7 @@ from ergopde.cli import main as cli_main
 from ergopde.grid import gradient_field, holder_seminorm, lipschitz_seminorm
 from ergopde.model import EquationInstance
 
-from conftest import COSINE_C, POWER_C, interval_grid, make_instance
+from conftest import COSINE_C, POWER_C, interval_grid, make_instance, strict_json
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -296,7 +295,7 @@ def test_ac10_deterministic_reports(tmp_path):
         assert rc == 0
         blobs.append((out / "report.json").read_bytes())
     identical = blobs[0] == blobs[1]
-    all_passed = json.loads(blobs[0])["all_passed"]
+    all_passed = strict_json(blobs[0])["all_passed"]
     ok = identical and all_passed
     report(
         "AC-10", ok,

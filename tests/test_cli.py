@@ -10,7 +10,7 @@ import yaml
 from ergopde import ConfigError
 from ergopde.cli import _experiment, main, solver_config_from
 
-from conftest import COSINE_C
+from conftest import COSINE_C, strict_json
 
 
 INSTANCE_YAML = {
@@ -32,7 +32,7 @@ def write_config(tmp_path: Path, payload: dict, name: str = "config.yaml") -> Pa
 
 
 def read_report(out: Path) -> dict:
-    return json.loads((out / "report.json").read_text())
+    return strict_json((out / "report.json").read_text())
 
 
 class TestSolve:
@@ -108,21 +108,32 @@ class TestSolve:
         cfg["boundary"] = "0"
         cfg["solver"] = {
             "delta_schedule": [1.0, 0.5, 0.25],
-            "truncation": 50.0,
             "inner_tol": 1e-9,
             "max_iters": 100,
         }
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
-        solver = read_report(out)["solver"]
-        assert solver["truncation_M"] == 50.0
-        assert len(solver["iterations_per_stage"]) == 3
+        # alpha = 0: only the last delta stage runs
+        assert len(read_report(out)["solver"]["iterations_per_stage"]) == 1
+
+    def test_one_stage_schedule_writes_standard_json(self, tmp_path):
+        cfg = dict(INSTANCE_YAML)
+        cfg["instance"] = dict(INSTANCE_YAML["instance"], f=str(COSINE_C + 0.5))
+        cfg["grid"] = {"shape": [101]}
+        cfg["boundary"] = "0"
+        cfg["solver"] = {"delta_schedule": [0.5]}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        report = read_report(out)  # refuses Infinity and NaN
+        assert report["max_abs_residual"] == report["solver"]["final_residual"] < 1e-6
 
     @pytest.mark.parametrize("command, key, value", [
         ("solve", "solver", {"truncation": "abc"}),
         ("solve", "solver", {"max_iters": "many"}),
         ("solve", "solver", {"truncation": -2}),
+        ("solve", "solver", {"truncation": 50.0}),
         ("solve", "solver", {"inner_tol": [1e-8]}),
         ("ergodic", "ladder", [10.0, "twenty"]),
         ("solve", "solver", {"inner_tols": 1e-3, "max_iters": 2}),
@@ -133,8 +144,9 @@ class TestSolve:
         ("oracle", "tol", float("nan")),
         ("oracle", "tol", -1.0),
     ], ids=["truncation-abc", "max-iters-many", "truncation-negative",
-            "inner-tol-list", "ladder-word", "solver-key-misspelt", "tol-abc", "c-abc",
-            "tol-nan", "reference-not-mapping", "oracle-tol-nan", "oracle-tol-negative"])
+            "truncation-number", "inner-tol-list", "ladder-word", "solver-key-misspelt",
+            "tol-abc", "c-abc", "tol-nan", "reference-not-mapping", "oracle-tol-nan",
+            "oracle-tol-negative"])
     def test_bad_values_are_config_errors(self, tmp_path, command, key, value):
         cfg = dict(INSTANCE_YAML)
         cfg["grid"] = {"shape": [21]}
@@ -222,7 +234,7 @@ class TestPropertySuite:
             assert rc == 0
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
-        report = json.loads(outs[0])
+        report = strict_json(outs[0])
         assert report["all_passed"] is True
         assert all(c["failures"] == 0 for c in report["checks"])
 

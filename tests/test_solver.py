@@ -32,6 +32,7 @@ from ergopde.solver import _interior_coords, _max_axis_slope, _Stage
 from conftest import (
     COSINE_C,
     INTERVAL,
+    POWER_C,
     cosine_exact,
     interval_grid,
     make_instance,
@@ -431,11 +432,19 @@ class TestReports:
         inst = make_instance(0.0, 1.5, b="1", f="-2.0")
         u, rep = solve(inst, 5.0, 101)
         d = rep.to_dict()
-        assert set(d) == {"final_residual", "iterations_per_stage", "truncation_activity",
-                          "truncation_M", "delta_stability", "truncation_rounds"}
-        assert d["truncation_activity"] == 0.0
+        assert set(d) == {"final_residual", "iterations_per_stage", "truncation_M",
+                          "truncation_rounds"}
         assert d["final_residual"] < 1e-6
-        assert len(d["iterations_per_stage"]) == len(SolverConfig().delta_schedule)
+        assert len(d["iterations_per_stage"]) == 1  # alpha = 0: one delta stage
+
+    def test_alpha_zero_does_not_depend_on_delta(self):
+        # rho = 1 at alpha = 0: one stage, at any delta, gives the same bits
+        inst = make_instance(0.0, 1.5, b="1", f=str(POWER_C + 1.0))
+        u, rep = solve(inst, 40.0, 201)
+        u_half, rep_half = solve(inst, 40.0, 201, SolverConfig(delta_schedule=(0.5,)))
+        assert np.array_equal(u.values, u_half.values)
+        assert rep.truncation_rounds == rep_half.truncation_rounds > 1
+        assert len(rep.iterations_per_stage) == len(rep_half.iterations_per_stage) == 1
 
     def test_solutions_shift_with_boundary_datum(self):
         # u(.; L + s) = u(.; L) + s exactly (equation sees only derivatives)
@@ -454,9 +463,5 @@ class TestFailureModes:
 
     def test_invalid_config_rejected(self):
         from ergopde import OutOfRange
-        with pytest.raises(OutOfRange):
-            SolverConfig(truncation_M=-1.0)
-        with pytest.raises(OutOfRange):
-            SolverConfig(truncation_M="bogus")
         with pytest.raises(OutOfRange):
             SolverConfig(delta_schedule=(0.5, 1.0))
