@@ -37,7 +37,6 @@ from .model import (
     chi,
     face_normals,
     instance_from_config,
-    instance_to_config,
     rescale_residual_factor,
     validate_exponents,
 )
@@ -57,7 +56,6 @@ from .grid import (
     GridFunction,
     UniformGrid,
     gradient,
-    hessian,
     holder_seminorm,
     lipschitz_seminorm,
     save_binary,
@@ -70,11 +68,9 @@ from .solver import (
     solve_dirichlet,
 )
 from .oracle1d import (
-    ShootState,
     blowup_profile_fit,
     ergodic_constant_1d,
     exact_dirichlet_1d,
-    export_report,
     shoot_blowup,
 )
 from .ergodic import (
@@ -101,20 +97,19 @@ __all__ = [
     # model
     "ExponentPair", "ScalarField", "Box", "EquationInstance",
     "validate_exponents", "chi", "amplitude_C", "rescale_residual_factor",
-    "face_normals", "instance_to_config",
-    "instance_from_config",
+    "face_normals", "instance_from_config",
     # operators
     "SymMatrix", "EllipticityBounds", "ScaledTrace", "PucciPlus",
     "PucciMinus", "BellmanMax", "CheckReport", "eval_operator",
     "check_uniform_ellipticity", "check_homogeneity",
     # grid
-    "UniformGrid", "GridFunction", "gradient", "hessian",
+    "UniformGrid", "GridFunction", "gradient",
     "holder_seminorm", "lipschitz_seminorm", "save_csv", "save_binary",
     # solver
     "SolverConfig", "SolveReport", "residual_field", "solve_dirichlet",
     # oracle1d
-    "ShootState", "exact_dirichlet_1d", "shoot_blowup",
-    "ergodic_constant_1d", "blowup_profile_fit", "export_report",
+    "exact_dirichlet_1d", "shoot_blowup", "ergodic_constant_1d",
+    "blowup_profile_fit",
     # ergodic
     "ErgodicExperiment", "solve_at", "estimate_ergodic_constant",
     "verify_blowup_profile", "verify_gradient_rate", "verify_uniqueness",

@@ -387,8 +387,7 @@ def run_oracle(cfg: dict, out: Path, seed) -> dict:
     c_erg, rep = ergodic_constant_1d(exponents, f, tol=_tol(cfg, 1e-8))
     report = {"experiment": "oracle", "c_erg": c_erg, **rep}
     if "shoot_c" in cfg:
-        x_star, _ = shoot_blowup(exponents, _number(cfg, "shoot_c"), f)
-        report["x_star"] = x_star
+        report["x_star"] = shoot_blowup(exponents, _number(cfg, "shoot_c"), f)
     return report
 
 

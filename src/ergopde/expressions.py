@@ -84,5 +84,4 @@ def compile_expression(expr: str, dim: int):
         out = eval(code, {"__builtins__": {}}, local)  # noqa: S307 - whitelisted AST
         return np.broadcast_to(np.asarray(out, dtype=float), local["x"].shape).copy()
 
-    fn.expression = expr
     return fn

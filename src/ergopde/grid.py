@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import BoundaryNode, DimensionMismatch, EmptyRegion, OutOfRange
 from .model import Box
-from .operators import SymMatrix
 
 _BINARY_MAGIC = b"EGF1"
 
@@ -141,26 +140,6 @@ def gradient(u: GridFunction, node) -> np.ndarray:
         dn[ax] -= 1
         out[ax] = (v[tuple(up)] - v[tuple(dn)]) / (2.0 * g.spacing[ax])
     return out
-
-
-def hessian(u: GridFunction, node) -> SymMatrix:
-    """Second-difference Hessian at an interior node (corner stencil cross terms)."""
-    g = u.grid
-    idx = _as_index(node, g.dim)
-    if not g.is_interior(idx):
-        raise BoundaryNode(f"node {idx} is not interior")
-    v = u.values
-    h = g.spacing
-    if g.dim == 1:
-        i = idx[0]
-        return SymMatrix(1, ((v[i + 1] - 2.0 * v[i] + v[i - 1]) / h[0] ** 2,))
-    i, j = idx
-    dxx = (v[i + 1, j] - 2.0 * v[i, j] + v[i - 1, j]) / h[0] ** 2
-    dyy = (v[i, j + 1] - 2.0 * v[i, j] + v[i, j - 1]) / h[1] ** 2
-    dxy = (
-        v[i + 1, j + 1] + v[i - 1, j - 1] - v[i + 1, j - 1] - v[i - 1, j + 1]
-    ) / (4.0 * h[0] * h[1])
-    return SymMatrix(2, (dxx, dxy, dyy))
 
 
 def gradient_field(u: GridFunction) -> tuple:

@@ -99,13 +99,10 @@ def rescale_residual_factor(exponents: ExponentPair, delta: float) -> float:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Deterministic evaluation rule over domain points, optionally tagged
-    with a Lipschitz constant and the source expression."""
+    """Deterministic evaluation rule over domain points."""
 
     fn: object
     dim: int
-    expression: str | None = None
-    lipschitz: float | None = None
 
     def __call__(self, *coords) -> np.ndarray:
         coords = [np.asarray(c, dtype=float) for c in coords]
@@ -130,16 +127,12 @@ class ScalarField:
     @staticmethod
     def constant(value: float, dim: int = 1) -> "ScalarField":
         v = float(value)
-        return ScalarField(
-            fn=lambda *coords: np.full(np.asarray(coords[0]).shape, v),
-            dim=dim,
-            expression=repr(v),
-            lipschitz=0.0,
-        )
+        return ScalarField(fn=lambda *coords: np.full(np.asarray(coords[0]).shape, v),
+                           dim=dim)
 
     @staticmethod
     def from_expression(expr: str, dim: int = 1) -> "ScalarField":
-        return ScalarField(fn=compile_expression(expr, dim), dim=dim, expression=expr)
+        return ScalarField(fn=compile_expression(expr, dim), dim=dim)
 
 
 @dataclass(frozen=True)
@@ -202,10 +195,7 @@ class EquationInstance:
             operator=self.operator,
             exponents=self.exponents,
             b=self.b,
-            f=ScalarField(fn=fn, dim=base.dim,
-                          expression=None if base.expression is None
-                          else f"({base.expression})+({shift!r})",
-                          lipschitz=base.lipschitz),
+            f=ScalarField(fn=fn, dim=base.dim),
             domain=self.domain,
         )
 
@@ -223,22 +213,7 @@ def face_normals(domain: Box) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# config (de)serialization
-
-
-def operator_to_config(spec: operators.OperatorSpec) -> dict:
-    if isinstance(spec, operators.ScaledTrace):
-        return {"kind": "trace", "a": spec.coefficient}
-    if isinstance(spec, (operators.PucciPlus, operators.PucciMinus)):
-        return {"kind": spec.kind, "a": spec.bounds.a, "A": spec.bounds.A}
-    if isinstance(spec, operators.BellmanMax):
-        return {
-            "kind": "bellman-max",
-            "a": spec.bounds.a,
-            "A": spec.bounds.A,
-            "matrices": [q.to_array().tolist() for q in spec.matrices],
-        }
-    raise TypeError(f"unknown operator spec: {spec!r}")
+# config parsing
 
 
 def operator_from_config(cfg: dict) -> operators.OperatorSpec:
@@ -257,19 +232,6 @@ def operator_from_config(cfg: dict) -> operators.OperatorSpec:
         bounds = operators.EllipticityBounds(float(cfg["a"]), float(cfg["A"]))
         return operators.BellmanMax(mats, bounds)
     raise OutOfRange(f"unknown operator kind {kind!r}")
-
-
-def instance_to_config(instance: EquationInstance) -> dict:
-    if instance.b.expression is None or instance.f.expression is None:
-        raise OutOfRange("only expression-backed fields serialize to config")
-    return {
-        "operator": operator_to_config(instance.operator),
-        "alpha": instance.exponents.alpha,
-        "beta": instance.exponents.beta,
-        "b": instance.b.expression,
-        "f": instance.f.expression,
-        "domain": {"lo": list(instance.domain.lo), "hi": list(instance.domain.hi)},
-    }
 
 
 def instance_from_config(cfg: dict) -> EquationInstance:

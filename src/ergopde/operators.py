@@ -253,33 +253,18 @@ def policy_1d(spec: OperatorSpec, t: np.ndarray) -> np.ndarray:
 def eval_hessian_2d(
     spec: OperatorSpec, txx: np.ndarray, txy: np.ndarray, tyy: np.ndarray
 ) -> np.ndarray:
-    """F applied elementwise to 2x2 symmetric matrices given by components."""
+    """F applied elementwise to 2x2 symmetric matrices given by components.
+
+    F is positively 1-homogeneous, so F(M) = tr(C M) with C = policy_2d(M)
+    (Euler's identity), as `eval_second_derivative_1d` takes it in 1D.
+    """
     txx = np.asarray(txx, dtype=float)
     txy = np.asarray(txy, dtype=float)
     tyy = np.asarray(tyy, dtype=float)
-    if isinstance(spec, ScaledTrace):
+    if isinstance(spec, ScaledTrace):  # the hot path of the 2D trace solves
         return spec.coefficient * (txx + tyy)
-    if isinstance(spec, (PucciPlus, PucciMinus)):
-        mean = 0.5 * (txx + tyy)
-        rad = np.hypot(0.5 * (txx - tyy), txy)
-        lo = mean - rad
-        hi = mean + rad
-        a, big_a = spec.bounds.a, spec.bounds.A
-        if isinstance(spec, PucciPlus):
-            return big_a * np.maximum(hi, 0.0) + a * np.minimum(hi, 0.0) \
-                + big_a * np.maximum(lo, 0.0) + a * np.minimum(lo, 0.0)
-        return a * np.maximum(hi, 0.0) + big_a * np.minimum(hi, 0.0) \
-            + a * np.maximum(lo, 0.0) + big_a * np.minimum(lo, 0.0)
-    if isinstance(spec, BellmanMax):
-        if spec.dim != 2:
-            raise DimensionMismatch("bellman-max dimension is not 2")
-        vals = None
-        for q in spec.matrices:
-            qa = q.to_array()
-            v = qa[0, 0] * txx + 2.0 * qa[0, 1] * txy + qa[1, 1] * tyy
-            vals = v if vals is None else np.maximum(vals, v)
-        return vals
-    raise TypeError(f"unknown operator spec: {spec!r}")
+    cxx, cxy, cyy = policy_2d(spec, txx, txy, tyy)
+    return cxx * txx + 2.0 * cxy * txy + cyy * tyy
 
 
 def policy_2d(

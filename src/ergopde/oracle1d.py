@@ -19,13 +19,9 @@ blow-up locations accurate to well below 1e-10.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import BracketFailure, InsufficientSpan, InvalidRegime, OutOfRange
 from .model import ExponentPair, ScalarField
@@ -50,7 +46,7 @@ def exact_dirichlet_1d(alpha: float, c0: float):
     """Exact solution of -|u'|^alpha u'' = c0 on (-1, 1), u(+-1) = 0.
 
     Returns a vectorized callable u(x) with attributes ``value_at_zero``
-    and ``expression``.  Requires alpha > -1 and c0 > 0.
+    and ``exponent``.  Requires alpha > -1 and c0 > 0.
     """
     if alpha <= -1.0:
         raise OutOfRange("alpha must exceed -1")
@@ -65,21 +61,11 @@ def exact_dirichlet_1d(alpha: float, c0: float):
 
     u.value_at_zero = amp
     u.exponent = m
-    u.expression = f"{amp!r} * (1 - abs(x)**{m!r})"
     return u
 
 
 # ---------------------------------------------------------------------------
 # shooting for the symmetric ergodic ODE
-
-
-@dataclass(frozen=True)
-class ShootState:
-    """Snapshot of the shooting trajectory at the phase switch points."""
-
-    x: float
-    p: float
-    phase: str
 
 
 def _forcing_margin(f: ScalarField, c: float, span: float = 1.0) -> float:
@@ -93,14 +79,15 @@ def shoot_blowup(
     c: float,
     f: ScalarField,
     trace_coefficient: float = 1.0,
-) -> tuple:
+) -> float:
     """Blow-up location x*(c) of the symmetric maximal solution.
 
     Integrates p = u' of  a |p|^alpha p' = p^beta - f(x) - c  from the
     symmetry point x = 0, p = 0.  Requires f + c < 0 on [0, 1] so that p
-    is strictly increasing (InvalidRegime otherwise).  Returns
-    (x_star, states) with the per-phase snapshots.
+    is strictly increasing (InvalidRegime otherwise).
     """
+    from scipy.integrate import solve_ivp
+
     if f.dim != 1:
         raise OutOfRange("the shooting oracle is one-dimensional")
     if trace_coefficient <= 0.0:
@@ -131,7 +118,6 @@ def shoot_blowup(
     if not sol1.success:
         raise InvalidRegime(f"shooting phase 1 failed: {sol1.message}")
     x1 = float(sol1.y[0, -1])
-    states = [ShootState(x=x1, p=p_switch, phase="power")]
 
     # phase 2: ell = log p up to a large cutoff
     def rhs_log(ell, y):
@@ -144,7 +130,6 @@ def shoot_blowup(
     if not sol2.success:
         raise InvalidRegime(f"shooting phase 2 failed: {sol2.message}")
     x2 = float(sol2.y[0, -1])
-    states.append(ShootState(x=x2, p=_P_MAX, phase="log"))
 
     # asymptotic tail: integral of a p^alpha / (p^beta - K) from P to infinity
     gap = beta - opa
@@ -152,9 +137,7 @@ def shoot_blowup(
     tail = a * (
         _P_MAX ** (-gap) / gap + k_val * _P_MAX ** (-(beta + gap)) / (beta + gap)
     )
-    x_star = x2 + tail
-    states.append(ShootState(x=x_star, p=math.inf, phase="tail"))
-    return x_star, tuple(states)
+    return x2 + tail
 
 
 def _scaling_bracket(g, gamma: float) -> list:
@@ -209,6 +192,8 @@ def ergodic_constant_1d(
     brentq (mapped back to c) and the shooting evaluations used; the final
     |x*(c) - 1| is guaranteed <= tol (BracketFailure otherwise).
     """
+    from scipy.optimize import brentq
+
     if not (math.isfinite(tol) and tol > 0.0):
         raise OutOfRange(f"tol must be a finite positive number, not {tol!r}")
     xs = np.linspace(-1.0, 1.0, 8001)
@@ -224,7 +209,7 @@ def ergodic_constant_1d(
 
     def g(margin):
         c = -sup_f - margin
-        x_star, _ = shoot_blowup(exponents, c, f, trace_coefficient)
+        x_star = shoot_blowup(exponents, c, f, trace_coefficient)
         evaluations.append(c)
         return math.log(x_star)
 
@@ -326,8 +311,3 @@ def blowup_profile_fit(distances, values, case: str) -> dict:
         "span": span,
         "max_misfit": misfit,
     }
-
-
-def export_report(report: dict) -> str:
-    """Deterministic JSON serialization (sorted keys, no timestamps)."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"

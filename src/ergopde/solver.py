@@ -225,18 +225,22 @@ def residual_field(instance: EquationInstance, u: GridFunction) -> np.ndarray:
 class _Stage:
     """One continuation stage: its residual and its semismooth Jacobian.
 
-    The constants (spacing, h^2, |b| beta, the diffusion floor) are set
-    once; the methods take their stencils straight from the value array.
-    `fields` holds f and b on the interior nodes, which a solve evaluates once.
+    A solve builds one stage.  It evaluates f, b and the stabilization eps
+    on the interior nodes and sets the constants (spacing, h^2, |b| beta,
+    the diffusion floor) once; the driver sets delta, the truncation level
+    m_level and the shift c (`set_c`) per stage, by default the last delta
+    of the schedule, no truncation and c = 0.  The methods take their
+    stencils straight from the value array.
     """
 
-    def __init__(self, instance, grid, eps, m_level, delta, config, fields):
+    def __init__(self, instance, grid, config):
         self.instance = instance
-        self.eps = eps
-        self.m_level = m_level
-        self.delta = delta
         self.config = config
-        self.f_base, self.b_int = fields
+        ic = _interior_coords(grid)
+        self.f_base, self.b_int = instance.f(*ic), instance.b(*ic)
+        self.eps = _EPS_SCALE * (1.0 + float(np.abs(self.f_base).max()))
+        self.delta = config.delta_schedule[-1]
+        self.m_level = math.inf
         self.set_c(0.0)
         self.alpha = instance.exponents.alpha
         self.beta = instance.exponents.beta
@@ -437,7 +441,7 @@ def _rms_norm(r: np.ndarray) -> float:
     return math.sqrt(r.dot(r)) / math.sqrt(r.size)
 
 
-def _run_newton(stage: _Stage, u_full, config, border=None) -> tuple:
+def _run_newton(stage: _Stage, u_full, border=None) -> tuple:
     """Semismooth Newton (Howard's policy iteration) on the stage system.
 
     Line search on the l2 residual norm; a Levenberg shift is added to the
@@ -451,6 +455,7 @@ def _run_newton(stage: _Stage, u_full, config, border=None) -> tuple:
     equation (`_Stage.bordered_step`).  The first step is taken whole: from
     a predictor that solves the stage system, it is the tangent step.
     """
+    config = stage.config
     big_a = stage.instance.operator.bounds.A
     h = stage.h_min
     h2 = min(stage.h2) / u_full.ndim  # sum over axes of 1/h^2 is at most dim/h_min^2
@@ -535,35 +540,24 @@ def _boundary_values_full(grid: UniformGrid, boundary: ScalarField) -> np.ndarra
     return vals
 
 
-def _solve_trace_2d(grid, boundary_values):
-    """Interior values of the discrete harmonic function with the given data."""
-    (mx, my), (hx, hy) = (n - 2 for n in grid.shape), grid.spacing
-    n = mx * my
-    cx = 1.0 / hx**2
-    cy = 1.0 / hy**2
-    offs_x = -cx * np.ones(n - my)
-    offs_y = -cy * np.ones(n - 1)
-    offs_y[my - 1 :: my] = 0.0  # no coupling across grid rows
-    mat = scipy.sparse.diags(
-        [np.full(n, 2.0 * (cx + cy)), offs_x, offs_x, offs_y, offs_y],
-        [0, -my, my, -1, 1],
-        format="csc",
-    )
-    b = np.zeros((mx, my))
-    b[0, :] += cx * boundary_values[0, 1:-1]
-    b[-1, :] += cx * boundary_values[-1, 1:-1]
-    b[:, 0] += cy * boundary_values[1:-1, 0]
-    b[:, -1] += cy * boundary_values[1:-1, -1]
-    return scipy.sparse.linalg.spsolve(mat, b.ravel()).reshape(mx, my)
-
-
 def _initial_guess(grid: UniformGrid, boundary_full: np.ndarray) -> np.ndarray:
-    """Harmonic fill of the boundary data (affine interpolation in 1D)."""
+    """Fill of the boundary data: affine in 1D, the bilinear Coons patch in 2D.
+
+    The Coons patch (transfinite interpolation) is the Boolean sum of the
+    linear interpolations across each axis, P_x + P_y (I - P_x): it matches
+    the data on all four sides and reproduces bilinear functions, with no
+    solve.
+    """
     u = boundary_full.copy()
     if grid.dim == 1:
         u[:] = np.linspace(boundary_full[0], boundary_full[-1], grid.shape[0])
         return u
-    u[1:-1, 1:-1] = _solve_trace_2d(grid, boundary_full)
+    sx, sy = (np.linspace(0.0, 1.0, n) for n in grid.shape)
+    sx, sy = sx[:, None], sy[None, :]
+    across_x = (1.0 - sx) * u[:1] + sx * u[-1:]
+    rest = u - across_x  # zero on the sides x = lo, hi
+    coons = across_x + (1.0 - sy) * rest[:, :1] + sy * rest[:, -1:]
+    u[1:-1, 1:-1] = coons[1:-1, 1:-1]
     return u
 
 
@@ -580,11 +574,7 @@ def solve_dirichlet(
     """
     config = config or SolverConfig()
     u_full = _initial_guess(grid, _boundary_values_full(grid, boundary))
-
-    ic = _interior_coords(grid)
-    fields = (instance.f(*ic), instance.b(*ic))
-    f_scale = float(np.abs(fields[0]).max())
-    eps = _EPS_SCALE * (1.0 + f_scale)
+    stage = _Stage(instance, grid, config)
 
     # at alpha = 0, rho = 1: every delta stage solves the same system
     schedule = config.delta_schedule[-1:] if instance.exponents.alpha == 0 \
@@ -596,10 +586,11 @@ def solve_dirichlet(
     while True:
         rounds += 1
         iterations = []
+        stage.m_level = m_level
         try:
             for delta in schedule:
-                stage = _Stage(instance, grid, eps, m_level, delta, config, fields)
-                u_full, its = _run_newton(stage, u_full, config)
+                stage.delta = delta
+                u_full, its = _run_newton(stage, u_full)
                 iterations.append(its)
         except NonConvergence:
             # retry the truncation continuation with a gentler growth factor
@@ -641,12 +632,8 @@ def solve_bordered(instance, guess: GridFunction, c: float, probe, config=None) 
     (u, c, iterations).
     """
     config = replace(config or SolverConfig(), peclet_threshold=math.inf)
-    ic = _interior_coords(guess.grid)
-    fields = (instance.f(*ic), instance.b(*ic))
-    eps = _EPS_SCALE * (1.0 + float(np.abs(fields[0]).max()))
-    stage = _Stage(instance, guess.grid, eps, math.inf, config.delta_schedule[-1],
-                   config, fields)
+    stage = _Stage(instance, guess.grid, config)
     stage.set_c(c)
     border = tuple(int(i) - 1 for i in probe)
-    u_full, its = _run_newton(stage, guess.values.copy(), config, border)
+    u_full, its = _run_newton(stage, guess.values.copy(), border)
     return GridFunction(guess.grid, u_full), stage.c, its

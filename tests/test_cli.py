@@ -1,12 +1,16 @@
 """Command-line interface: configs, artifacts, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import ergopde
 from ergopde import ConfigError
 from ergopde.cli import _experiment, main, solver_config_from
 
@@ -170,6 +174,17 @@ class TestOracleAndErgodic:
         report = read_report(out)
         assert abs(report["c_erg"] - COSINE_C) < 1e-6
 
+    def test_oracle_shoot_c(self, tmp_path):
+        # c = -1, f = 0: p' = 1 + p^2 from p(0) = 0, so p = tan x and the
+        # blow-up location is pi/2
+        path = write_config(tmp_path, {"alpha": 0.0, "beta": 2.0, "f": "0",
+                                       "shoot_c": -1.0})
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(path), "--out", str(out)]) == 0
+        report = read_report(out)
+        assert report["x_star"] == pytest.approx(np.pi / 2.0, rel=1e-9)
+        assert abs(report["c_erg"] - COSINE_C) < 1e-6
+
     def test_ergodic_coarse(self, tmp_path):
         cfg = dict(INSTANCE_YAML)
         cfg["grid"] = {"shape": [201]}
@@ -245,6 +260,19 @@ class TestPropertySuite:
                    "--out", str(out), "--seed", "7"])
         assert rc == 0
         assert read_report(out)["seed"] == 7
+
+
+class TestImports:
+    def test_integrate_and_optimize_load_on_first_use(self):
+        # only the oracle and the profile fits need them
+        src = str(Path(ergopde.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import sys, ergopde, ergopde.cli; print(sorted(m for m in "
+                "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert run.stdout.strip() == "[]"
 
 
 class TestExitCodes:

@@ -19,7 +19,6 @@ from ergopde import (
     chi,
     face_normals,
     instance_from_config,
-    instance_to_config,
     rescale_residual_factor,
     validate_exponents,
 )
@@ -136,11 +135,14 @@ class TestScalarField:
 
     def test_expression_round_trip_through_config(self):
         inst = make_instance(0.0, 1.5, b="1", f="cos(x)")
-        cfg = instance_to_config(inst)
+        cfg = {"operator": {"kind": "trace", "a": 1.0}, "alpha": 0.0, "beta": 1.5,
+               "b": "1", "f": "cos(x)", "domain": {"lo": [-1.0], "hi": [1.0]}}
         back = instance_from_config(cfg)
         xs = np.linspace(-1.0, 1.0, 7)
         assert np.allclose(back.f(xs), np.cos(xs))
+        assert np.allclose(back.b(xs), 1.0)
         assert back.exponents == inst.exponents
+        assert back.operator == inst.operator and back.domain == inst.domain
 
 
 class TestDomain:

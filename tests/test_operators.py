@@ -139,17 +139,27 @@ class TestPolicy2D:
                              sym([[1.5, 0.25], [0.25, 1.5]])), bounds=BOUNDS),
     )
 
+    @staticmethod
+    def reference(spec, txx, txy, tyy):
+        """F sample by sample, from the closed-form eigenvalues."""
+        return np.array([eval_operator(spec, SymMatrix(2, m))
+                         for m in zip(txx, txy, tyy)])
+
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
     def test_euler_identity_and_derivative(self, spec):
         # F(M) = tr(C M) (1-homogeneity), and C is the derivative of F:
-        # central differences in (txx, txy, tyy) give (cxx, 2 cxy, cyy)
+        # central differences in (txx, txy, tyy) give (cxx, 2 cxy, cyy).
+        # F is the scalar eigenvalue evaluation, which shares no code with
+        # the policy; the 2D kernel, tr(C M) itself, must match it too.
         rng = np.random.default_rng(11)
         txx, txy, tyy = rng.uniform(-2.0, 2.0, size=(3, 200))
         # two repeated eigenvalues: M = I and M = 0
         txx[:2], txy[:2], tyy[:2] = (1.0, 0.0), (0.0, 0.0), (1.0, 0.0)
         cxx, cxy, cyy = policy_2d(spec, txx, txy, tyy)
-        fval = eval_hessian_2d(spec, txx, txy, tyy)
+        fval = self.reference(spec, txx, txy, tyy)
         np.testing.assert_allclose(cxx * txx + 2.0 * cxy * txy + cyy * tyy, fval,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(eval_hessian_2d(spec, txx, txy, tyy), fval,
                                    rtol=1e-12, atol=1e-12)
         # C has its spectrum in [a, A]
         mean, rad = 0.5 * (cxx + cyy), np.hypot(0.5 * (cxx - cyy), cxy)
@@ -161,7 +171,7 @@ class TestPolicy2D:
             dn = [txx, txy, tyy]
             up[comp] = up[comp] + step
             dn[comp] = dn[comp] - step
-            fd = (eval_hessian_2d(spec, *up) - eval_hessian_2d(spec, *dn)) / (2 * step)
+            fd = (self.reference(spec, *up) - self.reference(spec, *dn)) / (2 * step)
             # no seeded sample lies within the step of a policy switch
             np.testing.assert_allclose(fd[2:], want[2:], atol=1e-6)
 

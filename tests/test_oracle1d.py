@@ -1,6 +1,5 @@
 """Closed forms, shooting, the ergodic-constant root search, profile fitting."""
 
-import json
 import time
 
 import numpy as np
@@ -18,7 +17,6 @@ from ergopde import (
     blowup_profile_fit,
     ergodic_constant_1d,
     exact_dirichlet_1d,
-    export_report,
     shoot_blowup,
 )
 from ergopde import oracle1d
@@ -60,14 +58,13 @@ class TestShooting:
         # alpha=0, beta=2, f+c = c: p' = |c| + p^2, blow-up of u at
         # x* = (pi/2) / sqrt(|c|)
         for c in (-1.0, -2.0):
-            x_star, states = shoot_blowup(EP_LOG, c, ZERO)
+            x_star = shoot_blowup(EP_LOG, c, ZERO)
             assert x_star == pytest.approx(0.5 * np.pi / np.sqrt(-c), rel=1e-8)
-            assert [s.phase for s in states]  # trajectory is recorded
 
     def test_threshold_crossing(self):
         # x*(c) < 1 below the interval threshold, > 1 above it
-        assert shoot_blowup(EP_LOG, COSINE_C - 0.05, ZERO)[0] < 1.0
-        assert shoot_blowup(EP_LOG, COSINE_C + 0.05, ZERO)[0] > 1.0
+        assert shoot_blowup(EP_LOG, COSINE_C - 0.05, ZERO) < 1.0
+        assert shoot_blowup(EP_LOG, COSINE_C + 0.05, ZERO) > 1.0
 
     def test_requires_negative_forcing(self):
         with pytest.raises(InvalidRegime):
@@ -176,11 +173,3 @@ class TestProfileFit:
         assert fit["chi_hat"] == pytest.approx(chi_true, rel=1e-8)
         assert fit["c_hat"] == pytest.approx(c_true, rel=1e-8)
 
-
-class TestReportExport:
-    def test_json_stable_key_order(self):
-        payload = {"b": 1, "a": {"z": 2.0, "k": [1, 2]}}
-        text = export_report(payload)
-        assert text == export_report(payload)
-        assert json.loads(text) == payload
-        assert text.index('"a"') < text.index('"b"')

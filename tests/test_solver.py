@@ -28,7 +28,7 @@ from ergopde import (
     residual_field,
     solve_dirichlet,
 )
-from ergopde.solver import _interior_coords, _max_axis_slope, _Stage
+from ergopde.solver import _initial_guess, _max_axis_slope, _Stage
 from conftest import (
     COSINE_C,
     INTERVAL,
@@ -63,9 +63,10 @@ OPERATOR_KINDS = ("trace", "pucci+", "pucci-", "bellman-max")
 EXACT_CONFIG = SolverConfig(inner_tol=1e-12, peclet_threshold=math.inf)
 
 
-def make_stage(inst, grid, *args):
-    ic = _interior_coords(grid)
-    return _Stage(inst, grid, *args, (inst.f(*ic), inst.b(*ic)))
+def make_stage(inst, grid, eps, m_level, delta, config):
+    stage = _Stage(inst, grid, config)
+    stage.eps, stage.m_level, stage.delta = eps, m_level, delta
+    return stage
 
 
 def solve(instance, boundary, n, config=None):
@@ -179,16 +180,12 @@ class TestEveryOperator:
 
 
     def test_singular_sparse_solve_raises(self, monkeypatch):
-        # spsolve only warns on a singular matrix and returns NaN; the guess
-        # is left unfilled, so the first spsolve is the Newton step's
+        # spsolve only warns on a singular matrix and returns NaN; the 2D
+        # start needs no solve, so the first spsolve is the Newton step's
         import scipy.sparse.linalg
-
-        from ergopde import solver
 
         monkeypatch.setattr(scipy.sparse.linalg, "spsolve",
                             lambda mat, rhs: np.full(rhs.shape, np.nan))
-        monkeypatch.setattr(solver, "_initial_guess",
-                            lambda grid, boundary_full: boundary_full.copy())
         inst = EquationInstance(
             operator=ac6_operator("pucci+", 2), exponents=ExponentPair(0.0, 1.5),
             b=ScalarField.constant(1.0, 2), f=ScalarField.constant(1.0, 2),
@@ -425,6 +422,27 @@ class TestTruncationLevel:
         level = _max_axis_slope(u.values, grid.spacing)
         assert pairwise / math.sqrt(2.0) * (1.0 - 1e-12) <= level
         assert level <= pairwise * (1.0 + 1e-12)
+
+
+class TestInitialGuess:
+    @pytest.mark.parametrize("fn", [
+        lambda x, y: 1.0 + 2.0 * x - y + 3.0 * x * y,
+        lambda x, y: np.cos(2.0 * x) - y * x**2,  # linear in y only
+        lambda x, y: x * np.exp(y) + y**3,  # linear in x only
+    ], ids=["bilinear", "linear-in-y", "linear-in-x"])
+    def test_coons_patch_reproduces_data_linear_along_an_axis(self, fn):
+        # the 2D start is P_x + P_y (I - P_x), with P_x, P_y the linear
+        # interpolations across x and y: exact on every function linear in
+        # x or in y, and the boundary stays as given
+        grid = UniformGrid((6, 9), Box((-1.0, 0.5), (2.0, 1.5)))
+        exact = fn(*grid.coords())
+        edge = grid.boundary_mask()
+        data = np.where(edge, exact, 0.0)
+        given_data = data.copy()
+        u = _initial_guess(grid, data)
+        assert np.array_equal(data, given_data)
+        assert np.array_equal(u[edge], data[edge])
+        np.testing.assert_allclose(u, exact, rtol=0, atol=1e-14 * np.abs(exact).max())
 
 
 class TestReports:
