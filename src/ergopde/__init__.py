@@ -12,7 +12,6 @@ gradient rate, uniqueness up to additive constants).
 """
 
 from .errors import (
-    BoundaryNode,
     BracketFailure,
     ConfigError,
     DegenerateOperator,
@@ -55,7 +54,6 @@ from .operators import (
 from .grid import (
     GridFunction,
     UniformGrid,
-    gradient,
     holder_seminorm,
     lipschitz_seminorm,
     save_binary,
@@ -90,7 +88,7 @@ __all__ = [
     "__version__",
     # errors
     "ErgopdeError", "OutOfRange", "DimensionMismatch", "DegenerateOperator",
-    "BoundaryNode", "EmptyRegion", "InsufficientSpan", "InvalidBoundary",
+    "EmptyRegion", "InsufficientSpan", "InvalidBoundary",
     "NonConvergence", "InvalidRegime",
     "BracketFailure", "UnresolvedLayer",
     "UnsupportedCase", "HypothesisViolated", "ConfigError",
@@ -103,7 +101,7 @@ __all__ = [
     "PucciMinus", "BellmanMax", "CheckReport", "eval_operator",
     "check_uniform_ellipticity", "check_homogeneity",
     # grid
-    "UniformGrid", "GridFunction", "gradient",
+    "UniformGrid", "GridFunction",
     "holder_seminorm", "lipschitz_seminorm", "save_csv", "save_binary",
     # solver
     "SolverConfig", "SolveReport", "residual_field", "solve_dirichlet",

@@ -17,10 +17,6 @@ class DegenerateOperator(ErgopdeError):
     """An operator spec evaluates non-positively on a rank-one projector."""
 
 
-class BoundaryNode(ErgopdeError):
-    """A stencil operation was requested at a non-interior node."""
-
-
 class EmptyRegion(ErgopdeError):
     """A subregion contains too few nodes."""
 

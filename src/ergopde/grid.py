@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryNode, DimensionMismatch, EmptyRegion, OutOfRange
+from .errors import DimensionMismatch, EmptyRegion, OutOfRange
 from .model import Box
 
 _BINARY_MAGIC = b"EGF1"
@@ -125,45 +125,26 @@ class GridFunction:
 # stencils
 
 
-def gradient(u: GridFunction, node) -> np.ndarray:
-    """Centered-difference gradient at an interior node."""
-    g = u.grid
-    idx = _as_index(node, g.dim)
-    if not g.is_interior(idx):
-        raise BoundaryNode(f"node {idx} is not interior")
-    v = u.values
-    out = np.empty(g.dim)
-    for ax in range(g.dim):
-        up = list(idx)
-        dn = list(idx)
-        up[ax] += 1
-        dn[ax] -= 1
-        out[ax] = (v[tuple(up)] - v[tuple(dn)]) / (2.0 * g.spacing[ax])
-    return out
-
-
-def gradient_field(u: GridFunction) -> tuple:
-    """Centered gradient components on the interior, vectorized.
+def gradient_field(values: np.ndarray, spacing: tuple) -> tuple:
+    """Centered gradient components on the interior of a value array.
 
     Returns one array per axis, each of the interior shape.
     """
-    v = u.values
-    h = u.grid.spacing
-    if u.grid.dim == 1:
+    v, h = values, spacing
+    if v.ndim == 1:
         return ((v[2:] - v[:-2]) / (2.0 * h[0]),)
     gx = (v[2:, 1:-1] - v[:-2, 1:-1]) / (2.0 * h[0])
     gy = (v[1:-1, 2:] - v[1:-1, :-2]) / (2.0 * h[1])
     return (gx, gy)
 
 
-def hessian_field(u: GridFunction) -> tuple:
-    """Second-difference Hessian components on the interior, vectorized.
+def hessian_field(values: np.ndarray, spacing: tuple) -> tuple:
+    """Second-difference Hessian components on the interior of a value array.
 
     1D: (dxx,); 2D: (dxx, dxy, dyy).
     """
-    v = u.values
-    h = u.grid.spacing
-    if u.grid.dim == 1:
+    v, h = values, spacing
+    if v.ndim == 1:
         return ((v[2:] - 2.0 * v[1:-1] + v[:-2]) / h[0] ** 2,)
     dxx = (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / h[0] ** 2
     dyy = (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / h[1] ** 2

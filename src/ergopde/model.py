@@ -37,10 +37,6 @@ class ExponentPair:
                 f"alpha={self.alpha}, beta={self.beta}"
             )
 
-    @property
-    def chi_case(self) -> str:
-        return "chi=0" if self.beta == self.alpha + 2.0 else "chi>0"
-
 
 def validate_exponents(alpha: float, beta: float) -> ExponentPair:
     """Validated exponent pair; OutOfRange on inadmissible values."""

@@ -17,8 +17,10 @@ through its policy at the current Hessian (`operators.policy_1d`,
 from each node's neighbours along it; only the d_xy stencil, the packing
 of the Jacobian and the linear solve differ between the dimensions:
 banded in 1D, a sparse 9-point matrix in 2D.  The stage system is
-evaluated on raw value arrays, with the constants of each stage computed
-once.
+evaluated once per iterate (`_Stage.evaluate`), on raw value arrays and
+from the stencils of `grid`; the Jacobian and the Newton step read that
+record, and a solve reports the residual of the stage system it converged
+on.  `residual_field` is the residual of the original equation.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import scipy.sparse.linalg
 
 from . import operators
 from .errors import InvalidBoundary, NonConvergence, OutOfRange
-from .grid import GridFunction, UniformGrid, hessian_field
+from .grid import GridFunction, UniformGrid, gradient_field, hessian_field
 from .model import EquationInstance, ScalarField
 
 _GRAD_FLOOR = 1e-14
@@ -171,9 +173,9 @@ def _norm(parts: list) -> np.ndarray:
     return functools.reduce(np.hypot, parts)
 
 
-def _centered_magnitude(nbrs: list, h: tuple) -> np.ndarray:
-    """|grad u| from centered differences, given `_axis_neighbours(u)`."""
-    return _norm([np.abs((hi - lo) / (2.0 * hk)) for (lo, _, hi), hk in zip(nbrs, h)])
+def _centered_magnitude(grad: tuple) -> np.ndarray:
+    """|grad u| from the centered slopes `grid.gradient_field(u, h)`."""
+    return _norm([np.abs(g) for g in grad])
 
 
 def _rms_magnitude(nbrs: list, h: tuple) -> np.ndarray:
@@ -208,8 +210,8 @@ def residual_field(instance: EquationInstance, u: GridFunction) -> np.ndarray:
     grid = u.grid
     alpha = instance.exponents.alpha
     beta = instance.exponents.beta
-    gmag = _centered_magnitude(_axis_neighbours(u.values), grid.spacing)
-    fvals = _eval_f_hessian(instance.operator, hessian_field(u))
+    gmag = _centered_magnitude(gradient_field(u.values, grid.spacing))
+    fvals = _eval_f_hessian(instance.operator, hessian_field(u.values, grid.spacing))
     ic = _interior_coords(grid)
     return (
         -_gradient_power(gmag, alpha) * fvals
@@ -222,6 +224,29 @@ def residual_field(instance: EquationInstance, u: GridFunction) -> np.ndarray:
 # the stage system and its semismooth Newton (Howard) iteration
 
 
+@dataclass(frozen=True)
+class _Evaluation:
+    """The stage system at one iterate u (full value array), from `_Stage.evaluate`.
+
+    `nbrs` is `_axis_neighbours(u)`, `grad` the centered slopes (alpha = 0
+    only, else None), `hess` the second differences; gmag is the
+    Peclet-selected magnitude, `upwind` its Godunov mask, rho the
+    regularization factor, t_m = min(gmag, M), p the lower-order part
+    f + c + eps |u|^alpha u - b t_m^beta, and res the stage residual.
+    """
+
+    u: np.ndarray
+    nbrs: list
+    grad: tuple | None
+    hess: tuple
+    gmag: np.ndarray
+    upwind: np.ndarray
+    rho: np.ndarray | float
+    t_m: np.ndarray
+    p: np.ndarray
+    res: np.ndarray
+
+
 class _Stage:
     """One continuation stage: its residual and its semismooth Jacobian.
 
@@ -229,8 +254,9 @@ class _Stage:
     on the interior nodes and sets the constants (spacing, h^2, |b| beta,
     the diffusion floor) once; the driver sets delta, the truncation level
     m_level and the shift c (`set_c`) per stage, by default the last delta
-    of the schedule, no truncation and c = 0.  The methods take their
-    stencils straight from the value array.
+    of the schedule, no truncation and c = 0.  `evaluate` computes the
+    stage system at an iterate once; the Jacobian, the c column and the
+    Newton steps read its record.
     """
 
     def __init__(self, instance, grid, config):
@@ -258,78 +284,57 @@ class _Stage:
     def interior(self, u_full):
         return u_full[(slice(1, -1),) * u_full.ndim]
 
-    def magnitudes(self, u_full, nbrs=None) -> tuple:
-        """Gradient magnitude for the Hamiltonian/degenerate factor + mask.
+    def evaluate(self, u_full) -> _Evaluation:
+        """The stage system at u (full array), computed once.
 
         The smooth (centered / one-sided RMS) magnitude is second-order
         accurate but loses the discrete maximum principle once the local
         cell Peclet number q h / (2 a) of the linearized Hamiltonian
         exceeds ~1; at such nodes the monotone Godunov magnitude
-        max(D-, -D+, 0) is used instead.  Returns (gmag, upwind_mask).
-        `nbrs` is `_axis_neighbours(u_full)`, computed here if not given.
+        max(D-, -D+, 0) is used instead.
         """
-        if nbrs is None:
-            nbrs = _axis_neighbours(u_full)
+        nbrs = _axis_neighbours(u_full)
+        grad = None
         if self.alpha != 0.0:
             g_c = _rms_magnitude(nbrs, self.h)
         else:
-            g_c = _centered_magnitude(nbrs, self.h)
+            grad = gradient_field(u_full, self.h)
+            g_c = _centered_magnitude(grad)
         t_mc = np.minimum(g_c, self.m_level)
         # 0^(beta-1) = inf for beta < 1, and 0 * inf = nan where b = 0
         with np.errstate(divide="ignore", invalid="ignore") if self.beta < 1.0 \
                 else nullcontext():
             tpow = t_mc ** (self.beta - 1.0)
             q = self.b_beta * tpow * _regularization_factor(g_c, self.delta, self.alpha)
-        mask = q * self.h_min / self.two_floor > self.config.peclet_threshold
-        if not mask.any():
-            return g_c, mask
-        return np.where(mask, _upwind_magnitude(nbrs, self.h), g_c), mask
-
-    def hessian(self, u_full, nbrs) -> tuple:
-        """Second differences on the interior: (dxx,) in 1D, (dxx, dxy, dyy) in 2D.
-
-        `nbrs` is `_axis_neighbours(u_full)`.
-        """
-        second = [(hi - 2.0 * c + lo) / h2 for (lo, c, hi), h2 in zip(nbrs, self.h2)]
-        if u_full.ndim == 1:
-            return tuple(second)
-        u, (hx, hy) = u_full, self.h
-        dxy = (u[2:, 2:] + u[:-2, :-2] - u[2:, :-2] - u[:-2, 2:]) / (4.0 * hx * hy)
-        return second[0], dxy, second[1]
-
-    def stage_residual(self, u_full):
-        """Residual of the stage system at u (interior array)."""
-        nbrs = _axis_neighbours(u_full)
-        gmag = self.magnitudes(u_full, nbrs)[0]
+        upwind = q * self.h_min / self.two_floor > self.config.peclet_threshold
+        gmag = np.where(upwind, _upwind_magnitude(nbrs, self.h), g_c) \
+            if upwind.any() else g_c
         rho = _regularization_factor(gmag, self.delta, self.alpha)
+        t_m = np.minimum(gmag, self.m_level)
         es = self.eps * _signed_power(self.interior(u_full), self.alpha)
-        p = self.f_int + es - self.b_int * np.minimum(gmag, self.m_level) ** self.beta
-        return es - _eval_f_hessian(self.instance.operator, self.hessian(u_full, nbrs)) \
-            - p * rho
+        p = self.f_int + es - self.b_int * t_m**self.beta
+        hess = hessian_field(u_full, self.h)
+        res = es - _eval_f_hessian(self.instance.operator, hess) - p * rho
+        return _Evaluation(u_full, nbrs, grad, hess, gmag, upwind, rho, t_m, p, res)
 
-    def _lower_order_slopes(self, u_full) -> tuple:
-        """(gmag, upwind_mask, q, dstab): the residual's first-order part.
+    def _lower_order_slopes(self, ev: _Evaluation) -> tuple:
+        """(q, dstab): the slopes of the residual's first-order part.
 
         q is its derivative in the gradient magnitude (Hamiltonian and
         regularization factor), dstab its derivative in the node value.
         """
-        u_int = self.interior(u_full)
-        gmag, upwind_mask = self.magnitudes(u_full)
-        rho = _regularization_factor(gmag, self.delta, self.alpha)
-        t_m = np.minimum(gmag, self.m_level)
-        p = self.f_int + self.eps * _signed_power(u_int, self.alpha) \
-            - self.b_int * t_m**self.beta
+        gmag, rho = ev.gmag, ev.rho
         with np.errstate(divide="ignore") if self.beta < 1.0 else nullcontext():
-            tpow = t_m ** (self.beta - 1.0)
+            tpow = ev.t_m ** (self.beta - 1.0)
         if self.beta < 1.0:
-            tpow[t_m == 0.0] = 0.0  # the semismooth slope at g = 0, as sign(0) = 0
+            tpow[ev.t_m == 0.0] = 0.0  # the semismooth slope at g = 0, as sign(0) = 0
         q = self.b_int * self.beta * tpow * (gmag < self.m_level) * rho
-        q = q + p * self.alpha * gmag / (self.delta**2 + gmag**2) * rho
-        mag = np.maximum(np.abs(u_int), _U_FLOOR)
+        q = q + ev.p * self.alpha * gmag / (self.delta**2 + gmag**2) * rho
+        mag = np.maximum(np.abs(self.interior(ev.u)), _U_FLOOR)
         dstab = self.eps * (1.0 + self.alpha) * mag**self.alpha * (1.0 - rho)
-        return gmag, upwind_mask, q, dstab
+        return q, dstab
 
-    def _magnitude_weights(self, nbrs, upwind_mask) -> list:
+    def _magnitude_weights(self, ev: _Evaluation) -> list:
         """Per axis, gmag * (d gmag / d D-u, d gmag / d D+u) on the active branch.
 
         Centered: half the centered slope for both; RMS (alpha != 0): half
@@ -338,22 +343,22 @@ class _Stage:
         of the generalized gradient of max(D-, -D+, 0) there.
         """
         weights = []
-        for (lo, c, hi), h in zip(nbrs, self.h):
+        for k, ((lo, c, hi), h) in enumerate(zip(ev.nbrs, self.h)):
             back, fwd = (c - lo) / h, (hi - c) / h
-            if self.alpha != 0.0:
+            if ev.grad is None:
                 wb, wf = 0.5 * back, 0.5 * fwd
-            else:  # half the centered slope, as `_centered_magnitude` takes it
-                wb = wf = 0.5 * ((hi - lo) / (2.0 * h))
-            if upwind_mask.any():
+            else:
+                wb = wf = 0.5 * ev.grad[k]
+            if ev.upwind.any():
                 back_sel = (back >= -fwd) & (back >= 0.0)
                 fwd_sel = ~back_sel & (-fwd >= 0.0)
                 god = _godunov(back, fwd)
-                wb = np.where(upwind_mask, god * back_sel, wb)
-                wf = np.where(upwind_mask, -god * fwd_sel, wf)
+                wb = np.where(ev.upwind, god * back_sel, wb)
+                wf = np.where(ev.upwind, -god * fwd_sel, wf)
             weights.append((wb, wf))
         return weights
 
-    def jacobian(self, u_full, lam=0.0):
+    def jacobian(self, ev: _Evaluation, lam=0.0):
         """Semismooth Jacobian of the stage residual, plus lam on the diagonal.
 
         One {offset: coefficient} stencil on the interior nodes: F through
@@ -363,14 +368,13 @@ class _Stage:
         `scipy.linalg.solve_banded` in 1D, and as a sparse 9-point CSC
         matrix on the interior nodes in C order in 2D.
         """
-        ndim, nbrs = u_full.ndim, _axis_neighbours(u_full)
-        hess = self.hessian(u_full, nbrs)
+        ndim, hess = ev.u.ndim, ev.hess
         if ndim == 1:
             axis_coefs = (operators.policy_1d(self.instance.operator, hess[0]),)
         else:
             cxx, cxy, cyy = operators.policy_2d(self.instance.operator, *hess)
             axis_coefs = (cxx, cyy)
-        gmag, upwind_mask, q, dstab = self._lower_order_slopes(u_full)
+        q, dstab = self._lower_order_slopes(ev)
         centre = (0,) * ndim
         steps = [tuple(int(i == k) for i in range(ndim)) for k in range(ndim)]
         axes = [(tuple(-i for i in e), e) for e in steps]  # (lower, upper) offsets
@@ -382,21 +386,20 @@ class _Stage:
             kxy = cxy / (2.0 * self.h[0] * self.h[1])
             stencil.update({(1, 1): -kxy, (-1, -1): -kxy, (1, -1): kxy, (-1, 1): kxy})
         stencil[centre] = stencil[centre] + dstab
-        safe = np.maximum(gmag, _GRAD_FLOOR)  # the weights vanish with gmag
+        safe = np.maximum(ev.gmag, _GRAD_FLOOR)  # the weights vanish with gmag
         d_centre = 0.0
-        for (lo, hi), (wb, wf), h in zip(axes, self._magnitude_weights(nbrs, upwind_mask),
-                                         self.h):
+        for (lo, hi), (wb, wf), h in zip(axes, self._magnitude_weights(ev), self.h):
             stencil[lo] = stencil[lo] - q * (wb / safe / h)
             stencil[hi] = stencil[hi] + q * (wf / safe / h)
             d_centre = d_centre + (wb - wf) / safe / h
         stencil[centre] = stencil[centre] + q * d_centre + lam
         if ndim == 1:
-            ab = np.zeros((3, gmag.size))
+            ab = np.zeros((3, ev.gmag.size))
             ab[0, 1:] = stencil[(1,)][:-1]
             ab[1] = stencil[centre]
             ab[2, :-1] = stencil[(-1,)][1:]
             return ab
-        n, my = gmag.size, gmag.shape[1]
+        n, my = ev.gmag.size, ev.gmag.shape[1]
         offsets = [di * my + dj for di, dj in stencil]
         diagonals = []
         for ((di, dj), coef), k in zip(stencil.items(), offsets):
@@ -406,26 +409,25 @@ class _Stage:
             diagonals.append(coef.ravel()[: n - k] if k >= 0 else coef.ravel()[-k:])
         return scipy.sparse.diags(diagonals, offsets, shape=(n, n), format="csc")
 
-    def c_column(self, u_full):
+    def c_column(self, ev: _Evaluation):
         """dR/dc = -rho, the column of the shift c in the bordered Jacobian."""
-        rho = _regularization_factor(self.magnitudes(u_full)[0], self.delta, self.alpha)
-        return np.broadcast_to(-rho, self.f_base.shape)
+        return np.broadcast_to(-ev.rho, self.f_base.shape)
 
-    def bordered_step(self, u_full, res, lam, border) -> tuple:
+    def bordered_step(self, ev: _Evaluation, lam, border) -> tuple:
         """(du, dc) with J du + (dR/dc) dc = -res and du(x0) = -u(x0), x0 = border.
 
         J y = -res and J z = dR/dc share one factorization; then
         dc = (y(x0) + u(x0)) / z(x0) and du = y - z dc.
         """
-        yz = self.solve(u_full, np.stack([-res, self.c_column(u_full)], -1), lam)
+        yz = self.solve(ev, np.stack([-ev.res, self.c_column(ev)], -1), lam)
         y, z = yz[..., 0], yz[..., 1]
-        dc = (y[border] + self.interior(u_full)[border]) / z[border]
+        dc = (y[border] + self.interior(ev.u)[border]) / z[border]
         return y - z * dc, float(dc)
 
-    def solve(self, u_full, rhs, lam):
+    def solve(self, ev: _Evaluation, rhs, lam):
         """Solve J d = rhs for one interior array or a stack of them (last axis)."""
-        jac = self.jacobian(u_full, lam)
-        if u_full.ndim == 1:
+        jac = self.jacobian(ev, lam)
+        if ev.u.ndim == 1:
             return scipy.linalg.solve_banded((1, 1), jac, rhs)
         with warnings.catch_warnings():  # a singular matrix gives NaN, tested below
             warnings.simplefilter("ignore", scipy.sparse.linalg.MatrixRankWarning)
@@ -448,7 +450,8 @@ def _run_newton(stage: _Stage, u_full, border=None) -> tuple:
     Jacobian diagonal whenever a full sweep of step halvings fails to
     reduce the residual.  Convergence is declared on the residual norm
     (scaled by the data), never on the update size alone.  Returns
-    (u, iterations).
+    (evaluation, iterations): the `_Evaluation` of the converged iterate,
+    whose residual met the tolerance, and the number of steps.
 
     With `border`, an interior index x0, the system is bordered (Keller):
     the shift c of f (`stage.c`) is one more unknown and u(x0) = 0 one more
@@ -462,24 +465,24 @@ def _run_newton(stage: _Stage, u_full, border=None) -> tuple:
     data_tol = config.inner_tol * (1.0 + float(np.abs(stage.f_int).max()))
     macheps = float(np.finfo(float).eps)
 
-    def norm(res, u_full):  # bordered: u(x0) is one more entry of the residual
-        return _rms_norm(res if border is None else
-                         np.append(res, stage.interior(u_full)[border]))
+    def norm(ev):  # bordered: u(x0) is one more entry of the residual
+        return _rms_norm(ev.res if border is None else
+                         np.append(ev.res, stage.interior(ev.u)[border]))
 
     lam = 0.0
     dc = 0.0
-    res = stage.stage_residual(u_full)
-    res_norm = norm(res, u_full)
+    ev = stage.evaluate(u_full)
+    res_norm = norm(ev)
     for it in range(1, config.max_inner_iters + 1):
         # the second-difference evaluation has a rounding floor ~ |u| eps/h^2
-        eval_floor = 4.0 * macheps * big_a * (1.0 + float(np.abs(u_full).max())) / h2
+        eval_floor = 4.0 * macheps * big_a * (1.0 + float(np.abs(ev.u).max())) / h2
         if res_norm <= data_tol + eval_floor:
-            return u_full, it
+            return ev, it
         try:
             if border is None:
-                delta_u = stage.solve(u_full, -res, lam)
+                delta_u = stage.solve(ev, -ev.res, lam)
             else:
-                delta_u, dc = stage.bordered_step(u_full, res, lam, border)
+                delta_u, dc = stage.bordered_step(ev, lam, border)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise NonConvergence(
                 f"newton linear solve failed at delta={stage.delta}: {exc}",
@@ -489,14 +492,14 @@ def _run_newton(stage: _Stage, u_full, border=None) -> tuple:
         step = 1.0
         accepted = False
         for _ in range(25):
-            trial = u_full.copy()
+            trial = ev.u.copy()
             stage.interior(trial)[...] += step * delta_u
             if np.abs(trial).max() > _DIVERGENCE_GUARD:
                 step *= 0.5
                 continue
             stage.set_c(c + step * dc)
-            trial_res = stage.stage_residual(trial)
-            trial_norm = norm(trial_res, trial)
+            trial_ev = stage.evaluate(trial)
+            trial_norm = norm(trial_ev)
             if math.isfinite(trial_norm) and (
                     trial_norm <= res_norm * (1.0 - 1e-4 * step)
                     or (border is not None and it == 1)):
@@ -504,8 +507,7 @@ def _run_newton(stage: _Stage, u_full, border=None) -> tuple:
                 break
             step *= 0.5
         if accepted:
-            u_full = trial
-            res = trial_res
+            ev = trial_ev
             res_norm = trial_norm
             lam = 0.5 * lam if lam > 1e-8 / h2 else 0.0
         else:
@@ -590,7 +592,8 @@ def solve_dirichlet(
         try:
             for delta in schedule:
                 stage.delta = delta
-                u_full, its = _run_newton(stage, u_full)
+                ev, its = _run_newton(stage, u_full)
+                u_full = ev.u
                 iterations.append(its)
         except NonConvergence:
             # retry the truncation continuation with a gentler growth factor
@@ -601,7 +604,7 @@ def solve_dirichlet(
             u_full = u_full.copy()
             m_level = growth * prev_m
             continue
-        gmag = _centered_magnitude(_axis_neighbours(u_full), grid.spacing)
+        gmag = _centered_magnitude(gradient_field(u_full, grid.spacing))
         if not (gmag >= m_level).any():
             break
         if rounds >= _MAX_TRUNCATION_ROUNDS:
@@ -613,15 +616,13 @@ def solve_dirichlet(
         last_good = (u_full.copy(), m_level)
         m_level = growth * max(_max_axis_slope(u_full, grid.spacing), m_level)
 
-    solution = GridFunction(grid, u_full)
-    res = residual_field(instance, solution)
     report = SolveReport(
-        final_residual=float(np.abs(res).max()),
+        final_residual=float(np.abs(ev.res).max()),
         iterations_per_stage=tuple(iterations),
         truncation_M=m_level,
         truncation_rounds=rounds,
     )
-    return solution, report
+    return GridFunction(grid, u_full), report
 
 
 def solve_bordered(instance, guess: GridFunction, c: float, probe, config=None) -> tuple:
@@ -635,5 +636,5 @@ def solve_bordered(instance, guess: GridFunction, c: float, probe, config=None) 
     stage = _Stage(instance, guess.grid, config)
     stage.set_c(c)
     border = tuple(int(i) - 1 for i in probe)
-    u_full, its = _run_newton(stage, guess.values.copy(), border)
-    return GridFunction(guess.grid, u_full), stage.c, its
+    ev, its = _run_newton(stage, guess.values.copy(), border)
+    return GridFunction(guess.grid, ev.u), stage.c, its

@@ -270,7 +270,7 @@ def test_ac9_regularity_surrogates():
         exp = power_experiment(n, ladder=(10.0, 20.0))
         u, _ = solve_at(exp, c, 20.0)
         lips.append(lipschitz_seminorm(u, subregion=inner))
-        g = gradient_field(u)[0]
+        g = gradient_field(u.values, u.grid.spacing)[0]
         h = exp.grid.spacing[0]
         igrid = UniformGrid((n - 2,), Box((-1.0 + h,), (1.0 - h,)))
         hols.append(holder_seminorm(g, igrid, gamma, subregion=inner))

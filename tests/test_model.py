@@ -55,8 +55,6 @@ class TestExponents:
 
     def test_chi_log_case(self):
         assert chi(ExponentPair(0.0, 2.0)) == 0.0
-        assert ExponentPair(0.0, 2.0).chi_case == "chi=0"
-        assert ExponentPair(0.0, 1.5).chi_case == "chi>0"
 
     @settings(max_examples=100, deadline=None)
     @given(admissible)

@@ -22,6 +22,7 @@ from ergopde import (
     SolverConfig,
     SymMatrix,
     UniformGrid,
+    ergodic_constant_1d,
     eval_operator,
     exact_dirichlet_1d,
     lipschitz_seminorm,
@@ -212,10 +213,10 @@ class TestBetaBelowOne:
 
 
 def dense_jacobian(stage, u):
+    jac = stage.jacobian(stage.evaluate(u))
     if u.ndim == 1:  # the (3, n) band of solve_banded
-        jac = stage.jacobian(u)
         return np.diag(jac[1]) + np.diag(jac[0, 1:], 1) + np.diag(jac[2, :-1], -1)
-    return stage.jacobian(u).toarray()
+    return jac.toarray()
 
 
 def fd_jacobian(stage, u, step=1e-6):
@@ -224,7 +225,7 @@ def fd_jacobian(stage, u, step=1e-6):
         up, dn = u.copy(), u.copy()
         stage.interior(up)[k] += step
         stage.interior(dn)[k] -= step
-        cols.append(((stage.stage_residual(up) - stage.stage_residual(dn))
+        cols.append(((stage.evaluate(up).res - stage.evaluate(dn).res)
                      / (2.0 * step)).ravel())
     return np.array(cols).T
 
@@ -273,7 +274,7 @@ class TestJacobian:
         inst = profile_instance(ac6_operator(kind, dim), alpha, dim)
         config = SolverConfig(peclet_threshold=-math.inf if upwind else math.inf)
         stage = make_stage(inst, grid, 0.1, 100.0, 0.25, config)
-        mask = stage.magnitudes(u)[1]
+        mask = stage.evaluate(u).upwind
         assert mask.all() if upwind else not mask.any()
         for t in hess:  # 1D: no node sits on the kink of F
             assert np.abs(t).min() > 1e-2 and (t > 0).any() and (t < 0).any()
@@ -293,10 +294,11 @@ class TestJacobian:
         columns = []
         for shift in (step, -step):
             stage.set_c(c + shift)
-            columns.append(stage.stage_residual(u))
+            columns.append(stage.evaluate(u).res)
         stage.set_c(c)
         fd_c = (columns[0] - columns[1]) / (2.0 * step)
-        np.testing.assert_allclose(stage.c_column(u), fd_c, rtol=0, atol=1e-8)
+        ev = stage.evaluate(u)
+        np.testing.assert_allclose(stage.c_column(ev), fd_c, rtol=0, atol=1e-8)
         if alpha:
             assert np.ptp(fd_c) > 1e-2  # -rho varies with the gradient
         jac = dense_jacobian(stage, u)
@@ -304,8 +306,8 @@ class TestJacobian:
                                    atol=1e-6 * np.abs(jac).max())
         # the step solves the bordered system built from the differences
         x0 = tuple(n // 2 - 1 for n in grid.shape)  # interior index of the centre
-        res = stage.stage_residual(u)
-        du, dc = stage.bordered_step(u, res, 0.0, x0)
+        res = ev.res
+        du, dc = stage.bordered_step(ev, 0.0, x0)
         m = res.size
         bordered = np.zeros((m + 1, m + 1))
         bordered[:m, :m] = fd_jacobian(stage, u)
@@ -363,11 +365,12 @@ class TestStageResidual:
             u = 3.0 + np.sin(2.0 * x) + x**2 + 0.7 * x * y - 0.3 * y**2
         inst, stage = self.stage(grid, 10.0, SolverConfig(peclet_threshold=math.inf),
                                  operator)
-        assert stage.magnitudes(u)[0].max() < 10.0
+        ev = stage.evaluate(u)
+        assert ev.gmag.max() < 10.0
         ref = residual_field(inst, GridFunction(grid, u))
-        assert not stage.magnitudes(u)[1].any()
+        assert not ev.upwind.any()
         scale = float(np.abs(ref).max())
-        np.testing.assert_allclose(stage.stage_residual(u), ref,
+        np.testing.assert_allclose(ev.res, ref,
                                    rtol=1e-12, atol=1e-12 * scale)
 
     def test_upwind_mask_matches_direct_godunov(self):
@@ -392,11 +395,11 @@ class TestStageResidual:
         gmag = np.where(mask, godunov, centered)
         ref = (-self.coef * (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
                + b * np.minimum(gmag, m_level) ** 2 - 0.5 * np.cos(3.0 * xi))
-        got_gmag, got_mask = stage.magnitudes(u)
-        np.testing.assert_array_equal(got_mask, mask)
-        np.testing.assert_allclose(got_gmag, gmag, rtol=1e-12)
+        ev = stage.evaluate(u)
+        np.testing.assert_array_equal(ev.upwind, mask)
+        np.testing.assert_allclose(ev.gmag, gmag, rtol=1e-12)
         scale = float(np.abs(ref).max())
-        np.testing.assert_allclose(stage.stage_residual(u), ref,
+        np.testing.assert_allclose(ev.res, ref,
                                    rtol=1e-12, atol=1e-12 * scale)
 
 
@@ -454,6 +457,22 @@ class TestReports:
                           "truncation_rounds"}
         assert d["final_residual"] < 1e-6
         assert len(d["iterations_per_stage"]) == 1  # alpha = 0: one delta stage
+
+    @pytest.mark.parametrize("case", ["log", "power", "alpha-one"])
+    def test_final_residual_is_that_of_the_solved_system(self, case):
+        # the Peclet-switched, final-delta, final-M stage system that Newton
+        # met its tolerance on; the centered residual of the original
+        # equation reads 1.9e4 (log), 7.1e6 (power) and |f| = 1 at the apex
+        # (alpha = 1) on these converged solves
+        if case == "log":
+            inst, datum, n = make_instance(0.0, 2.0).shifted_f(COSINE_C + 0.009), 20.0, 801
+        elif case == "power":
+            c_omega, _ = ergodic_constant_1d(ExponentPair(0.0, 1.5), ZERO)
+            inst, datum, n = make_instance(0.0, 1.5).shifted_f(c_omega + 1e-4), 40.0, 401
+        else:
+            inst, datum, n = make_instance(1.0, 2.5, b="0", f="1"), 0.0, 257
+        _, rep = solve(inst, datum, n)
+        assert rep.final_residual < 1e-6
 
     def test_alpha_zero_does_not_depend_on_delta(self):
         # rho = 1 at alpha = 0: one stage, at any delta, gives the same bits
