@@ -48,6 +48,7 @@ from .operators import (
     ScaledTrace,
     SymMatrix,
     check_homogeneity,
+    check_pucci_duality,
     check_uniform_ellipticity,
     eval_operator,
 )
@@ -99,7 +100,7 @@ __all__ = [
     # operators
     "SymMatrix", "EllipticityBounds", "ScaledTrace", "PucciPlus",
     "PucciMinus", "BellmanMax", "CheckReport", "eval_operator",
-    "check_uniform_ellipticity", "check_homogeneity",
+    "check_uniform_ellipticity", "check_homogeneity", "check_pucci_duality",
     # grid
     "UniformGrid", "GridFunction",
     "holder_seminorm", "lipschitz_seminorm", "save_csv", "save_binary",

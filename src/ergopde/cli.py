@@ -46,8 +46,8 @@ from .operators import (
     ScaledTrace,
     SymMatrix,
     check_homogeneity,
+    check_pucci_duality,
     check_uniform_ellipticity,
-    eval_operator,
 )
 from .oracle1d import (
     ergodic_constant_1d,
@@ -345,32 +345,13 @@ def _suite_operators() -> tuple:
 def run_property_suite(cfg: dict, out: Path, seed) -> dict:
     trials = _number(cfg, "trials", 1000, int)
     seed = 0 if seed is None else int(seed)
-    checks = []
-    for spec in _suite_operators():
-        for checker in (check_uniform_ellipticity, check_homogeneity):
-            rep = checker(spec, trials, seed)
-            checks.append(rep.to_dict())
-    # Pucci duality: M-(M) = -M+(-M) on the shared sample stream.
-    rng = np.random.default_rng(seed)
-    bounds = EllipticityBounds(1.0, 2.0)
-    plus, minus = PucciPlus(bounds), PucciMinus(bounds)
-    worst = 0.0
-    passes = 0
-    for k in range(trials):
-        dim = (1, 2, 3)[k % 3]
-        m = rng.standard_normal((dim, dim))
-        m = SymMatrix.from_array(0.5 * (m + m.T))
-        neg = SymMatrix.from_array(-m.to_array())
-        gap = abs(eval_operator(minus, m) + eval_operator(plus, neg))
-        worst = max(worst, gap)
-        passes += gap <= 1e-12 * (1.0 + abs(eval_operator(plus, neg)))
-    checks.append({
-        "name": "pucci-duality",
-        "trials": trials,
-        "passes": passes,
-        "failures": trials - passes,
-        "worst_margin": -worst,
-    })
+    checks = [
+        checker(spec, trials, seed).to_dict()
+        for spec in _suite_operators()
+        for checker in (check_uniform_ellipticity, check_homogeneity)
+    ]
+    duality = check_pucci_duality(EllipticityBounds(1.0, 2.0), trials, seed)
+    checks.append(duality.to_dict())
     all_passed = all(c["failures"] == 0 for c in checks)
     return {
         "experiment": "property-suite",

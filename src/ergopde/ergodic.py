@@ -471,26 +471,26 @@ def rescaled_solution(
 ) -> GridFunction:
     """Zoomed field u_delta(zeta) = delta^chi u(x0 + delta zeta) on grid nodes.
 
-    The zeta grid spacing is h/delta per axis so every zeta node lands
-    exactly on a node of u's grid (OutOfRange otherwise); the returned
-    field therefore satisfies the rescaled equation to stencil accuracy.
+    The zeta grid spacing is h/delta per axis, so the zeta nodes are
+    consecutive nodes of u's grid once the first one lands on a node
+    (OutOfRange otherwise, and when the window leaves the grid); the
+    returned field therefore satisfies the rescaled equation to stencil
+    accuracy.
     """
     from .model import Box
 
     grid = u.grid
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     zeta_lo = np.atleast_1d(np.asarray(zeta_lo, dtype=float))
     counts = tuple(int(n) for n in np.atleast_1d(zeta_counts))
-    chi_val = chi(exponents)
+    first = np.atleast_1d(np.asarray(x0, dtype=float)) + delta * zeta_lo
+    start = grid.nearest_node(first)
+    landed = np.asarray(grid.box.lo) + np.asarray(start) * np.asarray(grid.spacing)
+    if np.abs(landed - first).max() > 1e-9 * max(grid.spacing):
+        raise OutOfRange("zeta node does not land on a grid node")
+    if any(i < 0 or i + n > size for i, n, size in zip(start, counts, grid.shape)):
+        raise OutOfRange("zeta window leaves the grid")
+    window = tuple(slice(i, i + n) for i, n in zip(start, counts))
     spacing = [h / delta for h in grid.spacing]
     zeta_hi = [lo + (n - 1) * s for lo, n, s in zip(zeta_lo, counts, spacing)]
-    vals = np.empty(counts)
-    for multi in np.ndindex(counts):
-        point = x0 + delta * (zeta_lo + np.array(multi) * np.array(spacing))
-        node = grid.nearest_node(point)
-        exact = grid.node_position(node)
-        if np.abs(exact - point).max() > 1e-9 * max(grid.spacing):
-            raise OutOfRange("zeta node does not land on a grid node")
-        vals[multi] = delta**chi_val * u.values[node]
     zgrid = UniformGrid(counts, Box(tuple(zeta_lo), tuple(zeta_hi)))
-    return GridFunction(zgrid, vals)
+    return GridFunction(zgrid, delta ** chi(exponents) * u.values[window])

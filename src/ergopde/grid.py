@@ -60,12 +60,6 @@ class UniformGrid:
         idx = _as_index(node, self.dim)
         return all(0 < i < n - 1 for i, n in zip(idx, self.shape))
 
-    def node_position(self, node) -> np.ndarray:
-        idx = _as_index(node, self.dim)
-        return np.array(
-            [ax[i] for ax, i in zip(self.axes(), idx)], dtype=float
-        )
-
     def nearest_node(self, point) -> tuple:
         p = np.atleast_1d(np.asarray(point, dtype=float))
         if p.size != self.dim:
@@ -160,12 +154,10 @@ _PAIR_CAP = 2000
 
 def _region_nodes(grid: UniformGrid, subregion: Box | None):
     coords = grid.coords()
-    if subregion is None:
-        mask = np.ones(grid.shape, dtype=bool)
-    else:
-        mask = np.ones(grid.shape, dtype=bool)
-        for ax in range(grid.dim):
-            mask &= (coords[ax] >= subregion.lo[ax]) & (coords[ax] <= subregion.hi[ax])
+    mask = np.ones(grid.shape, dtype=bool)
+    if subregion is not None:
+        for ax, c in enumerate(coords):
+            mask &= (c >= subregion.lo[ax]) & (c <= subregion.hi[ax])
     pts = np.stack([c[mask] for c in coords], axis=-1)
     return mask, pts
 
@@ -178,18 +170,16 @@ def holder_seminorm(
 ) -> float:
     """Discrete Hoelder seminorm sup |v(x)-v(y)| / |x-y|^gamma over node pairs.
 
-    `field_values` has shape grid.shape (scalar) or grid.shape + (m,)
-    (vector field; differences in Euclidean norm).  Exhaustive over pairs
-    for <= 2000 region nodes, strided subsampling beyond.
+    `field_values` has shape grid.shape.  Exhaustive over pairs for <= 2000
+    region nodes, strided subsampling beyond.
     """
     if not (0.0 < gamma <= 1.0):
         raise OutOfRange("gamma must lie in (0, 1]")
     vals = np.asarray(field_values, dtype=float)
-    scalar = vals.shape == grid.shape
-    if not scalar and vals.shape[:-1] != grid.shape:
+    if vals.shape != grid.shape:
         raise DimensionMismatch("field values do not match the grid")
     mask, pts = _region_nodes(grid, subregion)
-    fv = vals[mask] if scalar else vals[mask, :]
+    fv = vals[mask]
     n = pts.shape[0]
     if n < 2:
         raise EmptyRegion("subregion holds fewer than 2 nodes")
@@ -201,10 +191,7 @@ def holder_seminorm(
     f = fv[sel]
     diff_pos = p[:, None, :] - p[None, :, :]
     dist = np.sqrt((diff_pos**2).sum(axis=-1))
-    if scalar:
-        dval = np.abs(f[:, None] - f[None, :])
-    else:
-        dval = np.sqrt(((f[:, None, :] - f[None, :, :]) ** 2).sum(axis=-1))
+    dval = np.abs(f[:, None] - f[None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(dist > 0.0, dval / dist**gamma, 0.0)
     return float(ratio.max())

@@ -3,14 +3,14 @@
 The operators act on symmetric matrices of dimension 1, 2 or 3 and come in
 four flavours: a scaled trace, the two extremal (maximal / minimal)
 operators with ellipticity bounds (a, A), and a max over a finite family of
-linear diffusions.  Eigenvalues are computed in closed form so the
-evaluation can sit in an inner solver loop.
+linear diffusions.  `eval_operator` evaluates F on one matrix and backs
+the randomized property checks; the solver goes through the vectorized
+kernels `policy_1d` and `policy_2d`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -61,69 +61,11 @@ class SymMatrix:
         return m
 
     def trace(self) -> float:
-        if self.dim == 1:
-            return self.upper[0]
-        if self.dim == 2:
-            return self.upper[0] + self.upper[2]
-        return self.upper[0] + self.upper[3] + self.upper[5]
+        return float(np.trace(self.to_array()))
 
-    def eigenvalues(self) -> tuple:
-        """Eigenvalues in ascending order, by closed form."""
-        if self.dim == 1:
-            return (self.upper[0],)
-        if self.dim == 2:
-            p, q, r = self.upper
-            mean = 0.5 * (p + r)
-            rad = math.hypot(0.5 * (p - r), q)
-            return (mean - rad, mean + rad)
-        return _eig3(self.upper)
-
-
-def _dot(x, y) -> float:
-    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
-
-
-def _cross(x, y) -> tuple:
-    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
-            x[0] * y[1] - x[1] * y[0])
-
-
-def _unit(x) -> tuple:
-    norm = math.sqrt(_dot(x, x))
-    return tuple(xi / norm for xi in x)
-
-
-def _eig3(upper: tuple) -> tuple:
-    """Closed-form eigenvalues of a symmetric 3x3 (upper triangle), ascending.
-
-    Cardano gives the simple root, which is well conditioned; the other two,
-    whose digits it halves where they nearly coincide, come from the 2x2
-    block of b = (m - qI)/p orthogonal to the simple root's eigenvector.
-    """
-    m00, m01, m02, m11, m12, m22 = upper
-    p1 = m01**2 + m02**2 + m12**2
-    q = (m00 + m11 + m22) / 3.0
-    p = math.sqrt(((m00 - q) ** 2 + (m11 - q) ** 2 + (m22 - q) ** 2 + 2.0 * p1) / 6.0)
-    if p1 == 0.0 or p == 0.0:  # diagonal, or m - qI underflows to 0 in p
-        return tuple(sorted((m00, m11, m22)))
-    b = ((m00 - q) / p, m01 / p, m02 / p), (m01 / p, (m11 - q) / p, m12 / p), \
-        (m02 / p, m12 / p, (m22 - q) / p)
-    det = _dot(b[0], _cross(b[1], b[2]))
-    phi = math.acos(min(1.0, max(-1.0, 0.5 * det))) / 3.0
-    # the largest root is simple when det >= 0, else the smallest; either
-    # lies at least sqrt(3) from the other two, so b - sI has rank 2 and
-    # its largest row cross product spans its null space
-    s = 2.0 * math.cos(phi if det >= 0.0 else phi + 2.0 * math.pi / 3.0)
-    c = [[bij - s * (i == j) for j, bij in enumerate(row)] for i, row in enumerate(b)]
-    v = _unit(max((_cross(c[i - 2], c[i - 1]) for i in range(3)),
-                  key=lambda w: _dot(w, w)))
-    k = min(range(3), key=lambda i: abs(v[i]))  # the axis most nearly orthogonal to v
-    u1 = _unit(_cross(v, [float(i == k) for i in range(3)]))
-    u2 = _cross(v, u1)
-    t11, t12, t22 = (_dot(x, [_dot(row, y) for row in b]) for x, y in
-                     ((u1, u1), (u1, u2), (u2, u2)))
-    mean, rad = 0.5 * (t11 + t22), math.hypot(0.5 * (t11 - t22), t12)
-    return tuple(q + p * lam for lam in sorted((s, mean - rad, mean + rad)))
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues in ascending order."""
+        return np.linalg.eigvalsh(self.to_array())
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +145,7 @@ def eval_operator(spec: OperatorSpec, m: SymMatrix) -> float:
         return spec.coefficient * m.trace()
     if isinstance(spec, (PucciPlus, PucciMinus)):
         a, big_a = spec.bounds.a, spec.bounds.A
-        lams = m.eigenvalues()
+        lams = m.eigenvalues().tolist()
         pos = sum(lam for lam in lams if lam > 0.0)
         neg = sum(-lam for lam in lams if lam < 0.0)
         if isinstance(spec, PucciPlus):
@@ -326,20 +268,28 @@ class CheckReport:
     trials: int
     passes: int
     failures: int
-    worst_margin: float
+    worst_margin: float  # >= 0 exactly when every trial passed
 
     @property
     def all_passed(self) -> bool:
         return self.failures == 0
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "passes": self.passes,
-            "failures": self.failures,
-            "worst_margin": self.worst_margin,
-        }
+        return asdict(self)
+
+
+def _tally(name: str, trials: int, rng_seed: int, dims: tuple, margin) -> CheckReport:
+    """Run margin(rng, dim) once per trial, cycling through dims.
+
+    A trial passes when its margin is >= 0; the worst margin is the smallest
+    (NaN if any margin is NaN, which then also counts as a failure).
+    """
+    if trials < 1:
+        raise OutOfRange("trials must be >= 1")
+    rng = np.random.default_rng(rng_seed)
+    margins = np.array([margin(rng, dims[k % len(dims)]) for k in range(trials)])
+    passes = int((margins >= 0.0).sum())
+    return CheckReport(name, trials, passes, trials - passes, float(margins.min()))
 
 
 def _random_sym(rng: np.random.Generator, dim: int) -> SymMatrix:
@@ -366,59 +316,48 @@ def check_uniform_ellipticity(
     Checks a*tr(N) - tol <= F(M+N) - F(M) <= A*tr(N) + tol with
     tol = 1e-9 * (1 + |tr N|).
     """
-    if trials < 1:
-        raise OutOfRange("trials must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    dims = _spec_dims(spec)
     a, big_a = spec.bounds.a, spec.bounds.A
-    passes = 0
-    worst = math.inf
-    for k in range(trials):
-        dim = dims[k % len(dims)]
+
+    def margin(rng, dim):
         m = _random_sym(rng, dim)
         n = _random_psd(rng, dim)
         trn = n.trace()
         tol = 1e-9 * (1.0 + abs(trn))
         diff = eval_operator(spec, SymMatrix.from_array(m.to_array() + n.to_array()))
         diff -= eval_operator(spec, m)
-        lo_margin = diff - (a * trn - tol)
-        hi_margin = (big_a * trn + tol) - diff
-        margin = min(lo_margin, hi_margin)
-        worst = min(worst, margin)
-        if margin >= 0.0:
-            passes += 1
-    return CheckReport(
-        name=f"uniform-ellipticity[{spec.kind}]",
-        trials=trials,
-        passes=passes,
-        failures=trials - passes,
-        worst_margin=worst,
-    )
+        return min(diff - (a * trn - tol), (big_a * trn + tol) - diff)
+
+    return _tally(f"uniform-ellipticity[{spec.kind}]", trials, rng_seed,
+                  _spec_dims(spec), margin)
 
 
 def check_homogeneity(spec: OperatorSpec, trials: int, rng_seed: int) -> CheckReport:
     """Sample random M and t > 0 and test |F(tM) - t F(M)| <= 1e-9 (1 + |t F(M)|)."""
-    if trials < 1:
-        raise OutOfRange("trials must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    dims = _spec_dims(spec)
-    passes = 0
-    worst = math.inf
-    for k in range(trials):
-        dim = dims[k % len(dims)]
+
+    def margin(rng, dim):
         m = _random_sym(rng, dim)
         t = rng.uniform(0.01, 10.0)
         fm = eval_operator(spec, m)
         ftm = eval_operator(spec, SymMatrix.from_array(t * m.to_array()))
-        tol = 1e-9 * (1.0 + abs(t * fm))
-        margin = tol - abs(ftm - t * fm)
-        worst = min(worst, margin)
-        if margin >= 0.0:
-            passes += 1
-    return CheckReport(
-        name=f"homogeneity[{spec.kind}]",
-        trials=trials,
-        passes=passes,
-        failures=trials - passes,
-        worst_margin=worst,
-    )
+        return 1e-9 * (1.0 + abs(t * fm)) - abs(ftm - t * fm)
+
+    return _tally(f"homogeneity[{spec.kind}]", trials, rng_seed, _spec_dims(spec),
+                  margin)
+
+
+def check_pucci_duality(
+    bounds: EllipticityBounds, trials: int, rng_seed: int
+) -> CheckReport:
+    """Sample standard-normal symmetric M and test M-(M) = -M+(-M).
+
+    Checks |M-(M) + M+(-M)| <= 1e-12 (1 + |M+(-M)|) in dimensions 1, 2, 3.
+    """
+    plus, minus = PucciPlus(bounds), PucciMinus(bounds)
+
+    def margin(rng, dim):
+        g = rng.standard_normal((dim, dim))
+        m = SymMatrix.from_array(0.5 * (g + g.T))
+        plus_neg = eval_operator(plus, SymMatrix.from_array(-m.to_array()))
+        return 1e-12 * (1.0 + abs(plus_neg)) - abs(eval_operator(minus, m) + plus_neg)
+
+    return _tally("pucci-duality", trials, rng_seed, (1, 2, 3), margin)

@@ -252,6 +252,9 @@ class TestPropertySuite:
         report = strict_json(outs[0])
         assert report["all_passed"] is True
         assert all(c["failures"] == 0 for c in report["checks"])
+        # a check's worst margin is >= 0 exactly when it has no failure
+        for check in report["checks"]:
+            assert (check["failures"] == 0) == (check["worst_margin"] >= 0.0), check
 
     def test_seed_changes_nothing_structural(self, tmp_path):
         path = write_config(tmp_path, {"trials": 50})

@@ -279,3 +279,12 @@ class TestRescaling:
         ep = ExponentPair(0.0, 1.5)
         with pytest.raises(OutOfRange):
             rescaled_solution(u, (0.0013,), 0.25, ep, (5,), (0.0,))
+
+    @pytest.mark.parametrize("x0", [0.98, -1.02], ids=["upper", "lower"])
+    def test_window_leaving_the_grid_rejected(self, x0):
+        # on-node windows of 5 nodes that reach one node past x = 1 or x = -1
+        grid = interval_grid(101)
+        u = GridFunction(grid, np.zeros(101))
+        ep = ExponentPair(0.0, 1.5)
+        with pytest.raises(OutOfRange, match="zeta window leaves the grid"):
+            rescaled_solution(u, (x0,), 0.25, ep, (5,), (0.0,))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ergopde import (
     Box,
+    DimensionMismatch,
     EmptyRegion,
     GridFunction,
     OutOfRange,
@@ -121,6 +122,11 @@ class TestSeminorms:
         g = grid1d(11)
         with pytest.raises(OutOfRange):
             holder_seminorm(np.zeros(11), g, 1.5)
+
+    def test_vector_field_values_rejected(self):
+        g = grid1d(11)
+        with pytest.raises(DimensionMismatch):
+            holder_seminorm(np.zeros((11, 2)), g, 0.5)
 
     def test_empty_region(self):
         g = grid1d(11)

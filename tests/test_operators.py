@@ -17,14 +17,15 @@ from ergopde import (
     ScaledTrace,
     SymMatrix,
     check_homogeneity,
+    check_pucci_duality,
     check_uniform_ellipticity,
     eval_operator,
 )
-from ergopde.operators import eval_hessian_2d, policy_2d
+from ergopde.operators import _tally, eval_hessian_2d, policy_2d
 
 BOUNDS = EllipticityBounds(1.0, 2.5)
-# v v^T has the double eigenvalue 0, where Cardano's formula for the pair
-# missed the homogeneity tolerance by up to 3x
+# v v^T has the double eigenvalue 0, where eigenvalue formulas can lose
+# enough digits to miss the homogeneity tolerance
 _V = np.array([-0.17364534, 1.00683066, 0.23782289])
 RANK_ONE = SymMatrix.from_array(np.outer(_V, _V))
 
@@ -57,19 +58,29 @@ class TestSymMatrix:
     def test_trace(self):
         assert sym([[1.0, 2.0], [2.0, 4.0]]).trace() == pytest.approx(5.0)
 
+    @staticmethod
+    def assert_spectrum_kept(spectrum):
+        # where two eigenvalues (nearly) coincide, every eigenvalue must keep
+        # full precision against the spectrum the matrix was built from
+        dim = len(spectrum)
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        m = sym(q @ np.diag(spectrum) @ q.T)
+        ref = np.sort(spectrum)
+        assert np.abs(m.eigenvalues() - ref).max() <= 1e-14 * np.abs(ref).max()
+
     @pytest.mark.parametrize("spectrum", [
         (0.0, 0.0, 1.1), (-2.0, 1.0, 1.0), (-1.0, -1.0, 3.0),
         (1.0, 1.0 + 1e-9, 4.0), (2.0, 2.0, 2.0 + 1e-12), (-5.0, 1e-7, 2e-7),
     ])
     def test_eigenvalues_3x3_near_repeated(self, spectrum):
-        # where two eigenvalues (nearly) coincide, acos in Cardano's formula
-        # halves the digits; every eigenvalue must keep full precision
-        rng = np.random.default_rng(5)
-        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        m = sym(q @ np.diag(spectrum) @ q.T)
-        ref = np.linalg.eigvalsh(m.to_array())
-        assert np.abs(np.array(m.eigenvalues()) - ref).max() \
-            <= 1e-14 * np.abs(ref).max()
+        self.assert_spectrum_kept(spectrum)
+
+    @pytest.mark.parametrize("spectrum", [
+        (1.0, 1.0), (-3.0, -3.0 + 1e-10), (2.0, 2.0 + 1e-14), (1e-7, 2e-7),
+    ])
+    def test_eigenvalues_2x2_near_repeated(self, spectrum):
+        self.assert_spectrum_kept(spectrum)
 
 
 class TestEval:
@@ -141,7 +152,7 @@ class TestPolicy2D:
 
     @staticmethod
     def reference(spec, txx, txy, tyy):
-        """F sample by sample, from the closed-form eigenvalues."""
+        """F sample by sample, from the scalar eigenvalue evaluation."""
         return np.array([eval_operator(spec, SymMatrix(2, m))
                          for m in zip(txx, txy, tyy)])
 
@@ -191,9 +202,24 @@ class TestChecks:
             assert report.passes == 300
             assert report.all_passed
 
+    def test_pucci_duality_passes_completely(self):
+        report = check_pucci_duality(BOUNDS, trials=300, rng_seed=7)
+        assert report.name == "pucci-duality"
+        assert (report.passes, report.failures) == (300, 0)
+        assert report.worst_margin >= 0.0
+
+    def test_tally_counts_negative_margins_as_failures(self):
+        margins = iter([0.5, -2.0, 0.0, -1.0])
+        report = _tally("t", 4, 0, (1, 2), lambda rng, dim: next(margins))
+        assert (report.passes, report.failures, report.worst_margin) == (2, 2, -2.0)
+        assert not report.all_passed
+
     def test_checks_reject_zero_trials(self):
-        with pytest.raises(OutOfRange):
-            check_homogeneity(ScaledTrace(), trials=0, rng_seed=0)
+        for check in (lambda: check_uniform_ellipticity(ScaledTrace(), 0, 0),
+                      lambda: check_homogeneity(ScaledTrace(), 0, 0),
+                      lambda: check_pucci_duality(BOUNDS, 0, 0)):
+            with pytest.raises(OutOfRange):
+                check()
 
     def test_reports_are_seed_reproducible(self):
         a = check_uniform_ellipticity(PucciPlus(BOUNDS), trials=50, rng_seed=3)
