@@ -35,9 +35,7 @@ from .model import (
     amplitude_C,
     chi,
     face_normals,
-    instance_from_config,
     rescale_residual_factor,
-    validate_exponents,
 )
 from .operators import (
     BellmanMax,
@@ -95,8 +93,7 @@ __all__ = [
     "UnsupportedCase", "HypothesisViolated", "ConfigError",
     # model
     "ExponentPair", "ScalarField", "Box", "EquationInstance",
-    "validate_exponents", "chi", "amplitude_C", "rescale_residual_factor",
-    "face_normals", "instance_from_config",
+    "chi", "amplitude_C", "rescale_residual_factor", "face_normals",
     # operators
     "SymMatrix", "EllipticityBounds", "ScaledTrace", "PucciPlus",
     "PucciMinus", "BellmanMax", "CheckReport", "eval_operator",

@@ -1,12 +1,17 @@
-"""Command-line front end: config ingestion, orchestration, artifact emission.
+"""Command-line front end: config reading, orchestration, artifact emission.
 
 Subcommands: solve, ergodic, asymptotics, convergence, property-suite,
 oracle.  Every run reads a YAML config, writes a deterministic
 ``report.json`` (stable key order, no timestamps), optional CSV/binary
 solution snapshots, and a ``manifest.json`` carrying the config hash,
-package version and seed.  Exit codes: 0 success, 1 experiment failure
-(report still written), 2 config error.  Output directories are never
-overwritten unless ``--force`` is given.
+package version and seed.  Output directories are never overwritten
+unless ``--force`` is given.
+
+Each runner reads all of its inputs inside one ``with _reading():`` block
+before it starts any work, so a missing key, a value of the wrong type or
+a value the constructors refuse is a config error (exit 2, no report).
+Exit 1 means only that the experiment itself failed; its failure report is
+still written.  Exit 0 is success.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import csv
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -32,15 +38,11 @@ from .ergodic import (
     verify_uniqueness,
 )
 from .grid import UniformGrid, save_binary, save_csv
-from .model import (
-    Box,
-    ScalarField,
-    instance_from_config,
-    validate_exponents,
-)
+from .model import Box, EquationInstance, ExponentPair, ScalarField
 from .operators import (
     BellmanMax,
     EllipticityBounds,
+    OperatorSpec,
     PucciMinus,
     PucciPlus,
     ScaledTrace,
@@ -58,13 +60,25 @@ from .solver import SolverConfig, solve_dirichlet
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config reading
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"missing config key: {key!r}")
-    return cfg[key]
+@contextmanager
+def _reading():
+    """Turns what reading a config raises into a ConfigError (exit 2).
+
+    A KeyError is a missing key; a TypeError or ValueError is a value of the
+    wrong type; an ErgopdeError is a value a constructor refuses.  Only the
+    reading of a run's inputs goes in the block, never the experiment.
+    """
+    try:
+        yield
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"missing config key: {exc}") from exc
+    except (ErgopdeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid config: {exc}") from exc
 
 
 def _number(cfg: dict, key: str, default=None, kind=float):
@@ -72,7 +86,7 @@ def _number(cfg: dict, key: str, default=None, kind=float):
 
     A value that kind cannot convert is a ConfigError naming the key.
     """
-    value = _require(cfg, key) if default is None else cfg.get(key, default)
+    value = cfg[key] if default is None else cfg.get(key, default)
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
@@ -85,6 +99,14 @@ def _tol(cfg: dict, default: float) -> float:
     if not (np.isfinite(tol) and tol > 0.0):
         raise ConfigError(f"tol must be a finite positive number, not {tol!r}")
     return tol
+
+
+def _section(cfg: dict, key: str, default=None) -> dict:
+    """cfg[key], or `default` when one is given and the key is absent; a mapping."""
+    section = cfg[key] if default is None else cfg.get(key, default)
+    if not isinstance(section, dict):
+        raise ConfigError(f"the {key} section must be a mapping")
+    return section
 
 
 def load_config(path: Path) -> tuple:
@@ -103,88 +125,91 @@ def load_config(path: Path) -> tuple:
     return cfg, digest
 
 
-_SOLVER_KEYS = ("delta_schedule", "inner_tol", "max_iters")
+# solver key -> (SolverConfig field, conversion)
+_SOLVER_KEYS = {
+    "delta_schedule": ("delta_schedule", lambda v: tuple(float(d) for d in v)),
+    "inner_tol": ("inner_tol", float),
+    "max_iters": ("max_inner_iters", int),
+}
 
 
-def solver_config_from(cfg: dict) -> SolverConfig:
-    """SolverConfig from the `solver:` section (all keys optional)."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("the solver section must be a mapping")
-    for key in cfg:
+def _solver_config(cfg: dict) -> SolverConfig:
+    """SolverConfig from the optional `solver:` section (all keys optional)."""
+    section = _section(cfg, "solver", {})
+    for key in section:
         if key not in _SOLVER_KEYS:
             raise ConfigError(
                 f"unknown solver key {key!r}; the accepted keys are "
                 + ", ".join(_SOLVER_KEYS)
             )
-    kwargs = {}
-    try:
-        if "delta_schedule" in cfg:
-            kwargs["delta_schedule"] = tuple(float(d) for d in cfg["delta_schedule"])
-        if "inner_tol" in cfg:
-            kwargs["inner_tol"] = float(cfg["inner_tol"])
-        if "max_iters" in cfg:
-            kwargs["max_inner_iters"] = int(cfg["max_iters"])
-        return SolverConfig(**kwargs)
-    except (ErgopdeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid solver config: {exc}") from exc
+    return SolverConfig(**{
+        _SOLVER_KEYS[key][0]: _number(section, key, kind=_SOLVER_KEYS[key][1])
+        for key in section
+    })
 
 
-def grid_from(cfg: dict, box: Box) -> UniformGrid:
-    shape = _require(cfg, "shape")
-    shape = tuple(int(n) for n in np.atleast_1d(shape))
-    try:
-        return UniformGrid(shape, box)
-    except ErgopdeError as exc:
-        raise ConfigError(f"invalid grid: {exc}") from exc
+def _operator(cfg: dict) -> OperatorSpec:
+    """F from the `operator:` section of an instance."""
+    kind = cfg.get("kind")
+    if kind == "trace":
+        return ScaledTrace(_number(cfg, "a", 1.0))
+    if kind not in ("pucci+", "pucci-", "bellman-max"):
+        raise ConfigError(f"unknown operator kind {kind!r}")
+    bounds = EllipticityBounds(_number(cfg, "a"), _number(cfg, "A"))
+    if kind == "bellman-max":
+        mats = tuple(SymMatrix.from_array(np.array(m, dtype=float))
+                     for m in cfg["matrices"])
+        return BellmanMax(mats, bounds)
+    return (PucciPlus if kind == "pucci+" else PucciMinus)(bounds)
 
 
-def _instance(cfg: dict):
-    try:
-        return instance_from_config(_require(cfg, "instance"))
-    except ErgopdeError as exc:
-        raise ConfigError(f"invalid instance: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid instance config: {exc}") from exc
+def _instance(cfg: dict) -> EquationInstance:
+    """The equation from the `instance:` section."""
+    cfg = _section(cfg, "instance")
+    domain = Box(tuple(cfg["domain"]["lo"]), tuple(cfg["domain"]["hi"]))
+    return EquationInstance(
+        operator=_operator(_section(cfg, "operator")),
+        exponents=ExponentPair(_number(cfg, "alpha"), _number(cfg, "beta")),
+        b=ScalarField.from_expression(str(cfg["b"]), dim=domain.dim),
+        f=ScalarField.from_expression(str(cfg["f"]), dim=domain.dim),
+        domain=domain,
+    )
 
 
-def _experiment(cfg: dict, instance, grid) -> ErgodicExperiment:
+def _grid(cfg: dict, box: Box) -> UniformGrid:
+    shape = _section(cfg, "grid")["shape"]
+    return UniformGrid(tuple(int(n) for n in np.atleast_1d(shape)), box)
+
+
+def _experiment(cfg: dict) -> ErgodicExperiment:
+    """The instance, grid, ladder, probe point, fit span and solver of a run."""
     if "drift_tol" in cfg:  # the ladder classifier's key: nothing reads it
         raise ConfigError("the key 'drift_tol' is refused: the estimate has no drifts")
-    try:
-        ladder = tuple(float(v) for v in _require(cfg, "ladder"))
-        probe = tuple(float(v) for v in np.atleast_1d(_require(cfg, "probe_point")))
-        kwargs = {}
-        if "fit_span" in cfg:
-            kwargs["fit_span"] = tuple(float(v) for v in cfg["fit_span"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid experiment config: {exc}") from exc
-    try:
-        return ErgodicExperiment(
-            instance=instance, grid=grid, ladder=ladder, probe_point=probe,
-            solver_config=solver_config_from(cfg.get("solver", {})), **kwargs,
-        )
-    except ErgopdeError as exc:
-        raise ConfigError(f"invalid experiment: {exc}") from exc
+    instance = _instance(cfg)
+    kwargs = {}
+    if "fit_span" in cfg:
+        kwargs["fit_span"] = tuple(float(v) for v in cfg["fit_span"])
+    return ErgodicExperiment(
+        instance=instance, grid=_grid(cfg, instance.domain), ladder=cfg["ladder"],
+        probe_point=cfg["probe_point"], solver_config=_solver_config(cfg), **kwargs,
+    )
 
 
 # ---------------------------------------------------------------------------
 # artifact emission
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+def _json_default(obj):
+    """numpy scalars and arrays, the values json cannot write itself."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    return obj
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(_json_ready(payload), sort_keys=True, indent=2)
+    text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
     path.write_text(text + "\n", encoding="utf-8")
 
 
@@ -221,14 +246,19 @@ def _write_rows_csv(path: Path, header: list, rows: list) -> None:
 
 
 def run_solve(cfg: dict, out: Path, seed) -> dict:
-    instance = _instance(cfg)
-    grid = grid_from(_require(cfg, "grid"), instance.domain)
-    boundary = ScalarField.from_expression(
-        str(_require(cfg, "boundary")), dim=grid.dim
-    )
-    solver = solver_config_from(cfg.get("solver", {}))
+    with _reading():
+        instance = _instance(cfg)
+        grid = _grid(cfg, instance.domain)
+        boundary = ScalarField.from_expression(str(cfg["boundary"]), dim=grid.dim)
+        solver = _solver_config(cfg)
+        probe = cfg.get("probe_point")
+        if probe is not None:
+            probe = np.atleast_1d(probe).astype(float)
+            node = grid.nearest_node(probe)
+            if not grid.is_interior(node):
+                raise ConfigError(
+                    f"probe point {probe.tolist()} is not an interior node")
     u, rep = solve_dirichlet(instance, boundary, grid, solver)
-    probe = cfg.get("probe_point")
     report = {
         "experiment": "solve",
         "solver": rep.to_dict(),
@@ -236,8 +266,7 @@ def run_solve(cfg: dict, out: Path, seed) -> dict:
         "max_abs_residual": rep.final_residual,
     }
     if probe is not None:
-        node = grid.nearest_node(np.atleast_1d(probe))
-        report["probe_point"] = list(np.atleast_1d(probe))
+        report["probe_point"] = probe.tolist()
         report["u_probe"] = float(u.values[node])
     save_csv(u, out / "solution.csv")
     save_binary(u, out / "solution.bin")
@@ -245,18 +274,20 @@ def run_solve(cfg: dict, out: Path, seed) -> dict:
 
 
 def run_ergodic(cfg: dict, out: Path, seed) -> dict:
-    instance = _instance(cfg)
-    grid = grid_from(_require(cfg, "grid"), instance.domain)
-    exp = _experiment(cfg, instance, grid)
-    c_est, rep = estimate_ergodic_constant(exp, tol=_tol(cfg, 1e-2))
+    with _reading():
+        exp = _experiment(cfg)
+        tol = _tol(cfg, 1e-2)
+    c_est, rep = estimate_ergodic_constant(exp, tol=tol)
     return {"experiment": "ergodic", **rep}
 
 
 def run_asymptotics(cfg: dict, out: Path, seed) -> dict:
-    instance = _instance(cfg)
-    grid = grid_from(_require(cfg, "grid"), instance.domain)
-    exp = _experiment(cfg, instance, grid)
-    c = _number(cfg, "c")
+    with _reading():
+        exp = _experiment(cfg)
+        c = _number(cfg, "c")
+        uniqueness = cfg.get("uniqueness", False)
+        if not isinstance(uniqueness, bool):
+            raise ConfigError(f"uniqueness must be true or false, not {uniqueness!r}")
     u, _ = solve_at(exp, c, exp.ladder[-1])
     profile = verify_blowup_profile(exp, c, u=u)
     grad = verify_gradient_rate(exp, u)
@@ -269,7 +300,7 @@ def run_asymptotics(cfg: dict, out: Path, seed) -> dict:
         ],
         "gradient_rate": grad,
     }
-    if cfg.get("uniqueness", False):
+    if uniqueness:
         report["uniqueness"] = verify_uniqueness(exp, c, u=u)
     rows = []
     for fc in profile["faces"]:
@@ -280,41 +311,46 @@ def run_asymptotics(cfg: dict, out: Path, seed) -> dict:
     return report
 
 
-def run_convergence(cfg: dict, out: Path, seed) -> dict:
-    instance = _instance(cfg)
-    sizes = _number(cfg, "grid_sizes", kind=lambda v: [int(n) for n in v])
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ConfigError("grid_sizes must be strictly increasing")
-    ref = _require(cfg, "reference")
-    if not isinstance(ref, dict):
-        raise ConfigError("the reference section must be a mapping")
-    kind = _require(ref, "kind")
+def _reference(ref: dict):
+    """The exact solution u(x) named by the `reference:` section."""
+    kind = ref["kind"]
     if kind == "dirichlet-1d":
-        exact = exact_dirichlet_1d(_number(ref, "alpha"), _number(ref, "c0"))
-    elif kind == "cosine":
-        c_val = _number(ref, "c")
-        amp = _number(ref, "amplitude", 0.0)
-        if c_val >= 0.0 or c_val <= -np.pi**2 / 4:
-            raise ConfigError("cosine reference requires c in (-pi^2/4, 0)")
-        root = np.sqrt(-c_val)
-
-        def exact(x):
-            return amp + np.log(np.cos(root)) - np.log(np.cos(root * x))
-    else:
+        return exact_dirichlet_1d(_number(ref, "alpha"), _number(ref, "c0"))
+    if kind != "cosine":
         raise ConfigError(f"unknown reference kind: {kind!r}")
-    boundary = ScalarField.from_expression(
-        str(_require(cfg, "boundary")), dim=instance.domain.dim
-    )
-    solver = solver_config_from(cfg.get("solver", {}))
+    c_val = _number(ref, "c")
+    amp = _number(ref, "amplitude", 0.0)
+    if c_val >= 0.0 or c_val <= -np.pi**2 / 4:
+        raise ConfigError("cosine reference requires c in (-pi^2/4, 0)")
+    root = np.sqrt(-c_val)
+
+    def exact(x):
+        return amp + np.log(np.cos(root)) - np.log(np.cos(root * x))
+
+    return exact
+
+
+def run_convergence(cfg: dict, out: Path, seed) -> dict:
+    with _reading():
+        instance = _instance(cfg)
+        sizes = _number(cfg, "grid_sizes", kind=lambda v: [int(n) for n in v])
+        if any(b <= a for a, b in zip(sizes, sizes[1:])):
+            raise ConfigError("grid_sizes must be strictly increasing")
+        grids = [UniformGrid((n,), instance.domain) for n in sizes]
+        ref = _section(cfg, "reference")
+        exact = _reference(ref)
+        boundary = ScalarField.from_expression(
+            str(cfg["boundary"]), dim=instance.domain.dim
+        )
+        solver = _solver_config(cfg)
     rows, errors = [], []
-    for n in sizes:
-        grid = UniformGrid((n,), instance.domain)
+    for grid in grids:
         u, _ = solve_dirichlet(instance, boundary, grid, solver)
         x = grid.axes()[0]
         err = float(np.max(np.abs(u.values - exact(x))))
         h = grid.spacing[0]
         errors.append(err)
-        rows.append([n, h, err])
+        rows.append([grid.shape[0], h, err])
     orders = [
         float(np.log2(a / b)) if b > 0 else float("inf")
         for a, b in zip(errors, errors[1:])
@@ -325,7 +361,7 @@ def run_convergence(cfg: dict, out: Path, seed) -> dict:
         "grid_sizes": sizes,
         "max_errors": errors,
         "observed_orders": orders,
-        "reference": kind,
+        "reference": ref["kind"],
     }
 
 
@@ -343,7 +379,10 @@ def _suite_operators() -> tuple:
 
 
 def run_property_suite(cfg: dict, out: Path, seed) -> dict:
-    trials = _number(cfg, "trials", 1000, int)
+    with _reading():
+        trials = _number(cfg, "trials", 1000, int)
+        if trials < 1:
+            raise ConfigError(f"trials must be at least 1, not {trials}")
     seed = 0 if seed is None else int(seed)
     checks = [
         checker(spec, trials, seed).to_dict()
@@ -363,12 +402,15 @@ def run_property_suite(cfg: dict, out: Path, seed) -> dict:
 
 
 def run_oracle(cfg: dict, out: Path, seed) -> dict:
-    exponents = validate_exponents(_number(cfg, "alpha"), _number(cfg, "beta"))
-    f = ScalarField.from_expression(str(cfg.get("f", "0")), dim=1)
-    c_erg, rep = ergodic_constant_1d(exponents, f, tol=_tol(cfg, 1e-8))
+    with _reading():
+        exponents = ExponentPair(_number(cfg, "alpha"), _number(cfg, "beta"))
+        f = ScalarField.from_expression(str(cfg.get("f", "0")), dim=1)
+        tol = _tol(cfg, 1e-8)
+        shoot_c = _number(cfg, "shoot_c") if "shoot_c" in cfg else None
+    c_erg, rep = ergodic_constant_1d(exponents, f, tol=tol)
     report = {"experiment": "oracle", "c_erg": c_erg, **rep}
-    if "shoot_c" in cfg:
-        report["x_star"] = shoot_blowup(exponents, _number(cfg, "shoot_c"), f)
+    if shoot_c is not None:
+        report["x_star"] = shoot_blowup(exponents, shoot_c, f)
     return report
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,10 +38,6 @@ from .oracle1d import blowup_profile_fit
 from .solver import SolverConfig, solve_bordered, solve_dirichlet
 
 
-def _default_fit_span() -> tuple:
-    return (4.0, 64.0)
-
-
 @dataclass(frozen=True)
 class ErgodicExperiment:
     """A gradient-coercive instance plus the ladder/probe/fit-layer data.
@@ -54,7 +50,7 @@ class ErgodicExperiment:
     grid: UniformGrid
     ladder: tuple
     probe_point: tuple
-    fit_span: tuple = field(default_factory=_default_fit_span)
+    fit_span: tuple = (4.0, 64.0)
     solver_config: SolverConfig | None = None
 
     def __post_init__(self):
@@ -67,9 +63,8 @@ class ErgodicExperiment:
         node = self.grid.nearest_node(probe)
         if not self.grid.is_interior(node):
             raise OutOfRange("probe point must be interior")
-        lo, hi = self.fit_span
-        if not (0.0 < lo < hi):
-            raise OutOfRange("fit span must satisfy 0 < lo < hi")
+        if len(self.fit_span) != 2 or not (0.0 < self.fit_span[0] < self.fit_span[1]):
+            raise OutOfRange("fit span must be two numbers lo, hi with 0 < lo < hi")
 
     @property
     def probe_node(self) -> tuple:

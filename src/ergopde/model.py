@@ -38,11 +38,6 @@ class ExponentPair:
             )
 
 
-def validate_exponents(alpha: float, beta: float) -> ExponentPair:
-    """Validated exponent pair; OutOfRange on inadmissible values."""
-    return ExponentPair(float(alpha), float(beta))
-
-
 def chi(exponents: ExponentPair) -> float:
     """Blow-up exponent (2 + alpha - beta) / (beta - 1 - alpha) >= 0."""
     return (2.0 + exponents.alpha - exponents.beta) / (
@@ -207,35 +202,3 @@ def face_normals(domain: Box) -> dict:
         out[f"axis{axis}_hi"] = n.copy()
     return out
 
-
-# ---------------------------------------------------------------------------
-# config parsing
-
-
-def operator_from_config(cfg: dict) -> operators.OperatorSpec:
-    kind = cfg.get("kind")
-    if kind == "trace":
-        return operators.ScaledTrace(float(cfg.get("a", 1.0)))
-    if kind in ("pucci+", "pucci-"):
-        bounds = operators.EllipticityBounds(float(cfg["a"]), float(cfg["A"]))
-        cls = operators.PucciPlus if kind == "pucci+" else operators.PucciMinus
-        return cls(bounds)
-    if kind == "bellman-max":
-        mats = tuple(
-            operators.SymMatrix.from_array(np.array(m, dtype=float))
-            for m in cfg["matrices"]
-        )
-        bounds = operators.EllipticityBounds(float(cfg["a"]), float(cfg["A"]))
-        return operators.BellmanMax(mats, bounds)
-    raise OutOfRange(f"unknown operator kind {kind!r}")
-
-
-def instance_from_config(cfg: dict) -> EquationInstance:
-    domain = Box(tuple(cfg["domain"]["lo"]), tuple(cfg["domain"]["hi"]))
-    return EquationInstance(
-        operator=operator_from_config(cfg["operator"]),
-        exponents=validate_exponents(cfg["alpha"], cfg["beta"]),
-        b=ScalarField.from_expression(str(cfg["b"]), dim=domain.dim),
-        f=ScalarField.from_expression(str(cfg["f"]), dim=domain.dim),
-        domain=domain,
-    )

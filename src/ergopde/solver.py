@@ -29,7 +29,7 @@ import functools
 import math
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -56,15 +56,11 @@ _MAX_TRUNCATION_ROUNDS = 400
 # configuration and report
 
 
-def default_delta_schedule() -> tuple:
-    return tuple(2.0**-k for k in range(11))
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Continuation ladder, Peclet switch and Newton tolerances."""
 
-    delta_schedule: tuple = field(default_factory=default_delta_schedule)
+    delta_schedule: tuple = tuple(2.0**-k for k in range(11))
     inner_tol: float = 1e-8
     max_inner_iters: int = 400
     peclet_threshold: float = 0.5  # inf -> centered, -inf -> Godunov everywhere
@@ -92,12 +88,7 @@ class SolveReport:
     truncation_rounds: int
 
     def to_dict(self) -> dict:
-        return {
-            "final_residual": self.final_residual,
-            "iterations_per_stage": list(self.iterations_per_stage),
-            "truncation_M": self.truncation_M,
-            "truncation_rounds": self.truncation_rounds,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ import yaml
 
 import ergopde
 from ergopde import ConfigError
-from ergopde.cli import _experiment, main, solver_config_from
+from ergopde import cli
+from ergopde.cli import _experiment, _solver_config, main
 
 from conftest import COSINE_C, strict_json
 
@@ -99,10 +100,9 @@ class TestSolve:
         value = {"engine": "picard", "fallback": True, "theta": 0.5, "drift_tol": 1e-3}[key]
         with pytest.raises(ConfigError, match=key):
             if key == "drift_tol":  # an experiment key, not a solver key
-                _experiment({key: value, "ladder": [10.0, 20.0], "probe_point": [0.0]},
-                            None, None)
+                _experiment({key: value})
             else:
-                solver_config_from({key: value})
+                _solver_config({"solver": {key: value}})
 
     def test_every_accepted_solver_key(self, tmp_path):
         # a key the CLI reads but SolverConfig has dropped fails here
@@ -147,23 +147,49 @@ class TestSolve:
         ("convergence", "reference", 5),
         ("oracle", "tol", float("nan")),
         ("oracle", "tol", -1.0),
+        ("solve", "grid", {"shape": ["abc"]}),
+        ("solve", "grid", 5),
+        ("solve", "instance", dict(INSTANCE_YAML["instance"], operator=5)),
+        ("solve", "probe_point", ["abc"]),
+        ("solve", "probe_point", [5.0]),
+        ("solve", "probe_point", [-1.5]),
+        ("ergodic", "fit_span", [4]),
+        ("convergence", "grid_sizes", [2, 5]),
+        ("convergence", "reference", {"kind": "dirichlet-1d", "alpha": 0.0, "c0": -1}),
+        ("oracle", "alpha", 5),
+        ("property-suite", "trials", 0),
+        ("asymptotics", "uniqueness", "no"),
     ], ids=["truncation-abc", "max-iters-many", "truncation-negative",
             "truncation-number", "inner-tol-list", "ladder-word", "solver-key-misspelt",
             "tol-abc", "c-abc", "tol-nan", "reference-not-mapping", "oracle-tol-nan",
-            "oracle-tol-negative"])
-    def test_bad_values_are_config_errors(self, tmp_path, command, key, value):
+            "oracle-tol-negative", "grid-shape-word", "grid-not-mapping",
+            "operator-not-mapping", "probe-word", "probe-outside-domain",
+            "probe-negative-index", "fit-span-one-number", "grid-sizes-too-small",
+            "reference-c0-negative", "oracle-alpha-out-of-range", "trials-zero",
+            "uniqueness-string"])
+    def test_bad_values_are_config_errors(self, tmp_path, capsys, monkeypatch, command,
+                                          key, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started work before it had read its config")
+
+        for name in ("solve_dirichlet", "solve_at", "estimate_ergodic_constant",
+                     "ergodic_constant_1d", "check_uniform_ellipticity"):
+            monkeypatch.setattr(cli, name, no_work)
         cfg = dict(INSTANCE_YAML)
         cfg["grid"] = {"shape": [21]}
         cfg["grid_sizes"] = [21, 41]
+        cfg["reference"] = {"kind": "cosine", "c": -1.0}
         cfg["boundary"] = "0"
         cfg["ladder"] = [10.0, 20.0]
         cfg["probe_point"] = [0.0]
+        cfg["c"] = -1.0
         cfg["alpha"], cfg["beta"] = 0.0, 2.0  # the oracle's exponents
         cfg[key] = value
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         assert not (out / "report.json").exists()
+        assert "config error: " in capsys.readouterr().err
 
 
 class TestOracleAndErgodic:

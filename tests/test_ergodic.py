@@ -58,6 +58,14 @@ class TestExperimentValidation:
             ErgodicExperiment(instance=cosine_instance, grid=interval_grid(101),
                               ladder=(5.0, 10.0), probe_point=(1.0,))
 
+    @pytest.mark.parametrize("span",
+                             [(4.0,), (4.0, 16.0, 64.0), (64.0, 4.0), (0.0, 4.0)])
+    def test_fit_span_must_be_two_increasing_positive_numbers(self, cosine_instance,
+                                                              span):
+        with pytest.raises(OutOfRange, match="fit span"):
+            ErgodicExperiment(instance=cosine_instance, grid=interval_grid(101),
+                              ladder=(5.0, 10.0), probe_point=(0.0,), fit_span=span)
+
 
 class TestEstimate:
     def test_cosine_constant_coarse(self, cosine_instance):

@@ -1,4 +1,4 @@
-"""Exponent bookkeeping, blow-up data, scalar fields, config round-trips."""
+"""Exponent bookkeeping, blow-up data, scalar fields, the CLI's instance reader."""
 
 import math
 
@@ -18,10 +18,9 @@ from ergopde import (
     amplitude_C,
     chi,
     face_normals,
-    instance_from_config,
     rescale_residual_factor,
-    validate_exponents,
 )
+from ergopde.cli import _instance
 from conftest import make_instance
 
 
@@ -34,7 +33,7 @@ admissible = st.tuples(
 
 class TestExponents:
     def test_validate_accepts_admissible(self):
-        ep = validate_exponents(0.0, 1.5)
+        ep = ExponentPair(0.0, 1.5)
         assert ep.alpha == 0.0 and ep.beta == 1.5
 
     @pytest.mark.parametrize("alpha,beta", [
@@ -45,7 +44,7 @@ class TestExponents:
     ])
     def test_validate_rejects(self, alpha, beta):
         with pytest.raises(OutOfRange):
-            validate_exponents(alpha, beta)
+            ExponentPair(alpha, beta)
 
     def test_chi_power_case(self):
         # chi = (2 + alpha - beta) / (beta - 1 - alpha)
@@ -60,7 +59,7 @@ class TestExponents:
     @given(admissible)
     def test_chi_nonnegative_and_zero_only_at_border(self, ab):
         alpha, beta = ab
-        ep = validate_exponents(alpha, beta)
+        ep = ExponentPair(alpha, beta)
         x = chi(ep)
         assert x >= 0.0
         if beta < alpha + 2.0 - 1e-9:
@@ -92,7 +91,7 @@ class TestAmplitude:
     @settings(max_examples=50, deadline=None)
     @given(admissible)
     def test_amplitude_positive(self, ab):
-        ep = validate_exponents(*ab)
+        ep = ExponentPair(*ab)
         assert amplitude_C(ScaledTrace(), (1.0,), ep) > 0.0
 
 
@@ -104,7 +103,7 @@ class TestRescaleFactor:
     @settings(max_examples=50, deadline=None)
     @given(admissible, st.floats(min_value=1e-3, max_value=1.0))
     def test_monotone_in_delta(self, ab, delta):
-        ep = validate_exponents(*ab)
+        ep = ExponentPair(*ab)
         assert rescale_residual_factor(ep, delta) <= rescale_residual_factor(ep, 1.0)
 
     def test_rejects_nonpositive_delta(self):
@@ -135,7 +134,7 @@ class TestScalarField:
         inst = make_instance(0.0, 1.5, b="1", f="cos(x)")
         cfg = {"operator": {"kind": "trace", "a": 1.0}, "alpha": 0.0, "beta": 1.5,
                "b": "1", "f": "cos(x)", "domain": {"lo": [-1.0], "hi": [1.0]}}
-        back = instance_from_config(cfg)
+        back = _instance({"instance": cfg})
         xs = np.linspace(-1.0, 1.0, 7)
         assert np.allclose(back.f(xs), np.cos(xs))
         assert np.allclose(back.b(xs), 1.0)
