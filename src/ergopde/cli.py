@@ -93,6 +93,13 @@ def _number(cfg: dict, key: str, default=None, kind=float):
         raise ConfigError(f"invalid value for {key!r}: {value!r}") from exc
 
 
+def _integer(value) -> int:
+    """int(value), but a fractional or infinite value is a ValueError."""
+    if not float(value).is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _tol(cfg: dict, default: float) -> float:
     """The `tol` key as a float, which must be finite and positive."""
     tol = _number(cfg, "tol", default)
@@ -129,7 +136,7 @@ def load_config(path: Path) -> tuple:
 _SOLVER_KEYS = {
     "delta_schedule": ("delta_schedule", lambda v: tuple(float(d) for d in v)),
     "inner_tol": ("inner_tol", float),
-    "max_iters": ("max_inner_iters", int),
+    "max_iters": ("max_inner_iters", _integer),
 }
 
 
@@ -178,7 +185,7 @@ def _instance(cfg: dict) -> EquationInstance:
 
 def _grid(cfg: dict, box: Box) -> UniformGrid:
     shape = _section(cfg, "grid")["shape"]
-    return UniformGrid(tuple(int(n) for n in np.atleast_1d(shape)), box)
+    return UniformGrid(tuple(_integer(n) for n in np.atleast_1d(shape)), box)
 
 
 def _experiment(cfg: dict) -> ErgodicExperiment:
@@ -333,7 +340,7 @@ def _reference(ref: dict):
 def run_convergence(cfg: dict, out: Path, seed) -> dict:
     with _reading():
         instance = _instance(cfg)
-        sizes = _number(cfg, "grid_sizes", kind=lambda v: [int(n) for n in v])
+        sizes = _number(cfg, "grid_sizes", kind=lambda v: [_integer(n) for n in v])
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ConfigError("grid_sizes must be strictly increasing")
         grids = [UniformGrid((n,), instance.domain) for n in sizes]
@@ -380,7 +387,7 @@ def _suite_operators() -> tuple:
 
 def run_property_suite(cfg: dict, out: Path, seed) -> dict:
     with _reading():
-        trials = _number(cfg, "trials", 1000, int)
+        trials = _number(cfg, "trials", 1000, _integer)
         if trials < 1:
             raise ConfigError(f"trials must be at least 1, not {trials}")
     seed = 0 if seed is None else int(seed)

@@ -118,8 +118,7 @@ class ScalarField:
     @staticmethod
     def constant(value: float, dim: int = 1) -> "ScalarField":
         v = float(value)
-        return ScalarField(fn=lambda *coords: np.full(np.asarray(coords[0]).shape, v),
-                           dim=dim)
+        return ScalarField(fn=lambda *coords: v, dim=dim)
 
     @staticmethod
     def from_expression(expr: str, dim: int = 1) -> "ScalarField":

@@ -14,12 +14,16 @@ Two closed-form/ODE constructions are provided:
 The shooting integration works in the variable s = p^(1+alpha) (p = u')
 near p = 0, switches to log p once p is O(1), and closes the remaining
 distance to the blow-up point with a two-term asymptotic tail, giving
-blow-up locations accurate to well below 1e-10.
+blow-up locations accurate to well below 1e-10.  Both phases run a scalar
+DOP853 loop on Python floats with solve_ivp's step control (Hairer, Norsett
+& Wanner, Solving ODEs I, II.4 and II.10), rtol 1e-11 and atol 1e-13.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from .model import ExponentPair, ScalarField
 
 _P_SWITCH_CAP = 2.0
 _P_MAX = 1e8
-_IVP_OPTS = {"rtol": 1e-11, "atol": 1e-13, "method": "DOP853"}
+_RTOL, _ATOL = 1e-11, 1e-13
 # root search for the ergodic constant in t = log(-sup f - c)
 _SEARCH_STEPS = 60
 _T_MAX = 25.0  # |t| beyond this: -sup f - c outside [1.4e-11, 7.2e10]
@@ -67,10 +71,53 @@ def exact_dirichlet_1d(alpha: float, c0: float):
 # shooting for the symmetric ergodic ODE
 
 
-def _forcing_margin(f: ScalarField, c: float, span: float = 1.0) -> float:
-    """max of f + c on a fine sample of [0, span] (must be negative)."""
-    xs = np.linspace(0.0, span, 4001)
-    return float(np.max(f(xs)) + c)
+@functools.cache
+def _dop853_tableau() -> tuple:
+    """DOP853's (A rows, B, C, E3, E5) as float tuples, read from scipy once."""
+    from scipy.integrate import DOP853 as rk
+
+    rows = tuple(tuple(rk.A[i, :i].tolist()) for i in range(rk.n_stages))
+    return (rows, *(tuple(v.tolist()) for v in (rk.B, rk.C, rk.E3, rk.E5)))
+
+
+def _dop853(rhs, t: float, t_end: float, y: float) -> float:
+    """y(t_end) of the scalar ODE y' = rhs(t, y) for t_end > t, by DOP853.
+
+    The step control is solve_ivp's: its initial-step rule, safety 0.9,
+    factors in [0.2, 10], exponent -1/8, and a step floor of 10 ulp(t); a
+    step that shrinks below the floor is InvalidRegime.
+    """
+    rows, b, c, e3, e5 = _dop853_tableau()
+    k = [rhs(t, y)] + [0.0] * len(b)
+    scale = _ATOL + abs(y) * _RTOL
+    d0, d1 = abs(y) / scale, abs(k[0]) / scale
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
+    d12 = max(d1, abs(rhs(t + h0, y + h0 * k[0]) - k[0]) / scale / h0)
+    h = max(1e-6, h0 * 1e-3) if d12 <= 1e-15 else (0.01 / d12) ** 0.125
+    h, rejected = min(100.0 * h0, h, t_end - t), False
+    while t < t_end:
+        floor = 10.0 * (math.nextafter(t, math.inf) - t)
+        h = h if rejected else max(h, floor)
+        if not h >= floor:  # so a NaN step, from a NaN slope, ends here too
+            raise InvalidRegime(f"shooting step size collapsed at t = {t!r}")
+        t_new = min(t + h, t_end)
+        h = t_new - t
+        for i in range(1, len(rows)):
+            k[i] = rhs(t + c[i] * h, y + h * sum(map(operator.mul, rows[i], k)))
+        y_new = y + h * sum(map(operator.mul, b, k))
+        k[-1] = rhs(t_new, y_new)
+        scale = _ATOL + max(abs(y), abs(y_new)) * _RTOL
+        sq5 = (sum(map(operator.mul, e5, k)) / scale) ** 2
+        sq3 = (sum(map(operator.mul, e3, k)) / scale) ** 2
+        err = h * sq5 / math.sqrt(sq5 + 0.01 * sq3) if sq5 else 0.0
+        if err < 1.0:
+            factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err**-0.125)
+            h *= min(1.0, factor) if rejected else factor
+            t, y, k[0], rejected = t_new, y_new, k[-1], False
+        else:
+            h *= max(0.2, 0.9 * err**-0.125)  # 0.2 for a NaN err, as in solve_ivp
+            rejected = True
+    return y
 
 
 def shoot_blowup(
@@ -85,14 +132,12 @@ def shoot_blowup(
     symmetry point x = 0, p = 0.  Requires f + c < 0 on [0, 1] so that p
     is strictly increasing (InvalidRegime otherwise).
     """
-    from scipy.integrate import solve_ivp
-
     if f.dim != 1:
         raise OutOfRange("the shooting oracle is one-dimensional")
     if trace_coefficient <= 0.0:
         raise OutOfRange("trace coefficient must be positive")
     alpha, beta = exponents.alpha, exponents.beta
-    margin = _forcing_margin(f, c)
+    margin = float(np.max(f(np.linspace(0.0, 1.0, 4001)))) + c  # max of f + c
     if margin >= -1e-12:
         raise InvalidRegime(
             f"shooting requires f + c < 0 on the half-domain (margin {margin:.3e})"
@@ -102,33 +147,21 @@ def shoot_blowup(
 
     f_at = f.at  # per Runge-Kutta stage: one float, no array round-trip
 
-    def denom(x, p):
-        return (p**beta - f_at(x) - c) / a
-
     # phase 1: s = p^(1+alpha), regular through p = 0
     p_switch = min(_P_SWITCH_CAP, max(1.0, (2.0 * abs(margin)) ** (1.0 / beta)))
-    s_end = p_switch**opa
 
-    def rhs_s(s, y):
+    def rhs_s(s, x):
         p = s ** (1.0 / opa) if s > 0.0 else 0.0
-        return 1.0 / (opa * denom(y[0], p))
+        return 1.0 / (opa * ((p**beta - f_at(x) - c) / a))
 
-    sol1 = solve_ivp(rhs_s, (0.0, s_end), [0.0], **_IVP_OPTS)
-    if not sol1.success:
-        raise InvalidRegime(f"shooting phase 1 failed: {sol1.message}")
-    x1 = float(sol1.y[0, -1])
+    x1 = _dop853(rhs_s, 0.0, p_switch**opa, 0.0)
 
     # phase 2: ell = log p up to a large cutoff
-    def rhs_log(ell, y):
+    def rhs_log(ell, x):
         p = math.exp(ell)
-        return a * p**opa / (p**beta - f_at(y[0]) - c)
+        return a * p**opa / (p**beta - f_at(x) - c)
 
-    sol2 = solve_ivp(
-        rhs_log, (math.log(p_switch), math.log(_P_MAX)), [x1], **_IVP_OPTS
-    )
-    if not sol2.success:
-        raise InvalidRegime(f"shooting phase 2 failed: {sol2.message}")
-    x2 = float(sol2.y[0, -1])
+    x2 = _dop853(rhs_log, math.log(p_switch), math.log(_P_MAX), x1)
 
     # asymptotic tail: integral of a p^alpha / (p^beta - K) from P to infinity
     gap = beta - opa

@@ -159,6 +159,11 @@ class TestSolve:
         ("oracle", "alpha", 5),
         ("property-suite", "trials", 0),
         ("asymptotics", "uniqueness", "no"),
+        ("solve", "solver", {"max_iters": 2.7}),
+        ("solve", "grid", {"shape": [40.9]}),
+        ("convergence", "grid_sizes", [21, 40.9]),
+        ("property-suite", "trials", 2.5),
+        ("property-suite", "trials", float("inf")),
     ], ids=["truncation-abc", "max-iters-many", "truncation-negative",
             "truncation-number", "inner-tol-list", "ladder-word", "solver-key-misspelt",
             "tol-abc", "c-abc", "tol-nan", "reference-not-mapping", "oracle-tol-nan",
@@ -166,7 +171,8 @@ class TestSolve:
             "operator-not-mapping", "probe-word", "probe-outside-domain",
             "probe-negative-index", "fit-span-one-number", "grid-sizes-too-small",
             "reference-c0-negative", "oracle-alpha-out-of-range", "trials-zero",
-            "uniqueness-string"])
+            "uniqueness-string", "max-iters-fraction", "shape-fraction",
+            "grid-sizes-fraction", "trials-fraction", "trials-infinite"])
     def test_bad_values_are_config_errors(self, tmp_path, capsys, monkeypatch, command,
                                           key, value):
         def no_work(*args, **kwargs):

@@ -121,6 +121,17 @@ class TestScalarField:
         xs = np.zeros((4, 4))
         assert np.all(f(xs, xs) == 3.0)
 
+    def test_constant_returns_fresh_arrays_and_a_float(self):
+        f = ScalarField.constant(-1.5, dim=2)
+        xs, ys = np.meshgrid(np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4))
+        first, second = f(xs, ys), f(xs, ys)
+        assert first.shape == second.shape == xs.shape
+        first[0, 0] = 7.0
+        assert np.all(second == -1.5) and np.all(f(xs, ys) == -1.5)
+        assert f(0.2, 0.3).shape == ()
+        value = f.at(0.2, 0.3)
+        assert type(value) is float and value == -1.5
+
     def test_at_is_the_array_value_as_a_float(self):
         for f in (ScalarField.from_expression("0.5*cos(3.0*x)", dim=1),
                   ScalarField.constant(-2.0, dim=1)):

@@ -1,5 +1,6 @@
 """Closed forms, shooting, the ergodic-constant root search, profile fitting."""
 
+import math
 import time
 
 import numpy as np
@@ -66,9 +67,60 @@ class TestShooting:
         assert shoot_blowup(EP_LOG, COSINE_C - 0.05, ZERO) < 1.0
         assert shoot_blowup(EP_LOG, COSINE_C + 0.05, ZERO) > 1.0
 
+    @pytest.mark.parametrize("alpha, beta, a", [
+        (-0.5, 0.9, 0.5), (-0.5, 1.5, 2.0), (1.0, 2.4, 0.5), (1.0, 3.0, 2.0),
+    ])
+    @pytest.mark.parametrize("c", [-0.5, -3.0])
+    def test_closed_form_blowup_location(self, alpha, beta, a, c):
+        # f = 0, m = -c: x* = int_0^inf a p^alpha / (p^beta + m) dp
+        #               = a m^((alpha+1-beta)/beta) pi / (beta sin(pi (alpha+1)/beta))
+        m = -c
+        closed = (a * m ** ((alpha + 1.0 - beta) / beta) * math.pi
+                  / (beta * math.sin(math.pi * (alpha + 1.0) / beta)))
+        x_star = shoot_blowup(ExponentPair(alpha, beta), c, ZERO, a)
+        assert abs(x_star - closed) <= 1e-10 * closed
+
     def test_requires_negative_forcing(self):
         with pytest.raises(InvalidRegime):
             shoot_blowup(EP_LOG, 1.0, ZERO)
+
+    def test_forcing_error_reaches_the_caller(self):
+        # f + c < 0 on [0, 1], but f is NaN past sqrt(1.5), which the
+        # integration reaches before the blow-up
+        f = ScalarField.from_expression("-sqrt(1.5 - x**2)", dim=1)
+        with pytest.raises(OutOfRange, match="non-finite"), np.errstate(invalid="ignore"):
+            shoot_blowup(EP_LOG, 0.5, f)
+
+
+class TestIntegrator:
+    @staticmethod
+    def capped(rhs, limit=100_000):
+        """rhs that fails the test instead of looping without end."""
+        calls = [0]
+
+        def wrapped(t, y):
+            calls[0] += 1
+            assert calls[0] <= limit, "the integrator does not stop"
+            return rhs(t, y)
+
+        return wrapped
+
+    def test_exponential(self):
+        y = oracle1d._dop853(self.capped(lambda t, y: y), 0.0, 1.0, 1.0)
+        assert abs(y - math.e) <= 1e-10 * math.e
+
+    @pytest.mark.parametrize("rhs", [
+        lambda t, y: math.nan,  # a NaN slope from the first call: a NaN first step
+        lambda t, y: math.nan if t > 0.5 else 1.0,  # NaN error estimates mid-way
+    ], ids=["nan-everywhere", "nan-past-half"])
+    def test_nan_slope_is_invalid_regime(self, rhs):
+        with pytest.raises(InvalidRegime, match="collapsed"):
+            oracle1d._dop853(self.capped(rhs), 0.0, 2.0, 1.0)
+
+    def test_blowup_collapses_the_step(self):
+        # y' = y^2, y(0) = 1 blows up at t = 1
+        with pytest.raises(InvalidRegime, match="collapsed"):
+            oracle1d._dop853(self.capped(lambda t, y: y * y), 0.0, 2.0, 1.0)
 
 
 class TestErgodicConstant:
