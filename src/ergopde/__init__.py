@@ -4,7 +4,7 @@ The package studies equations of the form
 
     -|grad u|^alpha F(D^2 u) + b(x) |grad u|^beta = f(x)
 
-with a regularized-continuation Dirichlet solver, a 1D shooting oracle,
+with a delta-regularized Dirichlet solver, a 1D shooting oracle,
 ergodic-constant estimation by bordered continuation in the boundary
 offset with extrapolation in h and in the offset, and
 verification of boundary blow-up asymptotics (exponent, amplitude,

@@ -84,10 +84,13 @@ def _reading():
 def _number(cfg: dict, key: str, default=None, kind=float):
     """kind(cfg[key]), or of `default` when one is given and the key is absent.
 
-    A value that kind cannot convert is a ConfigError naming the key.
+    A value that kind cannot convert, or a YAML boolean, is a ConfigError
+    naming the key.
     """
     value = cfg[key] if default is None else cfg.get(key, default)
     try:
+        if isinstance(value, bool):  # float(True) would read as 1.0
+            raise TypeError("a boolean is not a number")
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid value for {key!r}: {value!r}") from exc
@@ -134,7 +137,7 @@ def load_config(path: Path) -> tuple:
 
 # solver key -> (SolverConfig field, conversion)
 _SOLVER_KEYS = {
-    "delta_schedule": ("delta_schedule", lambda v: tuple(float(d) for d in v)),
+    "delta": ("delta", float),
     "inner_tol": ("inner_tol", float),
     "max_iters": ("max_inner_iters", _integer),
 }

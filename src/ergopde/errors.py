@@ -30,12 +30,7 @@ class InvalidBoundary(ErgopdeError):
 
 
 class NonConvergence(ErgopdeError):
-    """An iteration stage failed to meet its tolerance."""
-
-    def __init__(self, message, stage=None, iterations=None):
-        super().__init__(message)
-        self.stage = stage
-        self.iterations = iterations
+    """An iteration failed to meet its tolerance."""
 
 
 class InvalidRegime(ErgopdeError):

@@ -1,10 +1,10 @@
 """Discrete Dirichlet solver for -|grad u|^a F(D2 u) + b|grad u|^b = f.
 
-The gradient degeneracy is removed by a continuation over a decreasing
-schedule of regularization parameters delta (its last stage alone at
-alpha = 0, where rho = 1); at each stage one engine, a semismooth Newton
-iteration (Howard's policy iteration for the max-type operators), solves
-the stage system
+The gradient degeneracy is regularized at one delta > 0 (none is needed
+at alpha = 0, where rho = 1; at alpha != 0 a failed solve is retried as a
+continuation in delta), and one engine, a semismooth Newton iteration
+(Howard's policy iteration for the max-type operators), solves the
+regularized system
 
     -F(D2 u) + eps |u|^alpha u
         = (f + eps |u|^alpha u - b min(|grad u|, M)^beta) rho,
@@ -16,11 +16,11 @@ through its policy at the current Hessian (`operators.policy_1d`,
 `operators.policy_2d`).  The stencils are written once over the axes,
 from each node's neighbours along it; only the d_xy stencil, the packing
 of the Jacobian and the linear solve differ between the dimensions:
-banded in 1D, a sparse 9-point matrix in 2D.  The stage system is
-evaluated once per iterate (`_Stage.evaluate`), on raw value arrays and
-from the stencils of `grid`; the Jacobian and the Newton step read that
-record, and a solve reports the residual of the stage system it converged
-on.  `residual_field` is the residual of the original equation.
+banded in 1D, a sparse 9-point matrix in 2D.  The system is evaluated
+once per iterate (`_System.evaluate`), on raw value arrays and from the
+stencils of `grid`; the Jacobian and the Newton step read that record,
+and a solve reports the residual of the system it converged on.
+`residual_field` is the residual of the original equation.
 """
 
 from __future__ import annotations
@@ -58,20 +58,16 @@ _MAX_TRUNCATION_ROUNDS = 400
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Continuation ladder, Peclet switch and Newton tolerances."""
+    """Regularization delta, Peclet switch and Newton tolerances."""
 
-    delta_schedule: tuple = tuple(2.0**-k for k in range(11))
+    delta: float = 2.0**-10
     inner_tol: float = 1e-8
     max_inner_iters: int = 400
     peclet_threshold: float = 0.5  # inf -> centered, -inf -> Godunov everywhere
 
     def __post_init__(self):
-        sched = tuple(float(d) for d in self.delta_schedule)
-        if len(sched) == 0 or any(d <= 0.0 for d in sched):
-            raise OutOfRange("delta schedule must be nonempty and positive")
-        if any(b >= a for a, b in zip(sched, sched[1:])):
-            raise OutOfRange("delta schedule must be strictly decreasing")
-        object.__setattr__(self, "delta_schedule", sched)
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise OutOfRange("delta must be positive and finite")
         if self.inner_tol <= 0.0:
             raise OutOfRange("inner_tol must be positive")
         if self.max_inner_iters < 1:
@@ -83,7 +79,7 @@ class SolveReport:
     """Outcome of one converged Dirichlet solve (a failed one raises)."""
 
     final_residual: float
-    iterations_per_stage: tuple
+    iterations_per_stage: tuple  # Newton steps per delta of the last truncation round
     truncation_M: float
     truncation_rounds: int
 
@@ -212,18 +208,18 @@ def residual_field(instance: EquationInstance, u: GridFunction) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the stage system and its semismooth Newton (Howard) iteration
+# the regularized system and its semismooth Newton (Howard) iteration
 
 
 @dataclass(frozen=True)
 class _Evaluation:
-    """The stage system at one iterate u (full value array), from `_Stage.evaluate`.
+    """The regularized system at one iterate u (full array), from `_System.evaluate`.
 
     `nbrs` is `_axis_neighbours(u)`, `grad` the centered slopes (alpha = 0
     only, else None), `hess` the second differences; gmag is the
     Peclet-selected magnitude, `upwind` its Godunov mask, rho the
     regularization factor, t_m = min(gmag, M), p the lower-order part
-    f + c + eps |u|^alpha u - b t_m^beta, and res the stage residual.
+    f + c + eps |u|^alpha u - b t_m^beta, and res the residual.
     """
 
     u: np.ndarray
@@ -238,16 +234,15 @@ class _Evaluation:
     res: np.ndarray
 
 
-class _Stage:
-    """One continuation stage: its residual and its semismooth Jacobian.
+class _System:
+    """The regularized system of one solve: its residual and semismooth Jacobian.
 
-    A solve builds one stage.  It evaluates f, b and the stabilization eps
-    on the interior nodes and sets the constants (spacing, h^2, |b| beta,
-    the diffusion floor) once; the driver sets delta, the truncation level
-    m_level and the shift c (`set_c`) per stage, by default the last delta
-    of the schedule, no truncation and c = 0.  `evaluate` computes the
-    stage system at an iterate once; the Jacobian, the c column and the
-    Newton steps read its record.
+    It evaluates f, b and the stabilization eps on the interior nodes and
+    sets the constants (delta, spacing, h^2, |b| beta, the diffusion floor)
+    once; the driver sets the truncation level m_level per round and the
+    shift c (`set_c`), by default no truncation and c = 0.  `evaluate`
+    computes the system at an iterate once; the Jacobian, the c column and
+    the Newton steps read its record.
     """
 
     def __init__(self, instance, grid, config):
@@ -256,7 +251,7 @@ class _Stage:
         ic = _interior_coords(grid)
         self.f_base, self.b_int = instance.f(*ic), instance.b(*ic)
         self.eps = _EPS_SCALE * (1.0 + float(np.abs(self.f_base).max()))
-        self.delta = config.delta_schedule[-1]
+        self.delta = config.delta
         self.m_level = math.inf
         self.set_c(0.0)
         self.alpha = instance.exponents.alpha
@@ -268,7 +263,7 @@ class _Stage:
         self.two_floor = 2.0 * instance.operator.bounds.a
 
     def set_c(self, c: float) -> None:
-        """Shift the source term: the stage solves with f + c."""
+        """Shift the source term: the system is solved with f + c."""
         self.c = c
         self.f_int = self.f_base + c if c else self.f_base
 
@@ -276,7 +271,7 @@ class _Stage:
         return u_full[(slice(1, -1),) * u_full.ndim]
 
     def evaluate(self, u_full) -> _Evaluation:
-        """The stage system at u (full array), computed once.
+        """The regularized system at u (full array), computed once.
 
         The smooth (centered / one-sided RMS) magnitude is second-order
         accurate but loses the discrete maximum principle once the local
@@ -350,7 +345,7 @@ class _Stage:
         return weights
 
     def jacobian(self, ev: _Evaluation, lam=0.0):
-        """Semismooth Jacobian of the stage residual, plus lam on the diagonal.
+        """Semismooth Jacobian of the residual, plus lam on the diagonal.
 
         One {offset: coefficient} stencil on the interior nodes: F through
         its Howard policy at the current Hessian, the gradient magnitude
@@ -434,66 +429,69 @@ def _rms_norm(r: np.ndarray) -> float:
     return math.sqrt(r.dot(r)) / math.sqrt(r.size)
 
 
-def _run_newton(stage: _Stage, u_full, border=None) -> tuple:
-    """Semismooth Newton (Howard's policy iteration) on the stage system.
+def _run_newton(system: _System, u_full, border=None) -> tuple:
+    """Semismooth Newton (Howard's policy iteration) on the regularized system.
 
     Line search on the l2 residual norm; a Levenberg shift is added to the
     Jacobian diagonal whenever a full sweep of step halvings fails to
     reduce the residual.  Convergence is declared on the residual norm
-    (scaled by the data), never on the update size alone.  Returns
-    (evaluation, iterations): the `_Evaluation` of the converged iterate,
-    whose residual met the tolerance, and the number of steps.
+    (scaled by the data), never on the update size alone, and checked at
+    the start and after each of at most `max_inner_iters` steps.  Returns
+    (evaluation, steps): the `_Evaluation` of the converged iterate, whose
+    residual met the tolerance, and the number of Newton steps (linear
+    solves) taken, 0 when the start already met it.
 
     With `border`, an interior index x0, the system is bordered (Keller):
-    the shift c of f (`stage.c`) is one more unknown and u(x0) = 0 one more
-    equation (`_Stage.bordered_step`).  The first step is taken whole: from
-    a predictor that solves the stage system, it is the tangent step.
+    the shift c of f (`system.c`) is one more unknown and u(x0) = 0 one more
+    equation (`_System.bordered_step`).  The first step is taken whole: from
+    a predictor that solves the system, it is the tangent step.
     """
-    config = stage.config
-    big_a = stage.instance.operator.bounds.A
-    h = stage.h_min
-    h2 = min(stage.h2) / u_full.ndim  # sum over axes of 1/h^2 is at most dim/h_min^2
-    data_tol = config.inner_tol * (1.0 + float(np.abs(stage.f_int).max()))
+    config = system.config
+    big_a = system.instance.operator.bounds.A
+    h = system.h_min
+    h2 = min(system.h2) / u_full.ndim  # sum over axes of 1/h^2 is at most dim/h_min^2
+    data_tol = config.inner_tol * (1.0 + float(np.abs(system.f_int).max()))
     macheps = float(np.finfo(float).eps)
 
     def norm(ev):  # bordered: u(x0) is one more entry of the residual
         return _rms_norm(ev.res if border is None else
-                         np.append(ev.res, stage.interior(ev.u)[border]))
+                         np.append(ev.res, system.interior(ev.u)[border]))
 
     lam = 0.0
     dc = 0.0
-    ev = stage.evaluate(u_full)
+    ev = system.evaluate(u_full)
     res_norm = norm(ev)
-    for it in range(1, config.max_inner_iters + 1):
+    for steps in range(config.max_inner_iters + 1):
         # the second-difference evaluation has a rounding floor ~ |u| eps/h^2
         eval_floor = 4.0 * macheps * big_a * (1.0 + float(np.abs(ev.u).max())) / h2
         if res_norm <= data_tol + eval_floor:
-            return ev, it
+            return ev, steps
+        if steps == config.max_inner_iters:
+            break
         try:
             if border is None:
-                delta_u = stage.solve(ev, -ev.res, lam)
+                delta_u = system.solve(ev, -ev.res, lam)
             else:
-                delta_u, dc = stage.bordered_step(ev, lam, border)
+                delta_u, dc = system.bordered_step(ev, lam, border)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise NonConvergence(
-                f"newton linear solve failed at delta={stage.delta}: {exc}",
-                stage=stage.delta, iterations=it,
+                f"newton linear solve failed at delta={system.delta}: {exc}"
             ) from exc
-        c = stage.c
+        c = system.c
         step = 1.0
         accepted = False
         for _ in range(25):
             trial = ev.u.copy()
-            stage.interior(trial)[...] += step * delta_u
+            system.interior(trial)[...] += step * delta_u
             if np.abs(trial).max() > _DIVERGENCE_GUARD:
                 step *= 0.5
                 continue
-            stage.set_c(c + step * dc)
-            trial_ev = stage.evaluate(trial)
+            system.set_c(c + step * dc)
+            trial_ev = system.evaluate(trial)
             trial_norm = norm(trial_ev)
             if math.isfinite(trial_norm) and (
                     trial_norm <= res_norm * (1.0 - 1e-4 * step)
-                    or (border is not None and it == 1)):
+                    or (border is not None and steps == 0)):
                 accepted = True
                 break
             step *= 0.5
@@ -502,18 +500,15 @@ def _run_newton(stage: _Stage, u_full, border=None) -> tuple:
             res_norm = trial_norm
             lam = 0.5 * lam if lam > 1e-8 / h2 else 0.0
         else:
-            stage.set_c(c)
+            system.set_c(c)
             # steepen the model and recompute the direction
             lam = max(4.0 * lam, 1.0 / h)
             if lam > 1e12 / h2:
                 raise NonConvergence(
-                    f"newton trust damping exhausted at delta={stage.delta}",
-                    stage=stage.delta, iterations=it,
-                )
+                    f"newton trust damping exhausted at delta={system.delta}")
     raise NonConvergence(
         f"no convergence in {config.max_inner_iters} newton steps "
-        f"at delta={stage.delta}",
-        stage=stage.delta, iterations=config.max_inner_iters,
+        f"at delta={system.delta}"
     )
 
 
@@ -554,62 +549,79 @@ def _initial_guess(grid: UniformGrid, boundary_full: np.ndarray) -> np.ndarray:
     return u
 
 
+def _solve_round(system: _System, u_full) -> tuple:
+    """One truncation round: Newton at `config.delta` from u_full.
+
+    At alpha != 0 a failed solve is retried as a continuation through
+    delta = 1, 1/2, 1/4, ... down to `config.delta`, each delta
+    warm-started from the last: at alpha < 0 and delta far below h^2 the
+    single-delta Newton steps grow like delta^(-1/2) and fail.  Returns
+    (evaluation, Newton steps per delta solved).
+    """
+    delta = system.delta = system.config.delta
+    try:
+        ev, steps = _run_newton(system, u_full)
+        return ev, (steps,)
+    except NonConvergence:
+        if system.alpha == 0.0 or delta >= 1.0:
+            raise
+    steps = []
+    for k in range(math.ceil(-math.log2(delta)) + 1):
+        system.delta = max(2.0**-k, delta)
+        ev, its = _run_newton(system, u_full)
+        u_full = ev.u
+        steps.append(its)
+    return ev, tuple(steps)
+
+
 def solve_dirichlet(
     instance: EquationInstance,
     boundary: ScalarField,
     grid: UniformGrid,
     config: SolverConfig | None = None,
 ) -> tuple:
-    """Solve the Dirichlet problem by delta-continuation.
+    """Solve the Dirichlet problem at `config.delta`, raising the truncation M.
 
-    Returns (solution GridFunction, SolveReport).  Raises NonConvergence if
-    a continuation stage cannot be completed.
+    Each truncation round is one Newton solve (`_solve_round`, with its
+    delta continuation as a fallback at alpha != 0).  Returns (solution
+    GridFunction, SolveReport).  Raises NonConvergence if a round cannot be
+    completed.
     """
     config = config or SolverConfig()
     u_full = _initial_guess(grid, _boundary_values_full(grid, boundary))
-    stage = _Stage(instance, grid, config)
-
-    # at alpha = 0, rho = 1: every delta stage solves the same system
-    schedule = config.delta_schedule[-1:] if instance.exponents.alpha == 0 \
-        else config.delta_schedule
+    system = _System(instance, grid, config)
     m_level = max(1.0, 2.0 * _max_axis_slope(u_full, grid.spacing))
     rounds = 0
     growth = 2.0  # truncation continuation factor; shrunk on failures
     last_good = None  # (u_full, m_level) of the last completed round
     while True:
         rounds += 1
-        iterations = []
-        stage.m_level = m_level
+        system.m_level = m_level
         try:
-            for delta in schedule:
-                stage.delta = delta
-                ev, its = _run_newton(stage, u_full)
-                u_full = ev.u
-                iterations.append(its)
+            ev, steps = _solve_round(system, u_full)
         except NonConvergence:
             # retry the truncation continuation with a gentler growth factor
             if last_good is None or growth <= 1.05:
                 raise
             growth = 1.0 + 0.5 * (growth - 1.0)
             u_full, prev_m = last_good
-            u_full = u_full.copy()
             m_level = growth * prev_m
             continue
+        u_full = ev.u
         gmag = _centered_magnitude(gradient_field(u_full, grid.spacing))
         if not (gmag >= m_level).any():
             break
         if rounds >= _MAX_TRUNCATION_ROUNDS:
             raise NonConvergence(
                 f"truncation level still active after {rounds} rounds "
-                f"(M = {m_level:.3g})",
-                stage=schedule[-1], iterations=rounds,
+                f"(M = {m_level:.3g})"
             )
-        last_good = (u_full.copy(), m_level)
+        last_good = (u_full, m_level)
         m_level = growth * max(_max_axis_slope(u_full, grid.spacing), m_level)
 
     report = SolveReport(
         final_residual=float(np.abs(ev.res).max()),
-        iterations_per_stage=tuple(iterations),
+        iterations_per_stage=steps,
         truncation_M=m_level,
         truncation_rounds=rounds,
     )
@@ -617,15 +629,15 @@ def solve_dirichlet(
 
 
 def solve_bordered(instance, guess: GridFunction, c: float, probe, config=None) -> tuple:
-    """Newton on the pair (u, c) of the final-delta stage with f + c.
+    """Newton on the pair (u, c) of the regularized system with f + c.
 
     The boundary values of `guess` are the data, u(probe) = 0 is the extra
     equation; the scheme is centered and the truncation off.  Returns
-    (u, c, iterations).
+    (u, c, Newton steps).
     """
     config = replace(config or SolverConfig(), peclet_threshold=math.inf)
-    stage = _Stage(instance, guess.grid, config)
-    stage.set_c(c)
+    system = _System(instance, guess.grid, config)
+    system.set_c(c)
     border = tuple(int(i) - 1 for i in probe)
-    ev, its = _run_newton(stage, guess.values.copy(), border)
-    return GridFunction(guess.grid, ev.u), stage.c, its
+    ev, its = _run_newton(system, guess.values.copy(), border)
+    return GridFunction(guess.grid, ev.u), system.c, its

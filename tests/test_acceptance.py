@@ -134,11 +134,9 @@ def test_ac4_log_case_profile_and_rate():
 
 
 def test_ac5_dirichlet_exactness():
-    # delta floor tied to h^2: the regularization error must sit below the
-    # stencil truncation error for the observed order to be visible
-    def schedule_to(dmin: float) -> tuple:
-        k = int(math.ceil(-math.log2(dmin)))
-        return tuple(2.0**-j for j in range(k + 1))
+    # delta tied to h^2 (the power of 2 at or below it): the regularization
+    # error must sit below the stencil truncation error for the observed
+    # order to be visible
 
     details = []
     ok = True
@@ -149,7 +147,7 @@ def test_ac5_dirichlet_exactness():
         errs = []
         for n in (129, 257, 513):
             grid = interval_grid(n)
-            cfg = SolverConfig(delta_schedule=schedule_to(grid.spacing[0] ** 2))
+            cfg = SolverConfig(delta=2.0**-math.ceil(-math.log2(grid.spacing[0] ** 2)))
             u, _ = solve_dirichlet(inst, ScalarField.constant(0.0, 1), grid, cfg)
             errs.append(float(np.max(np.abs(u.values - exact(grid.axes()[0])))))
             if alpha == 1.0 and n == 513:

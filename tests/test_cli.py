@@ -95,9 +95,11 @@ class TestSolve:
         assert report["max_abs_residual"] < 1e-6
         assert 0.2 < report["u_probe"] < 0.3  # f >= 0.5 pushes u up from 0
 
-    @pytest.mark.parametrize("key", ["engine", "fallback", "theta", "drift_tol"])
+    @pytest.mark.parametrize("key", ["engine", "fallback", "theta", "drift_tol",
+                                     "delta_schedule"])
     def test_removed_solver_keys_are_rejected(self, key):
-        value = {"engine": "picard", "fallback": True, "theta": 0.5, "drift_tol": 1e-3}[key]
+        value = {"engine": "picard", "fallback": True, "theta": 0.5, "drift_tol": 1e-3,
+                 "delta_schedule": [0.5]}[key]
         with pytest.raises(ConfigError, match=key):
             if key == "drift_tol":  # an experiment key, not a solver key
                 _experiment({key: value})
@@ -111,14 +113,14 @@ class TestSolve:
         cfg["grid"] = {"shape": [101]}
         cfg["boundary"] = "0"
         cfg["solver"] = {
-            "delta_schedule": [1.0, 0.5, 0.25],
+            "delta": 0.25,
             "inner_tol": 1e-9,
             "max_iters": 100,
         }
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
-        # alpha = 0: only the last delta stage runs
+        # the Newton steps of the last truncation round
         assert len(read_report(out)["solver"]["iterations_per_stage"]) == 1
 
     def test_one_stage_schedule_writes_standard_json(self, tmp_path):
@@ -126,7 +128,7 @@ class TestSolve:
         cfg["instance"] = dict(INSTANCE_YAML["instance"], f=str(COSINE_C + 0.5))
         cfg["grid"] = {"shape": [101]}
         cfg["boundary"] = "0"
-        cfg["solver"] = {"delta_schedule": [0.5]}
+        cfg["solver"] = {"delta": 0.5}
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
@@ -164,6 +166,9 @@ class TestSolve:
         ("convergence", "grid_sizes", [21, 40.9]),
         ("property-suite", "trials", 2.5),
         ("property-suite", "trials", float("inf")),
+        ("solve", "solver", {"max_iters": True}),
+        ("ergodic", "tol", True),
+        ("solve", "solver", {"delta": 0.0}),
     ], ids=["truncation-abc", "max-iters-many", "truncation-negative",
             "truncation-number", "inner-tol-list", "ladder-word", "solver-key-misspelt",
             "tol-abc", "c-abc", "tol-nan", "reference-not-mapping", "oracle-tol-nan",
@@ -172,7 +177,8 @@ class TestSolve:
             "probe-negative-index", "fit-span-one-number", "grid-sizes-too-small",
             "reference-c0-negative", "oracle-alpha-out-of-range", "trials-zero",
             "uniqueness-string", "max-iters-fraction", "shape-fraction",
-            "grid-sizes-fraction", "trials-fraction", "trials-infinite"])
+            "grid-sizes-fraction", "trials-fraction", "trials-infinite",
+            "max-iters-boolean", "tol-boolean", "delta-zero"])
     def test_bad_values_are_config_errors(self, tmp_path, capsys, monkeypatch, command,
                                           key, value):
         def no_work(*args, **kwargs):
@@ -246,9 +252,9 @@ class TestConvergence:
             "grid_sizes": [129, 257, 513],
             "boundary": "0",
             "reference": {"kind": "dirichlet-1d", "alpha": 1.0, "c0": 1.0},
-            # deep schedule: the regularization floor must sit below the
+            # small delta: the regularization floor must sit below the
             # finest grid's truncation error for the orders to be visible
-            "solver": {"delta_schedule": [2.0**-k for k in range(24)]},
+            "solver": {"delta": 2.0**-23},
         }
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"

@@ -1,4 +1,4 @@
-"""Continuation solver: exactness, residuals, reports, failure modes."""
+"""Dirichlet solver: exactness, residuals, reports, failure modes."""
 
 import math
 
@@ -29,7 +29,7 @@ from ergopde import (
     residual_field,
     solve_dirichlet,
 )
-from ergopde.solver import _initial_guess, _max_axis_slope, _Stage
+from ergopde.solver import _initial_guess, _max_axis_slope, _System
 from conftest import (
     COSINE_C,
     INTERVAL,
@@ -64,10 +64,10 @@ OPERATOR_KINDS = ("trace", "pucci+", "pucci-", "bellman-max")
 EXACT_CONFIG = SolverConfig(inner_tol=1e-12, peclet_threshold=math.inf)
 
 
-def make_stage(inst, grid, eps, m_level, delta, config):
-    stage = _Stage(inst, grid, config)
-    stage.eps, stage.m_level, stage.delta = eps, m_level, delta
-    return stage
+def make_system(inst, grid, eps, m_level, delta, config):
+    system = _System(inst, grid, config)
+    system.eps, system.m_level, system.delta = eps, m_level, delta
+    return system
 
 
 def solve(instance, boundary, n, config=None):
@@ -81,7 +81,7 @@ class TestDirichletExactness:
         # -|u'| u'' = 1, zero boundary: u(0) = 2 sqrt(2) / 3
         inst = make_instance(1.0, 2.5, b="0", f="1")
         u, rep = solve(inst, 0.0, 257)
-        assert len(rep.iterations_per_stage) == len(SolverConfig().delta_schedule)
+        assert len(rep.iterations_per_stage) == 1
         target = 2.0 * np.sqrt(2.0) / 3.0
         assert abs(u.values[128] - target) < 1e-2
 
@@ -94,15 +94,25 @@ class TestDirichletExactness:
 
     @pytest.mark.parametrize("alpha", [-0.5, 1.0])
     def test_matches_closed_form(self, alpha):
-        # alpha != 0 needs a deep delta schedule: the regularization floor
-        # (not h) dominates the error once delta^2 terms enter the RHS
+        # alpha != 0 needs a small delta: the regularization floor (not h)
+        # dominates the error once delta^2 terms enter the RHS
         beta = alpha + 1.5
         inst = make_instance(alpha, beta, b="0", f="1")
         exact = exact_dirichlet_1d(alpha, 1.0)
-        config = SolverConfig(delta_schedule=tuple(2.0**-k for k in range(18)))
+        config = SolverConfig(delta=2.0**-17)
         u, _ = solve(inst, 0.0, 257, config)
         x = interval_grid(257).axes()[0]
         assert np.max(np.abs(u.values - exact(x))) < 5e-3
+
+    def test_small_delta_at_negative_alpha(self):
+        # on 65 nodes Newton at delta = 2^-17 alone fails at alpha = -0.5
+        # (from about delta = h^2/32 on); the solve falls back to the
+        # continuation through delta = 1, 1/2, ..., 2^-17, which converges
+        inst = make_instance(-0.5, 1.0, b="0", f="1")
+        u, rep = solve(inst, 0.0, 65, SolverConfig(delta=2.0**-17))
+        assert len(rep.iterations_per_stage) == 18
+        x = interval_grid(65).axes()[0]
+        assert np.max(np.abs(u.values - exact_dirichlet_1d(-0.5, 1.0)(x))) < 6e-3
 
     def test_cosine_case(self):
         # alpha=0, beta=2, f = -1: u = L + log(cos 1 / cos x)
@@ -197,6 +207,49 @@ class TestEveryOperator:
             solve_dirichlet(inst, ScalarField.constant(0.0, 2), grid)
 
 
+class TestDegenerate2D:
+    """2D solves at alpha != 0."""
+
+    @pytest.mark.parametrize("kind", ["pucci+", "bellman-max"])
+    def test_coarse_box_converges(self, kind):
+        # a continuation through delta = 1, 1/2, 1/4, ... raised "newton
+        # trust damping exhausted" here, at delta = 1/4 (pucci+) and 1/2
+        # (bellman-max); a solve at the one delta converges
+        box = Box((-1.0, 0.0), (1.0, 1.5))
+        inst = EquationInstance(
+            operator=ac6_operator(kind, 2), exponents=ExponentPair(0.5, 2.0),
+            b=ScalarField.constant(1.0, 2),
+            f=ScalarField.from_expression("1 + 0.4*x*y", dim=2), domain=box,
+        )
+        data = ScalarField.from_expression("exp(0.3*x) + y**2", dim=2)
+        _, rep = solve_dirichlet(inst, data, UniformGrid((5, 5), box))
+        assert rep.final_residual < 1e-6
+
+    @pytest.mark.parametrize("alpha", [-0.3, 0.5, 1.0])
+    def test_radial_solution_converges(self, alpha):
+        # -|grad u|^alpha lap u = 1 is solved by u = -(K/m) r^m with
+        # m = (2 + alpha)/(1 + alpha) and K^(1 + alpha) = 1/m; its gradient
+        # vanishes at the centre, so the order stays below 2
+        m = (2.0 + alpha) / (1.0 + alpha)
+        k = (1.0 / m) ** (1.0 / (1.0 + alpha))
+        exact = f"-{k / m!r}*sqrt(x**2 + y**2)**{m!r}"
+        inst = EquationInstance(
+            operator=ScaledTrace(), exponents=ExponentPair(alpha, alpha + 1.5),
+            b=ScalarField.constant(0.0, 2), f=ScalarField.constant(1.0, 2),
+            domain=SQUARE,
+        )
+        errs = []
+        for n in (17, 33, 65):
+            grid = UniformGrid((n, n), SQUARE)
+            u, _ = solve_dirichlet(inst, ScalarField.from_expression(exact, dim=2), grid,
+                                   SolverConfig(delta=grid.spacing[0] ** 2))
+            x, y = grid.coords()
+            ref = -k / m * np.hypot(x, y) ** m
+            errs.append(np.abs(u.values - ref).max())
+        orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+        assert min(orders) >= 1.35, orders
+
+
 class TestBetaBelowOne:
     def test_solves_and_refines(self):
         # beta < 1: the Hamiltonian's slope is infinite where the gradient
@@ -212,20 +265,20 @@ class TestBetaBelowOne:
         assert abs(centers[0] - centers[1]) < 1e-2
 
 
-def dense_jacobian(stage, u):
-    jac = stage.jacobian(stage.evaluate(u))
+def dense_jacobian(system, u):
+    jac = system.jacobian(system.evaluate(u))
     if u.ndim == 1:  # the (3, n) band of solve_banded
         return np.diag(jac[1]) + np.diag(jac[0, 1:], 1) + np.diag(jac[2, :-1], -1)
     return jac.toarray()
 
 
-def fd_jacobian(stage, u, step=1e-6):
+def fd_jacobian(system, u, step=1e-6):
     cols = []
-    for k in np.ndindex(stage.interior(u).shape):
+    for k in np.ndindex(system.interior(u).shape):
         up, dn = u.copy(), u.copy()
-        stage.interior(up)[k] += step
-        stage.interior(dn)[k] -= step
-        cols.append(((stage.evaluate(up).res - stage.evaluate(dn).res)
+        system.interior(up)[k] += step
+        system.interior(dn)[k] -= step
+        cols.append(((system.evaluate(up).res - system.evaluate(dn).res)
                      / (2.0 * step)).ravel())
     return np.array(cols).T
 
@@ -273,13 +326,13 @@ class TestJacobian:
         grid, u, hess = smooth_profile(dim)
         inst = profile_instance(ac6_operator(kind, dim), alpha, dim)
         config = SolverConfig(peclet_threshold=-math.inf if upwind else math.inf)
-        stage = make_stage(inst, grid, 0.1, 100.0, 0.25, config)
-        mask = stage.evaluate(u).upwind
+        system = make_system(inst, grid, 0.1, 100.0, 0.25, config)
+        mask = system.evaluate(u).upwind
         assert mask.all() if upwind else not mask.any()
         for t in hess:  # 1D: no node sits on the kink of F
             assert np.abs(t).min() > 1e-2 and (t > 0).any() and (t < 0).any()
-        jac = dense_jacobian(stage, u)
-        fd = fd_jacobian(stage, u)
+        jac = dense_jacobian(system, u)
+        fd = fd_jacobian(system, u)
         np.testing.assert_allclose(jac, fd, rtol=0, atol=1e-6 * np.abs(jac).max())
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
@@ -288,36 +341,36 @@ class TestJacobian:
         # the bordered map (u, c) -> (R(u; f + c), u(x0)), no truncation
         grid, u, _ = smooth_profile(dim)
         inst = profile_instance(ScaledTrace(1.5), alpha, dim)
-        stage = make_stage(inst, grid, 0.1, math.inf, 0.25,
-                           SolverConfig(peclet_threshold=math.inf))
+        system = make_system(inst, grid, 0.1, math.inf, 0.25,
+                             SolverConfig(peclet_threshold=math.inf))
         c, step = -0.7, 1e-6
         columns = []
         for shift in (step, -step):
-            stage.set_c(c + shift)
-            columns.append(stage.evaluate(u).res)
-        stage.set_c(c)
+            system.set_c(c + shift)
+            columns.append(system.evaluate(u).res)
+        system.set_c(c)
         fd_c = (columns[0] - columns[1]) / (2.0 * step)
-        ev = stage.evaluate(u)
-        np.testing.assert_allclose(stage.c_column(ev), fd_c, rtol=0, atol=1e-8)
+        ev = system.evaluate(u)
+        np.testing.assert_allclose(system.c_column(ev), fd_c, rtol=0, atol=1e-8)
         if alpha:
             assert np.ptp(fd_c) > 1e-2  # -rho varies with the gradient
-        jac = dense_jacobian(stage, u)
-        np.testing.assert_allclose(jac, fd_jacobian(stage, u), rtol=0,
+        jac = dense_jacobian(system, u)
+        np.testing.assert_allclose(jac, fd_jacobian(system, u), rtol=0,
                                    atol=1e-6 * np.abs(jac).max())
         # the step solves the bordered system built from the differences
         x0 = tuple(n // 2 - 1 for n in grid.shape)  # interior index of the centre
         res = ev.res
-        du, dc = stage.bordered_step(ev, 0.0, x0)
+        du, dc = system.bordered_step(ev, 0.0, x0)
         m = res.size
         bordered = np.zeros((m + 1, m + 1))
-        bordered[:m, :m] = fd_jacobian(stage, u)
+        bordered[:m, :m] = fd_jacobian(system, u)
         bordered[:m, m] = fd_c.ravel()
         bordered[m, np.ravel_multi_index(x0, res.shape)] = 1.0
-        rhs = np.append(-res.ravel(), -stage.interior(u)[x0])
+        rhs = np.append(-res.ravel(), -system.interior(u)[x0])
         want = np.linalg.solve(bordered, rhs)
         got = np.append(du.ravel(), dc)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
-        assert du[x0] == pytest.approx(-stage.interior(u)[x0])
+        assert du[x0] == pytest.approx(-system.interior(u)[x0])
 
 
 class TestResidual:
@@ -333,27 +386,27 @@ class TestResidual:
 
 
 class TestStageResidual:
-    """The stage residual, taken from raw arrays, against references."""
+    """The system residual, taken from raw arrays, against references."""
 
     coef = 1.5
     b = "1 + 0.5*x"
     f = "0.5*cos(3.0*x)"
 
-    def stage(self, grid, m_level, config, operator=None):
+    def system(self, grid, m_level, config, operator=None):
         inst = EquationInstance(
             operator=operator or ScaledTrace(self.coef),
             exponents=ExponentPair(0.0, 2.0),
             b=ScalarField.from_expression(self.b, dim=grid.dim),
             f=ScalarField.from_expression(self.f, dim=grid.dim), domain=grid.box,
         )
-        return inst, make_stage(inst, grid, 1e-3, m_level, 0.25, config)
+        return inst, make_system(inst, grid, 1e-3, m_level, 0.25, config)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_centered_matches_residual_field(self, dim):
-        # alpha = 0, M above max|grad u| and no upwinding: the stage system's
-        # residual is the equation's residual (the eps terms cancel).  In 2D
-        # the Bellman operator's off-diagonal matrix reads d_xy with its sign
-        # at the nodes where it is the maximiser.
+        # alpha = 0, M above max|grad u| and no upwinding: the regularized
+        # system's residual is the equation's residual (the eps terms
+        # cancel).  In 2D the Bellman operator's off-diagonal matrix reads
+        # d_xy with its sign at the nodes where it is the maximiser.
         if dim == 1:
             grid, operator = interval_grid(41), None
             x = grid.axes()[0]
@@ -363,9 +416,9 @@ class TestStageResidual:
             operator = ac6_operator("bellman-max", 2)
             x, y = grid.coords()
             u = 3.0 + np.sin(2.0 * x) + x**2 + 0.7 * x * y - 0.3 * y**2
-        inst, stage = self.stage(grid, 10.0, SolverConfig(peclet_threshold=math.inf),
+        inst, system = self.system(grid, 10.0, SolverConfig(peclet_threshold=math.inf),
                                  operator)
-        ev = stage.evaluate(u)
+        ev = system.evaluate(u)
         assert ev.gmag.max() < 10.0
         ref = residual_field(inst, GridFunction(grid, u))
         assert not ev.upwind.any()
@@ -383,7 +436,7 @@ class TestStageResidual:
         u = 10.0 - 3.0 * np.log(1.02 - x**2)
         u[2] = u[3] - 0.1  # a dip: both one-sided slopes point uphill there
         m_level = 1e3
-        inst, stage = self.stage(grid, m_level, SolverConfig())
+        inst, system = self.system(grid, m_level, SolverConfig())
         xi = x[1:-1]
         b = 1.0 + 0.5 * xi
         centered = np.abs(u[2:] - u[:-2]) / (2.0 * h)
@@ -395,7 +448,7 @@ class TestStageResidual:
         gmag = np.where(mask, godunov, centered)
         ref = (-self.coef * (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
                + b * np.minimum(gmag, m_level) ** 2 - 0.5 * np.cos(3.0 * xi))
-        ev = stage.evaluate(u)
+        ev = system.evaluate(u)
         np.testing.assert_array_equal(ev.upwind, mask)
         np.testing.assert_allclose(ev.gmag, gmag, rtol=1e-12)
         scale = float(np.abs(ref).max())
@@ -456,11 +509,11 @@ class TestReports:
         assert set(d) == {"final_residual", "iterations_per_stage", "truncation_M",
                           "truncation_rounds"}
         assert d["final_residual"] < 1e-6
-        assert len(d["iterations_per_stage"]) == 1  # alpha = 0: one delta stage
+        assert len(d["iterations_per_stage"]) == 1  # the last truncation round
 
     @pytest.mark.parametrize("case", ["log", "power", "alpha-one"])
     def test_final_residual_is_that_of_the_solved_system(self, case):
-        # the Peclet-switched, final-delta, final-M stage system that Newton
+        # the Peclet-switched, regularized, final-M system that Newton
         # met its tolerance on; the centered residual of the original
         # equation reads 1.9e4 (log), 7.1e6 (power) and |f| = 1 at the apex
         # (alpha = 1) on these converged solves
@@ -475,13 +528,25 @@ class TestReports:
         assert rep.final_residual < 1e-6
 
     def test_alpha_zero_does_not_depend_on_delta(self):
-        # rho = 1 at alpha = 0: one stage, at any delta, gives the same bits
+        # rho = 1 at alpha = 0: any delta gives the same bits
         inst = make_instance(0.0, 1.5, b="1", f=str(POWER_C + 1.0))
         u, rep = solve(inst, 40.0, 201)
-        u_half, rep_half = solve(inst, 40.0, 201, SolverConfig(delta_schedule=(0.5,)))
+        u_half, rep_half = solve(inst, 40.0, 201, SolverConfig(delta=0.5))
         assert np.array_equal(u.values, u_half.values)
         assert rep.truncation_rounds == rep_half.truncation_rounds > 1
         assert len(rep.iterations_per_stage) == len(rep_half.iterations_per_stage) == 1
+
+    def test_steps_are_counted(self):
+        # one truncation round of 4 Newton steps from the affine start, and
+        # none when the start (u = 0 for f = 0) already solves the system
+        inst = make_instance(0.0, 1.5, b="1", f="1 + 0.3*x")
+        _, rep = solve(inst, 0.0, 101, SolverConfig(max_inner_iters=4))
+        assert rep.iterations_per_stage == (4,)
+        assert rep.truncation_rounds == 1
+        with pytest.raises(NonConvergence, match="no convergence in 3 newton steps"):
+            solve(inst, 0.0, 101, SolverConfig(max_inner_iters=3))
+        _, rep = solve(make_instance(0.0, 1.5, b="1", f="0"), 0.0, 101)
+        assert rep.iterations_per_stage == (0,)
 
     def test_solutions_shift_with_boundary_datum(self):
         # u(.; L + s) = u(.; L) + s exactly (equation sees only derivatives)
@@ -500,5 +565,6 @@ class TestFailureModes:
 
     def test_invalid_config_rejected(self):
         from ergopde import OutOfRange
-        with pytest.raises(OutOfRange):
-            SolverConfig(delta_schedule=(0.5, 1.0))
+        for delta in (0.0, -0.5, math.inf, math.nan):
+            with pytest.raises(OutOfRange):
+                SolverConfig(delta=delta)
