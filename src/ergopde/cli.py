@@ -135,12 +135,8 @@ def load_config(path: Path) -> tuple:
     return cfg, digest
 
 
-# solver key -> (SolverConfig field, conversion)
-_SOLVER_KEYS = {
-    "delta": ("delta", float),
-    "inner_tol": ("inner_tol", float),
-    "max_iters": ("max_inner_iters", _integer),
-}
+# the solver keys: each is the SolverConfig field of its name, a float
+_SOLVER_KEYS = ("delta", "inner_tol")
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
@@ -152,10 +148,7 @@ def _solver_config(cfg: dict) -> SolverConfig:
                 f"unknown solver key {key!r}; the accepted keys are "
                 + ", ".join(_SOLVER_KEYS)
             )
-    return SolverConfig(**{
-        _SOLVER_KEYS[key][0]: _number(section, key, kind=_SOLVER_KEYS[key][1])
-        for key in section
-    })
+    return SolverConfig(**{key: _number(section, key) for key in section})
 
 
 def _operator(cfg: dict) -> OperatorSpec:

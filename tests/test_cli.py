@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -96,10 +97,10 @@ class TestSolve:
         assert 0.2 < report["u_probe"] < 0.3  # f >= 0.5 pushes u up from 0
 
     @pytest.mark.parametrize("key", ["engine", "fallback", "theta", "drift_tol",
-                                     "delta_schedule"])
+                                     "delta_schedule", "max_iters"])
     def test_removed_solver_keys_are_rejected(self, key):
         value = {"engine": "picard", "fallback": True, "theta": 0.5, "drift_tol": 1e-3,
-                 "delta_schedule": [0.5]}[key]
+                 "delta_schedule": [0.5], "max_iters": 100}[key]
         with pytest.raises(ConfigError, match=key):
             if key == "drift_tol":  # an experiment key, not a solver key
                 _experiment({key: value})
@@ -115,7 +116,6 @@ class TestSolve:
         cfg["solver"] = {
             "delta": 0.25,
             "inner_tol": 1e-9,
-            "max_iters": 100,
         }
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
@@ -137,12 +137,12 @@ class TestSolve:
 
     @pytest.mark.parametrize("command, key, value", [
         ("solve", "solver", {"truncation": "abc"}),
-        ("solve", "solver", {"max_iters": "many"}),
+        ("solve", "solver", {"delta": "many"}),
         ("solve", "solver", {"truncation": -2}),
         ("solve", "solver", {"truncation": 50.0}),
         ("solve", "solver", {"inner_tol": [1e-8]}),
         ("ergodic", "ladder", [10.0, "twenty"]),
-        ("solve", "solver", {"inner_tols": 1e-3, "max_iters": 2}),
+        ("solve", "solver", {"inner_tols": 1e-3, "delta": 0.5}),
         ("ergodic", "tol", "abc"),
         ("asymptotics", "c", "abc"),
         ("ergodic", "tol", float("nan")),
@@ -161,24 +161,24 @@ class TestSolve:
         ("oracle", "alpha", 5),
         ("property-suite", "trials", 0),
         ("asymptotics", "uniqueness", "no"),
-        ("solve", "solver", {"max_iters": 2.7}),
         ("solve", "grid", {"shape": [40.9]}),
         ("convergence", "grid_sizes", [21, 40.9]),
         ("property-suite", "trials", 2.5),
         ("property-suite", "trials", float("inf")),
-        ("solve", "solver", {"max_iters": True}),
+        ("solve", "solver", {"inner_tol": True}),
         ("ergodic", "tol", True),
         ("solve", "solver", {"delta": 0.0}),
-    ], ids=["truncation-abc", "max-iters-many", "truncation-negative",
+        ("solve", "solver", {"inner_tol": float("nan")}),
+    ], ids=["truncation-abc", "delta-many", "truncation-negative",
             "truncation-number", "inner-tol-list", "ladder-word", "solver-key-misspelt",
             "tol-abc", "c-abc", "tol-nan", "reference-not-mapping", "oracle-tol-nan",
             "oracle-tol-negative", "grid-shape-word", "grid-not-mapping",
             "operator-not-mapping", "probe-word", "probe-outside-domain",
             "probe-negative-index", "fit-span-one-number", "grid-sizes-too-small",
             "reference-c0-negative", "oracle-alpha-out-of-range", "trials-zero",
-            "uniqueness-string", "max-iters-fraction", "shape-fraction",
+            "uniqueness-string", "shape-fraction",
             "grid-sizes-fraction", "trials-fraction", "trials-infinite",
-            "max-iters-boolean", "tol-boolean", "delta-zero"])
+            "inner-tol-boolean", "tol-boolean", "delta-zero", "inner-tol-nan"])
     def test_bad_values_are_config_errors(self, tmp_path, capsys, monkeypatch, command,
                                           key, value):
         def no_work(*args, **kwargs):
@@ -345,6 +345,7 @@ class TestExitCodes:
         report = read_report(out)
         assert report["failed"] is True
         assert report["error"] == "NonConvergence"
+        assert re.search(r"stalled .* after 26 steps", report["message"])
 
     def test_manifest_records_seed(self, tmp_path):
         path = write_config(tmp_path, {"alpha": 0.0, "beta": 1.5})

@@ -132,10 +132,10 @@ class TestEstimate:
         from ergopde import ergodic
 
         def fail(*args, **kwargs):
-            raise NonConvergence("newton trust damping exhausted")
+            raise NonConvergence("newton stalled")
 
         monkeypatch.setattr(ergodic, "solve_bordered", fail)
-        with pytest.raises(NonConvergence, match="damping"):
+        with pytest.raises(NonConvergence, match="stalled"):
             estimate_ergodic_constant(experiment(cosine_instance, 101, (8.0, 12.0)))
 
     def test_solve_at_is_one_dirichlet_solve(self, cosine_instance, monkeypatch):
@@ -155,10 +155,10 @@ class TestEstimate:
         assert u.values[0] == u.values[-1] == 8.0
 
         def fail(*args, **kwargs):
-            raise NonConvergence("no convergence in 400 newton steps")
+            raise NonConvergence("newton stalled")
 
         monkeypatch.setattr(ergodic, "solve_dirichlet", fail)
-        with pytest.raises(NonConvergence, match="400 newton steps"):
+        with pytest.raises(NonConvergence, match="stalled"):
             solve_at(exp, COSINE_C + 1.0, 8.0)
 
     def test_power_case_meets_its_bar(self, power_instance):
