@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (
     HypothesisViolated,
+    NonConvergence,
     OutOfRange,
     UnresolvedLayer,
     UnsupportedCase,
@@ -138,9 +139,10 @@ def offset_constants(exp: ErgodicExperiment, offsets):
 
     One converged solve at c = 1 - min f, shifted to u(probe) = 0, starts
     the pairs; bordered Newton solves from the translation u + dL raise L
-    by C, or by half of L once that is more.  The sequence ends once the
-    layer is narrower than a third of a cell; a failed solve raises
-    NonConvergence.
+    by C, or by half of L once that is more.  A step that fails is halved,
+    from the last converged pair, down to C/4; a step that fails there
+    raises NonConvergence.  The sequence ends once the layer is narrower
+    than a third of a cell.
     """
     chi_val, amp = _layer_scale(exp)
     c = 1.0 - float(np.min(exp.instance.f(*exp.grid.coords())))
@@ -150,8 +152,16 @@ def offset_constants(exp: ErgodicExperiment, offsets):
     for target in offsets:
         while level < target:
             step = min(target - level, max(amp, 0.5 * level))
-            guess = GridFunction(exp.grid, u.values + step)
-            u, c, _ = solve_bordered(exp.instance, guess, c, exp.probe_node, exp.config())
+            while True:
+                guess = GridFunction(exp.grid, u.values + step)
+                try:
+                    u, c, _ = solve_bordered(exp.instance, guess, c, exp.probe_node,
+                                             exp.config())
+                    break
+                except NonConvergence:
+                    if step <= 0.25 * amp:
+                        raise
+                    step *= 0.5
             level += step
             if _layer_cells(u, level, chi_val, amp) > _MAX_LAYER_CELLS:
                 return

@@ -165,12 +165,13 @@ def eval_operator(spec: OperatorSpec, m: SymMatrix) -> float:
 # vectorized kernels used by the grid solver
 
 
-def eval_second_derivative_1d(spec: OperatorSpec, t: np.ndarray) -> np.ndarray:
-    """F applied to 1x1 matrices (t) elementwise."""
+def eval_second_derivative_1d(spec: OperatorSpec, t: np.ndarray,
+                              policy=None) -> np.ndarray:
+    """F applied to 1x1 matrices (t) elementwise; `policy` is policy_1d at t, if known."""
     t = np.asarray(t, dtype=float)
     if isinstance(spec, ScaledTrace):  # the hot path of the 1D trace solves
         return spec.coefficient * t
-    return policy_1d(spec, t) * t
+    return (policy_1d(spec, t) if policy is None else policy) * t
 
 
 def policy_1d(spec: OperatorSpec, t: np.ndarray) -> np.ndarray:
@@ -193,19 +194,20 @@ def policy_1d(spec: OperatorSpec, t: np.ndarray) -> np.ndarray:
 
 
 def eval_hessian_2d(
-    spec: OperatorSpec, txx: np.ndarray, txy: np.ndarray, tyy: np.ndarray
+    spec: OperatorSpec, txx: np.ndarray, txy: np.ndarray, tyy: np.ndarray, policy=None
 ) -> np.ndarray:
     """F applied elementwise to 2x2 symmetric matrices given by components.
 
     F is positively 1-homogeneous, so F(M) = tr(C M) with C = policy_2d(M)
-    (Euler's identity), as `eval_second_derivative_1d` takes it in 1D.
+    (Euler's identity), as `eval_second_derivative_1d` takes it in 1D;
+    `policy` is that C, if known.
     """
     txx = np.asarray(txx, dtype=float)
     txy = np.asarray(txy, dtype=float)
     tyy = np.asarray(tyy, dtype=float)
     if isinstance(spec, ScaledTrace):  # the hot path of the 2D trace solves
         return spec.coefficient * (txx + tyy)
-    cxx, cxy, cyy = policy_2d(spec, txx, txy, tyy)
+    cxx, cxy, cyy = policy_2d(spec, txx, txy, tyy) if policy is None else policy
     return cxx * txx + 2.0 * cxy * txy + cyy * tyy
 
 

@@ -16,7 +16,8 @@ through its policy at the current Hessian (`operators.policy_1d`,
 `operators.policy_2d`).  The stencils are written once over the axes,
 from each node's neighbours along it; only the d_xy stencil, the packing
 of the Jacobian and the linear solve differ between the dimensions:
-banded in 1D, a sparse 9-point matrix in 2D.  The system is evaluated
+banded in 1D, a sparse 9-point CSC matrix in 2D, filled through a
+pattern cached per grid shape.  The system and F's policy are evaluated
 once per iterate (`_System.evaluate`), on raw value arrays and from the
 stencils of `grid`; the Jacobian and the Newton step read that record,
 and a solve reports the residual of the system it converged on.
@@ -119,10 +120,14 @@ def _gradient_power(gmag, alpha: float):
     return mag**alpha
 
 
-def _eval_f_hessian(spec, hess_components):
+def _eval_f_hessian(spec, hess_components) -> tuple:
+    """(F, F's Howard policy) at the second differences, the policy computed once."""
     if len(hess_components) == 1:
-        return operators.eval_second_derivative_1d(spec, hess_components[0])
-    return operators.eval_hessian_2d(spec, *hess_components)
+        t, = hess_components
+        policy = operators.policy_1d(spec, t)
+        return operators.eval_second_derivative_1d(spec, t, policy), policy
+    policy = operators.policy_2d(spec, *hess_components)
+    return operators.eval_hessian_2d(spec, *hess_components, policy), policy
 
 
 def _interior_coords(grid: UniformGrid) -> tuple:
@@ -200,7 +205,7 @@ def residual_field(instance: EquationInstance, u: GridFunction) -> np.ndarray:
     alpha = instance.exponents.alpha
     beta = instance.exponents.beta
     gmag = _centered_magnitude(gradient_field(u.values, grid.spacing))
-    fvals = _eval_f_hessian(instance.operator, hessian_field(u.values, grid.spacing))
+    fvals, _ = _eval_f_hessian(instance.operator, hessian_field(u.values, grid.spacing))
     ic = _interior_coords(grid)
     return (
         -_gradient_power(gmag, alpha) * fvals
@@ -213,12 +218,42 @@ def residual_field(instance: EquationInstance, u: GridFunction) -> np.ndarray:
 # the regularized system and its semismooth Newton (Howard) iteration
 
 
+@functools.lru_cache(maxsize=16)
+def _csc_pattern(shape: tuple, offsets: tuple) -> tuple:
+    """(take, indices, indptr): the CSC form of a 2D stencil on `shape` nodes.
+
+    The stencil's coefficient arrays, stacked in the order of `offsets`
+    ((di, dj) pairs) and raveled, give the matrix's data as
+    `stacked.ravel()[take]`; node (i, j) couples to node (i + di, j + dj),
+    in C order, and couplings that leave the interior nodes (off the grid
+    or across the end of a row) are not stored.  The row indices ascend
+    within each column.  The arrays are read-only, as they are shared.
+    """
+    mx, my = shape
+    i, j = np.indices(shape).reshape(2, -1)
+    rows, cols, take = [], [], []
+    for k, (di, dj) in enumerate(offsets):
+        keep = (0 <= i + di) & (i + di < mx) & (0 <= j + dj) & (j + dj < my)
+        row = (i * my + j)[keep]
+        rows.append(row)
+        cols.append(row + di * my + dj)
+        take.append(k * mx * my + row)
+    rows, cols, take = (np.concatenate(a) for a in (rows, cols, take))
+    order = np.lexsort((rows, cols))  # by column, then by row
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=mx * my))))
+    pattern = (take[order], rows[order].astype(np.int32), indptr.astype(np.int32))
+    for a in pattern:
+        a.setflags(write=False)
+    return pattern
+
+
 @dataclass(frozen=True)
 class _Evaluation:
     """The regularized system at one iterate u (full array), from `_System.evaluate`.
 
     `nbrs` is `_axis_neighbours(u)`, `grad` the centered slopes (alpha = 0
-    only, else None), `hess` the second differences; gmag is the
+    only, else None), `hess` the second differences and `policy` F's
+    policy there (`operators.policy_1d` or `policy_2d`); gmag is the
     Peclet-selected magnitude, `upwind` its Godunov mask, rho the
     regularization factor, t_m = min(gmag, M), p the lower-order part
     f + c + eps |u|^alpha u - b t_m^beta, and res the residual.
@@ -228,6 +263,7 @@ class _Evaluation:
     nbrs: list
     grad: tuple | None
     hess: tuple
+    policy: np.ndarray | tuple
     gmag: np.ndarray
     upwind: np.ndarray
     rho: np.ndarray | float
@@ -302,14 +338,17 @@ class _System:
         es = self.eps * _signed_power(self.interior(u_full), self.alpha)
         p = self.f_int + es - self.b_int * t_m**self.beta
         hess = hessian_field(u_full, self.h)
-        res = es - _eval_f_hessian(self.instance.operator, hess) - p * rho
-        return _Evaluation(u_full, nbrs, grad, hess, gmag, upwind, rho, t_m, p, res)
+        fvals, policy = _eval_f_hessian(self.instance.operator, hess)
+        res = es - fvals - p * rho
+        return _Evaluation(u_full, nbrs, grad, hess, policy, gmag, upwind, rho, t_m, p,
+                           res)
 
     def _lower_order_slopes(self, ev: _Evaluation) -> tuple:
         """(q, dstab): the slopes of the residual's first-order part.
 
         q is its derivative in the gradient magnitude (Hamiltonian and
-        regularization factor), dstab its derivative in the node value.
+        regularization factor), dstab its derivative in the node value; at
+        alpha = 0, where rho = 1, only the Hamiltonian's slope is left.
         """
         gmag, rho = ev.gmag, ev.rho
         with np.errstate(divide="ignore") if self.beta < 1.0 else nullcontext():
@@ -317,6 +356,8 @@ class _System:
         if self.beta < 1.0:
             tpow[ev.t_m == 0.0] = 0.0  # the semismooth slope at g = 0, as sign(0) = 0
         q = self.b_int * self.beta * tpow * (gmag < self.m_level) * rho
+        if self.alpha == 0.0:
+            return q, 0.0
         q = q + ev.p * self.alpha * gmag / (self.delta**2 + gmag**2) * rho
         mag = np.maximum(np.abs(self.interior(ev.u)), _U_FLOOR)
         dstab = self.eps * (1.0 + self.alpha) * mag**self.alpha * (1.0 - rho)
@@ -354,13 +395,14 @@ class _System:
         through the chain rule of its active branch, the stabiliser's
         slope, and lam.  Packed as the (3, n) band of
         `scipy.linalg.solve_banded` in 1D, and as a sparse 9-point CSC
-        matrix on the interior nodes in C order in 2D.
+        matrix on the interior nodes in C order in 2D, filled through
+        `_csc_pattern` and without its zero entries.
         """
-        ndim, hess = ev.u.ndim, ev.hess
+        ndim = ev.u.ndim
         if ndim == 1:
-            axis_coefs = (operators.policy_1d(self.instance.operator, hess[0]),)
+            axis_coefs = (ev.policy,)
         else:
-            cxx, cxy, cyy = operators.policy_2d(self.instance.operator, *hess)
+            cxx, cxy, cyy = ev.policy
             axis_coefs = (cxx, cyy)
         q, dstab = self._lower_order_slopes(ev)
         centre = (0,) * ndim
@@ -387,15 +429,15 @@ class _System:
             ab[1] = stencil[centre]
             ab[2, :-1] = stencil[(-1,)][1:]
             return ab
-        n, my = ev.gmag.size, ev.gmag.shape[1]
-        offsets = [di * my + dj for di, dj in stencil]
-        diagonals = []
-        for ((di, dj), coef), k in zip(stencil.items(), offsets):
-            coef = np.array(coef)
-            if dj:  # no coupling across the ends of a grid row
-                coef[:, -1 if dj > 0 else 0] = 0.0
-            diagonals.append(coef.ravel()[: n - k] if k >= 0 else coef.ravel()[-k:])
-        return scipy.sparse.diags(diagonals, offsets, shape=(n, n), format="csc")
+        n = ev.gmag.size
+        take, indices, indptr = _csc_pattern(ev.gmag.shape, tuple(stencil))
+        stacked = np.stack(tuple(stencil.values()))
+        # copies: csc_matrix shares the index arrays and eliminate_zeros
+        # compacts them in place
+        jac = scipy.sparse.csc_matrix((stacked.ravel()[take], indices.copy(),
+                                       indptr.copy()), shape=(n, n))
+        jac.eliminate_zeros()
+        return jac
 
     def c_column(self, ev: _Evaluation):
         """dR/dc = -rho, the column of the shift c in the bordered Jacobian."""

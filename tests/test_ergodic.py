@@ -83,6 +83,15 @@ class TestEstimate:
         assert all(b < a for a, b in zip(cs, cs[1:]))
         assert cs[-1] > COSINE_C
 
+    def test_offsets_2c_apart_match_steps_of_c(self, cosine_instance):
+        # the step from L = 6 to 8 stalls on 801 nodes; it is halved from the
+        # last converged pair, and the layer check then ends the sequence
+        exp = experiment(cosine_instance, 801, (10.0, 15.0, 20.0))
+        unit = [c for c, _ in offset_constants(exp, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))]
+        wide = [c for c, _ in offset_constants(exp, (2.0, 4.0, 6.0, 8.0, 10.0, 12.0))]
+        assert len(unit) == 6 and len(wide) == 3
+        np.testing.assert_allclose(wide, unit[1::2], rtol=0, atol=1e-10)
+
     def test_offset_constant_normalizes_at_the_probe(self, cosine_instance):
         exp = experiment(cosine_instance, 101, (10.0, 15.0, 20.0))
         (c, u), = offset_constants(exp, (2.0,))
