@@ -49,11 +49,9 @@ _U_FLOOR = 1e-6
 # without it, but at alpha = 1 (-|u'| u'' = 1, zero data) the observed
 # orders on 129/257/513 nodes then fall from >= 1 to 0.97 and 0.98.
 _EPS_SCALE = 1e-3
-_DIVERGENCE_GUARD = 1e9  # trial steps with larger |u| are halved
-# Newton steps (linear solves, accepted or not) without halving the residual
-# that stall a run.  Converging runs halve it within 6 steps in the tests,
-# workloads and demos (16 inside solves that fail); lam grows at most
-# 4^20-fold between two halvings.
+# Newton steps without halving the residual that stall a run.  Converging
+# runs halve it within 6 steps in the tests, workloads and demos (16 inside
+# solves that fail).
 _STALL_STEPS = 20
 _MAX_TRUNCATION_ROUNDS = 400
 
@@ -387,16 +385,16 @@ class _System:
             weights.append((wb, wf))
         return weights
 
-    def jacobian(self, ev: _Evaluation, lam=0.0):
-        """Semismooth Jacobian of the residual, plus lam on the diagonal.
+    def jacobian(self, ev: _Evaluation):
+        """Semismooth Jacobian of the residual.
 
         One {offset: coefficient} stencil on the interior nodes: F through
         its Howard policy at the current Hessian, the gradient magnitude
-        through the chain rule of its active branch, the stabiliser's
-        slope, and lam.  Packed as the (3, n) band of
-        `scipy.linalg.solve_banded` in 1D, and as a sparse 9-point CSC
-        matrix on the interior nodes in C order in 2D, filled through
-        `_csc_pattern` and without its zero entries.
+        through the chain rule of its active branch, and the stabiliser's
+        slope.  Packed as the (3, n) band of `scipy.linalg.solve_banded`
+        in 1D, and as a sparse 9-point CSC matrix on the interior nodes in
+        C order in 2D, filled through `_csc_pattern` and without its zero
+        entries.
         """
         ndim = ev.u.ndim
         if ndim == 1:
@@ -422,7 +420,7 @@ class _System:
             stencil[lo] = stencil[lo] - q * (wb / safe / h)
             stencil[hi] = stencil[hi] + q * (wf / safe / h)
             d_centre = d_centre + (wb - wf) / safe / h
-        stencil[centre] = stencil[centre] + q * d_centre + lam
+        stencil[centre] = stencil[centre] + q * d_centre
         if ndim == 1:
             ab = np.zeros((3, ev.gmag.size))
             ab[0, 1:] = stencil[(1,)][:-1]
@@ -443,20 +441,20 @@ class _System:
         """dR/dc = -rho, the column of the shift c in the bordered Jacobian."""
         return np.broadcast_to(-ev.rho, self.f_base.shape)
 
-    def bordered_step(self, ev: _Evaluation, lam, border) -> tuple:
+    def bordered_step(self, ev: _Evaluation, border) -> tuple:
         """(du, dc) with J du + (dR/dc) dc = -res and du(x0) = -u(x0), x0 = border.
 
         J y = -res and J z = dR/dc share one factorization; then
         dc = (y(x0) + u(x0)) / z(x0) and du = y - z dc.
         """
-        yz = self.solve(ev, np.stack([-ev.res, self.c_column(ev)], -1), lam)
+        yz = self.solve(ev, np.stack([-ev.res, self.c_column(ev)], -1))
         y, z = yz[..., 0], yz[..., 1]
         dc = (y[border] + self.interior(ev.u)[border]) / z[border]
         return y - z * dc, float(dc)
 
-    def solve(self, ev: _Evaluation, rhs, lam):
+    def solve(self, ev: _Evaluation, rhs):
         """Solve J d = rhs for one interior array or a stack of them (last axis)."""
-        jac = self.jacobian(ev, lam)
+        jac = self.jacobian(ev)
         if ev.u.ndim == 1:
             return scipy.linalg.solve_banded((1, 1), jac, rhs)
         with warnings.catch_warnings():  # a singular matrix gives NaN, tested below
@@ -476,13 +474,14 @@ def _rms_norm(r: np.ndarray) -> float:
 def _run_newton(system: _System, u_full, border=None) -> tuple:
     """Semismooth Newton (Howard's policy iteration) on the regularized system.
 
-    Line search on the l2 residual norm; a Levenberg shift is added to the
-    Jacobian diagonal whenever a full sweep of step halvings fails to
-    reduce the residual.  Convergence is declared on the residual norm
-    (scaled by the data), never on the update size alone, and checked at
-    the start and after each step.  No step budget: the run stalls once
-    `_STALL_STEPS` steps (linear solves) pass without the residual norm
-    halving again (the progress tests of Deuflhard and of Kelley).
+    Globalized by an Armijo line search on the l2 residual norm alone: a
+    run whose 25 step halvings all fail to lower the residual ends there,
+    as solving again would give the same direction.  Convergence is
+    declared on the residual norm (scaled by the data), never on the
+    update size alone, and checked at the start and after each step.  No
+    step budget: the run stalls once `_STALL_STEPS` steps pass without the
+    residual norm halving again (the progress tests of Deuflhard and of
+    Kelley).
     Returns (evaluation, steps): the `_Evaluation` of the converged
     iterate, whose residual met the tolerance, and the number of Newton
     steps taken, 0 when the start already met it.
@@ -495,7 +494,6 @@ def _run_newton(system: _System, u_full, border=None) -> tuple:
     """
     config = system.config
     big_a = system.instance.operator.bounds.A
-    h = system.h_min
     h2 = min(system.h2) / u_full.ndim  # sum over axes of 1/h^2 is at most dim/h_min^2
     data_tol = config.inner_tol * (1.0 + float(np.abs(system.f_int).max()))
     macheps = float(np.finfo(float).eps)
@@ -504,7 +502,6 @@ def _run_newton(system: _System, u_full, border=None) -> tuple:
         return _rms_norm(ev.res if border is None else
                          np.append(ev.res, system.interior(ev.u)[border]))
 
-    lam = 0.0
     dc = 0.0
     ev = system.evaluate(u_full)
     res_norm = best = norm(ev)  # best: the residual norm at the last halving
@@ -520,44 +517,37 @@ def _run_newton(system: _System, u_full, border=None) -> tuple:
                 f"{steps} steps, not halved from {best:.3e} in the last {_STALL_STEPS}")
         try:
             if border is None:
-                delta_u = system.solve(ev, -ev.res, lam)
+                delta_u = system.solve(ev, -ev.res)
             else:
-                delta_u, dc = system.bordered_step(ev, lam, border)
+                delta_u, dc = system.bordered_step(ev, border)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise NonConvergence(
                 f"newton linear solve failed at delta={system.delta}: {exc}"
             ) from exc
         c = system.c
         step = 1.0
-        accepted = False
         for _ in range(25):
             trial = ev.u.copy()
             system.interior(trial)[...] += step * delta_u
-            if np.abs(trial).max() > _DIVERGENCE_GUARD:
-                step *= 0.5
-                continue
             system.set_c(c + step * dc)
             trial_ev = system.evaluate(trial)
             trial_norm = norm(trial_ev)
             if math.isfinite(trial_norm) and (
                     trial_norm <= res_norm * (1.0 - 1e-4 * step)
                     or (border is not None and steps == 0)):
-                accepted = True
                 break
             step *= 0.5
-        steps += 1
-        if accepted:
-            ev = trial_ev
-            res_norm = trial_norm
-            # strict, so a zero residual is never progress; a bordered run
-            # counts from where its whole first step lands
-            if res_norm < 0.5 * best or (border is not None and steps == 1):
-                best, halved_at = res_norm, steps
-            lam = 0.5 * lam if lam > 1e-8 / h2 else 0.0
         else:
             system.set_c(c)
-            # steepen the model and recompute the direction
-            lam = max(4.0 * lam, 1.0 / h)
+            raise NonConvergence(
+                f"newton line search failed at delta={system.delta}: no step lowers "
+                f"the residual {res_norm:.3e} after {steps} steps")
+        steps += 1
+        ev, res_norm = trial_ev, trial_norm
+        # strict, so a zero residual is never progress; a bordered run
+        # counts from where its whole first step lands
+        if res_norm < 0.5 * best or (border is not None and steps == 1):
+            best, halved_at = res_norm, steps
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +646,7 @@ def solve_dirichlet(
             m_level = growth * prev_m
             continue
         u_full = ev.u
-        gmag = _centered_magnitude(gradient_field(u_full, grid.spacing))
-        if not (gmag >= m_level).any():
+        if not (ev.gmag >= m_level).any():  # the magnitude the clamp acts on
             break
         if rounds >= _MAX_TRUNCATION_ROUNDS:
             raise NonConvergence(

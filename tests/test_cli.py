@@ -345,7 +345,8 @@ class TestExitCodes:
         report = read_report(out)
         assert report["failed"] is True
         assert report["error"] == "NonConvergence"
-        assert re.search(r"stalled .* after 26 steps", report["message"])
+        assert re.search(r"^newton line search failed at delta=0\.0009765625: no step "
+                         r"lowers the residual 2\.347e\+04 after 0 steps$", report["message"])
 
     def test_manifest_records_seed(self, tmp_path):
         path = write_config(tmp_path, {"alpha": 0.0, "beta": 1.5})

@@ -84,7 +84,7 @@ class TestEstimate:
         assert cs[-1] > COSINE_C
 
     def test_offsets_2c_apart_match_steps_of_c(self, cosine_instance):
-        # the step from L = 6 to 8 stalls on 801 nodes; it is halved from the
+        # the step from L = 6 to 8 fails on 801 nodes; it is halved from the
         # last converged pair, and the layer check then ends the sequence
         exp = experiment(cosine_instance, 801, (10.0, 15.0, 20.0))
         unit = [c for c, _ in offset_constants(exp, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))]

@@ -1,6 +1,7 @@
 """Dirichlet solver: exactness, residuals, reports, failure modes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from ergopde import (
     residual_field,
     solve_dirichlet,
 )
-from ergopde.solver import _initial_guess, _max_axis_slope, _System
+from ergopde.solver import _initial_guess, _max_axis_slope, _run_newton, _System
 from conftest import (
     COSINE_C,
     INTERVAL,
@@ -116,9 +117,10 @@ class TestDirichletExactness:
         assert np.max(np.abs(u.values - exact_dirichlet_1d(-0.5, 1.0)(x))) < 6e-3
 
     def test_fallback_starts_cheaply(self, monkeypatch):
-        # the one-delta attempt plateaus at alpha = -0.3 on 257 nodes; it
-        # stalls 20 linear solves after its last halving, and the delta
-        # continuation takes over.  Every Newton step is one linear solve.
+        # the one-delta attempt at alpha = -0.3 on 257 nodes finds no descent
+        # step after 3 steps (4 linear solves), and the delta continuation
+        # takes over: 42 linear solves in all.  Every Newton step is one
+        # linear solve.
         solve_linear = _System.solve
         calls = []
 
@@ -283,6 +285,22 @@ class TestDegenerate2D:
         orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert min(orders) >= 1.35, orders
 
+    @pytest.mark.parametrize("kind, centre", [("trace", 0.0833845747070),
+                                              ("pucci-", 0.0569268372192)])
+    def test_coarse_square_without_descent_at_delta(self, kind, centre):
+        # at the one delta the line search finds no descent step after a few
+        # Newton steps; the delta fallback converges
+        inst = EquationInstance(
+            operator=ac6_operator(kind, 2), exponents=ExponentPair(-0.3, 1.2),
+            b=ScalarField.constant(1.0, 2),
+            f=ScalarField.from_expression("1 + 0.4*x*y", dim=2), domain=SQUARE,
+        )
+        u, rep = solve_dirichlet(inst, ScalarField.constant(0.0, 2),
+                                 UniformGrid((5, 5), SQUARE))
+        # the Newton tolerance on the RMS residual, 1e-8 (1 + |f|), over 9 nodes
+        assert rep.final_residual < 1e-7
+        assert u.values[2, 2] == pytest.approx(centre, abs=1e-8)
+
 
 class TestBetaBelowOne:
     def test_solves_and_refines(self):
@@ -422,7 +440,7 @@ class TestJacobian:
         # the step solves the bordered system built from the differences
         x0 = tuple(n // 2 - 1 for n in grid.shape)  # interior index of the centre
         res = ev.res
-        du, dc = system.bordered_step(ev, 0.0, x0)
+        du, dc = system.bordered_step(ev, x0)
         m = res.size
         bordered = np.zeros((m + 1, m + 1))
         bordered[:m, :m] = fd_jacobian(system, u)
@@ -618,10 +636,45 @@ class TestReports:
 
 class TestFailureModes:
     def test_below_threshold_raises(self):
-        # f = -5 is far below the solvability threshold -pi^2/4 on (-1,1)
+        # f = -5 is far below the solvability threshold -pi^2/4 on (-1,1):
+        # the last truncation retry finds no descent step from its start
         inst = make_instance(0.0, 2.0, b="1", f="-5.0")
-        with pytest.raises(NonConvergence, match=r"stalled .* after 26 steps"):
+        with pytest.raises(NonConvergence, match=(
+                r"^newton line search failed at delta=0\.0009765625: no step lowers "
+                r"the residual 3\.015e\+03 after 0 steps$")):
             solve(inst, 10.0, 201)
+
+    def test_stall_raises(self):
+        # beta < 1 at alpha < 0: the first truncation round (M = 1) of the
+        # BetaBelowOne solve on 81 nodes creeps at the one delta and never
+        # halves its residual; the solve then falls back to the continuation
+        system = _System(make_instance(-0.3, 0.9, b="1", f="1"), interval_grid(81),
+                         SolverConfig())
+        system.m_level = 1.0
+        with pytest.raises(NonConvergence, match=(
+                r"^newton stalled at delta=0\.0009765625: residual 1\.187e-01 after 20 "
+                r"steps, not halved from 1\.250e-01 in the last 20$")):
+            _run_newton(system, np.zeros(81))
+
+    def test_failed_line_search_restores_c(self, monkeypatch):
+        # a bordered run takes its first step whole; when every trial of the
+        # second is non-finite, the run ends with c where the first step left it
+        evaluate, shifts = _System.evaluate, []
+
+        def failing(self, u):
+            ev = evaluate(self, u)
+            shifts.append(self.c)
+            return ev if len(shifts) <= 2 else replace(ev, res=ev.res * math.nan)
+
+        monkeypatch.setattr(_System, "evaluate", failing)
+        system = _System(make_instance(0.0, 2.0), interval_grid(21), SolverConfig())
+        system.set_c(-2.0)
+        with pytest.raises(NonConvergence, match=(
+                r"^newton line search failed at delta=0\.0009765625: no step lowers "
+                r"the residual \S+ after 1 steps$")):
+            _run_newton(system, np.full(21, 3.0), border=(9,))
+        assert len(shifts) == 2 + 25
+        assert shifts[1] != -2.0 and system.c == shifts[1]
 
     def test_invalid_config_rejected(self):
         from ergopde import OutOfRange
@@ -639,13 +692,14 @@ class TestFailureModes:
         # run reports either
         jacobian, solve_linear = _System.jacobian, _System.solve
         if fault == "inf-rhs":
-            monkeypatch.setattr(_System, "solve", lambda self, ev, rhs, lam:
-                                solve_linear(self, ev, rhs + math.inf, lam))
+            monkeypatch.setattr(_System, "solve", lambda self, ev, rhs:
+                                solve_linear(self, ev, rhs + math.inf))
         else:
             scale = math.nan if fault == "nan-band" else 0.0
-            monkeypatch.setattr(_System, "jacobian", lambda self, ev, lam=0.0:
-                                scale * jacobian(self, ev, lam))
-        with pytest.raises(NonConvergence, match="newton linear solve failed") as info:
+            monkeypatch.setattr(_System, "jacobian", lambda self, ev:
+                                scale * jacobian(self, ev))
+        with pytest.raises(NonConvergence, match=(
+                r"^newton linear solve failed at delta=0\.0009765625: ")) as info:
             solve(make_instance(0.0, 1.5, b="1", f="1"), 0.0, 21)
         cause = np.linalg.LinAlgError if fault == "singular" else ValueError
         assert type(info.value.__cause__) is cause
