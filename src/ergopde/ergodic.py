@@ -177,8 +177,10 @@ def estimate_ergodic_constant(exp: ErgodicExperiment, tol: float = 1e-2) -> tupl
     ratio of differences lies in [3, 5]; then to g = e^-k = 0 through the
     top three offsets (two if three resolve), if their ratio is near e.
     The bar adds the changes when the top offset and when the finest grid
-    are left out.  Returns (c_est, report); raises UnresolvedLayer if that
-    fails or the bar exceeds tol, NonConvergence if a step fails.
+    are left out; a bordered solve that fails on a refined grid ends the
+    offsets, and the report's "stopped" or the UnresolvedLayer says why.
+    Returns (c_est, report); raises UnresolvedLayer if that fails or the
+    bar exceeds tol, NonConvergence if a step on the experiment's grid fails.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise OutOfRange(f"tol must be a finite positive number, not {tol!r}")
@@ -186,18 +188,25 @@ def estimate_ergodic_constant(exp: ErgodicExperiment, tol: float = 1e-2) -> tupl
     levels = list(itertools.takewhile(lambda v: v <= exp.ladder[-1], (
         amp * (k if chi_val == 0.0 else math.exp(chi_val * k)) for k in itertools.count(1))))
     fine_nodes = [tuple(m * i for i in exp.probe_node) for m in (2, 4)]  # the same point
-    c_h = []
+    c_h, stopped = [], None
     for c, u in offset_constants(exp, levels):
         row = [c]
-        for node in fine_nodes:
-            u, c, _ = solve_bordered(exp.instance, _refine(u), c, node, exp.config())
-            row.append(c)
+        try:
+            for node in fine_nodes:
+                u = _refine(u)
+                u, c, _ = solve_bordered(exp.instance, u, c, node, exp.config())
+                row.append(c)
+        except NonConvergence as exc:
+            stopped = (f"the bordered solve at offset {levels[len(c_h)]:.4g} on "
+                       f"{u.grid.shape} failed: {exc}")
+            break
         ratio = (row[0] - row[1]) / (row[1] - row[2]) if row[1] != row[2] else math.inf
         if not _ORDER_RATIOS[0] <= ratio <= _ORDER_RATIOS[1]:
             break
         c_h.append(row)
     offsets = levels[:len(c_h)]
     where = f"offsets {[round(v, 4) for v in offsets]} on {exp.grid.shape} refined twice"
+    where += f" ({stopped})" if stopped else ""
     if len(c_h) < 3:
         raise UnresolvedLayer(f"only {len(c_h)} resolved {where}; need 3")
     c_fine = [f + (f - m) / 3.0 for _, m, f in c_h]  # Richardson in h
@@ -228,6 +237,7 @@ def estimate_ergodic_constant(exp: ErgodicExperiment, tol: float = 1e-2) -> tupl
         "L_rate": rate,
         "ladder": list(exp.ladder),
         "grid_shape": list(exp.grid.shape),
+        "stopped": stopped,  # why the offsets ended early, if a refined solve failed
         # read by the benchmark's span counters until they are redefined
         # for this estimator: there are no verdicts any more
         "classifications": [],

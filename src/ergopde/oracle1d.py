@@ -8,8 +8,8 @@ Two closed-form/ODE constructions are provided:
   -a |u'|^alpha u'' + |u'|^beta = f(x) + c with even f, which tracks the
   blow-up location x*(c) of the maximal solution with u'(0) = 0 and
   recovers the ergodic constant of (-1, 1) as the root of log x*(c) = 0,
-  solved in the scaling variable t = log(-sup f - c), in which it is
-  affine for constant f.
+  found by secant steps in the scaling variable t = log(-sup f - c), in
+  which it is affine for constant f.
 
 The shooting integration works in the variable s = p^(1+alpha) (p = u')
 near p = 0, switches to log p once p is O(1), and closes the remaining
@@ -36,8 +36,11 @@ _RTOL, _ATOL = 1e-11, 1e-13
 # root search for the ergodic constant in t = log(-sup f - c)
 _SEARCH_STEPS = 60
 _T_MAX = 25.0  # |t| beyond this: -sup f - c outside [1.4e-11, 7.2e10]
-_STEP_FLOOR = 1e-10  # least overshoot of a secant step, in g: above the noise
-_BRACKET_WIDTH = 0.1  # widest bracket in t for brentq, whose rtol scales with it
+_STEP_FLOOR = 1e-10  # least overshoot of a step before g changes sign: above its noise
+# shoot_blowup resolves log x* to about 1e-13, and |dg/dt| = gamma for
+# constant f (0.17 at beta - alpha - 1 = 0.4, alpha = 1), so t cannot be
+# resolved much below this
+_T_RESOLUTION = 1e-12
 _EVEN_RTOL = 1e-12  # rounding-level bound on f(x) - f(-x)
 
 
@@ -172,37 +175,6 @@ def shoot_blowup(
     return x2 + tail
 
 
-def _scaling_bracket(g, gamma: float) -> list:
-    """Sign change of g(t) = log x*(c), t = log(-sup f - c), as two sorted
-    (t, g) pairs at most _BRACKET_WIDTH apart.
-
-    g decreases in t, with slope -gamma for constant f.  Each secant step
-    (slope -gamma until two points exist) is carried past the root it
-    predicts by the floor plus the step times the relative change of the
-    last secant slope, which is about twice the secant method's error.
-    """
-    floor = _STEP_FLOOR / gamma
-    t, g_t, slope, drift = 0.0, g(0.0), -gamma, 0.0
-    for _ in range(_SEARCH_STEPS):
-        step = -g_t / slope
-        t_next = t + step + math.copysign(drift * abs(step) + floor, step)
-        if abs(t_next) > _T_MAX:
-            break
-        g_next = g(t_next)
-        if g_t * g_next <= 0.0 and abs(t_next - t) <= _BRACKET_WIDTH:
-            return sorted([(t, g_t), (t_next, g_next)])
-        secant = (g_next - g_t) / (t_next - t)
-        if secant < 0.0:
-            drift, slope = abs(secant / slope - 1.0), secant
-        else:  # g is decreasing: a rising secant is noise
-            drift, slope = 1.0, -gamma
-        t, g_t = t_next, g_next
-    raise BracketFailure(
-        f"no sign change of log x*(c) within {_SEARCH_STEPS} secant steps "
-        f"and |log(-sup f - c)| <= {_T_MAX:g}"
-    )
-
-
 def ergodic_constant_1d(
     exponents: ExponentPair,
     f: ScalarField,
@@ -212,19 +184,20 @@ def ergodic_constant_1d(
     """Ergodic constant of (-1, 1): the c with blow-up location x*(c) = 1.
 
     f must be even, since the shooting starts from the symmetry point x = 0,
-    and tol finite and positive (OutOfRange otherwise).  The root of
-    g(t) = log x*(c) is found in the scaling variable t = log(-sup f - c):
-    for constant f the ODE's scaling makes g affine in t with slope
-    -(beta - alpha - 1)/beta, and for any f it stays close to affine.
-    Secant steps from t = 0 reach a sign change of g (_scaling_bracket);
-    brentq then resolves t to 1e-12, about what the shooting resolves.
+    and tol finite and positive (OutOfRange otherwise).  g(t) = log x*(c)
+    decreases in t = log(-sup f - c); for constant f the ODE's scaling makes
+    it affine with slope -(beta - alpha - 1)/beta, the first secant slope,
+    and for any f it stays close to affine.  Until g changes sign, each
+    secant step overshoots the root it predicts by the floor plus the step
+    times the relative change of the last slope, so the first two shots
+    usually straddle it; then plain secant steps stay inside the tightest
+    sign change shot, bisecting it where a step would leave it, until the
+    next correction is at most _T_RESOLUTION.  Constant f takes three shots.
 
-    Returns (c_erg, report).  The report records the bracket handed to
-    brentq (mapped back to c) and the shooting evaluations used; the final
-    |x*(c) - 1| is guaranteed <= tol (BracketFailure otherwise).
+    Returns (c_erg, report), c_erg the last c shot and one end of the final
+    sign change, the report's "bracket"; |x*(c_erg) - 1| <= tol is
+    guaranteed (BracketFailure otherwise).
     """
-    from scipy.optimize import brentq
-
     if not (math.isfinite(tol) and tol > 0.0):
         raise OutOfRange(f"tol must be a finite positive number, not {tol!r}")
     xs = np.linspace(-1.0, 1.0, 8001)
@@ -238,45 +211,57 @@ def ergodic_constant_1d(
         )
     evaluations = []
 
-    def g(margin):
-        c = -sup_f - margin
-        x_star = shoot_blowup(exponents, c, f, trace_coefficient)
+    def g(t):
+        c = -sup_f - math.exp(t)
         evaluations.append(c)
-        return math.log(x_star)
+        return math.log(shoot_blowup(exponents, c, f, trace_coefficient))
 
     gamma = (exponents.beta - exponents.alpha - 1.0) / exponents.beta
-    (t_lo, g_lo), (t_hi, g_hi) = _scaling_bracket(lambda t: g(math.exp(t)), gamma)
-    # brentq in tau = t - t_lo, so that its rtol acts on the bracket's width
-    # and not on |t|; the margin -sup f - c is k_lo e^tau
-    width = t_hi - t_lo
-    k_lo = math.exp(t_lo)
-    c_lo, c_hi = -sup_f - k_lo * math.exp(width), -sup_f - k_lo
-    known = {0.0: g_lo, width: g_hi}
-
-    def g_tau(tau):
-        if tau not in known:
-            known[tau] = g(k_lo * math.exp(tau))
-        return known[tau]
-
-    # shoot_blowup resolves log x* to about 1e-13, and |dg/dt| = gamma for
-    # constant f (0.17 at beta - alpha - 1 = 0.4, alpha = 1), so t cannot be
-    # resolved much below 1e-12
-    tau = brentq(g_tau, 0.0, width, xtol=1e-12)
-    c_erg = -sup_f - k_lo * math.exp(tau)
-    x_final = math.exp(g_tau(tau))
+    floor = _STEP_FLOOR / gamma
+    t, g_t, slope, drift = 0.0, g(0.0), -gamma, 0.0
+    ends = {g_t > 0.0: (t, g_t)}  # the last shot on each side: True where g > 0
+    while True:
+        step = -g_t / slope
+        if len(ends) == 2:
+            (t_left, g_left), (t_right, g_right) = ends[True], ends[False]
+            if abs(step) > _T_RESOLUTION and not t_left < t + step < t_right:
+                step = 0.5 * (t_left + t_right) - t
+            if abs(step) <= _T_RESOLUTION:
+                break
+        else:
+            step += math.copysign(drift * abs(step) + floor, step)
+        if abs(t + step) > _T_MAX or len(evaluations) == _SEARCH_STEPS:
+            what = "no sign change" if len(ends) < 2 else "no resolved root"
+            raise BracketFailure(
+                f"{what} of log x*(c) within {_SEARCH_STEPS} shots and "
+                f"|log(-sup f - c)| <= {_T_MAX:g}"
+            )
+        t_next = t + step
+        g_next = g(t_next)
+        ends[g_next > 0.0] = (t_next, g_next)
+        secant = (g_next - g_t) / (t_next - t)
+        if secant < 0.0:
+            drift, slope = abs(secant / slope - 1.0), secant
+        elif len(ends) == 2:  # g is decreasing: a rising secant is noise
+            (t_left, g_left), (t_right, g_right) = ends[True], ends[False]
+            slope = (g_right - g_left) / (t_right - t_left)  # < 0, as g_left > 0
+        else:
+            drift, slope = 1.0, -gamma
+        t, g_t = t_next, g_next
+    x_final = math.exp(g_t)
     if abs(x_final - 1.0) > tol:
         raise BracketFailure(
             f"root search finished with |x* - 1| = {abs(x_final - 1.0):.3e} > {tol:.1e}"
         )
     report = {
-        "c_erg": float(c_erg),
-        "bracket": [float(c_lo), float(c_hi)],
+        "c_erg": -sup_f - math.exp(t),
+        "bracket": [-sup_f - math.exp(t_right), -sup_f - math.exp(t_left)],
         "x_star_at_c": x_final,
         "evaluations": len(evaluations),
         "sup_f": sup_f,
         "tol": tol,
     }
-    return float(c_erg), report
+    return report["c_erg"], report
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,45 @@ class TestEstimate:
         with pytest.raises(NonConvergence, match="stalled"):
             estimate_ergodic_constant(experiment(cosine_instance, 101, (8.0, 12.0)))
 
+    @staticmethod
+    def fail_refined_after(exp, monkeypatch, solves):
+        """Make every bordered solve on a refined grid after the first
+        `solves` of them raise NonConvergence."""
+        from ergopde import ergodic
+
+        real, refined = ergodic.solve_bordered, []
+
+        def solve_bordered(instance, guess, c, node, config):
+            if guess.grid.shape != exp.grid.shape:
+                refined.append(guess.grid.shape)
+                if len(refined) > solves:
+                    raise NonConvergence("newton line search failed: planted")
+            return real(instance, guess, c, node, config)
+
+        monkeypatch.setattr(ergodic, "solve_bordered", solve_bordered)
+
+    def test_failed_refined_solve_is_named(self, cosine_instance, monkeypatch):
+        # the first refined solve fails: no offset resolves, and the
+        # UnresolvedLayer names the offset, the grid and Newton's message
+        exp = experiment(cosine_instance, 101, (10.0, 15.0, 20.0))
+        self.fail_refined_after(exp, monkeypatch, 0)
+        with pytest.raises(UnresolvedLayer, match=r"only 0 resolved .*bordered solve at "
+                           r"offset 1 on \(201,\) failed: newton line search failed: "
+                           r"planted"):
+            estimate_ergodic_constant(exp, tol=0.05)
+
+    def test_failed_refined_solve_ends_the_offsets(self, cosine_instance, monkeypatch):
+        # the refined solves of offsets 1 to 3 converge and the first one of
+        # offset 4 fails: the three resolved offsets stand and give the estimate
+        exp = experiment(cosine_instance, 101, (10.0, 15.0, 20.0))
+        self.fail_refined_after(exp, monkeypatch, 6)
+        c_est, report = estimate_ergodic_constant(exp, tol=0.05)
+        assert report["offsets"] == [1.0, 2.0, 3.0]
+        assert report["stopped"] == ("the bordered solve at offset 4 on (201,) failed: "
+                                     "newton line search failed: planted")
+        lo, hi = report["bracket"]
+        assert lo <= COSINE_C <= hi
+
     def test_solve_at_is_one_dirichlet_solve(self, cosine_instance, monkeypatch):
         # one solve on the experiment's config; its failure reaches the caller
         from ergopde import ergodic, solve_dirichlet

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from ergopde import (
+    BracketFailure,
     ExponentPair,
     InsufficientSpan,
     InvalidRegime,
@@ -160,10 +161,16 @@ class TestErgodicConstant:
         # ^ (beta / (beta - alpha - 1))
         closed = -(a * np.pi / (beta * np.sin(np.pi * (alpha + 1.0) / beta))) ** (
             beta / (beta - alpha - 1.0))
-        c, report = ergodic_constant_1d(
-            ExponentPair(alpha, beta), ZERO, trace_coefficient=a)
+        exponents = ExponentPair(alpha, beta)
+        c, report = ergodic_constant_1d(exponents, ZERO, trace_coefficient=a)
         assert abs(c - closed) <= 1e-9 * abs(closed)
-        assert report["evaluations"] <= 12
+        assert report["evaluations"] <= 3
+        # the bracket is a sign change of log x*: x* <= 1 at its lower end
+        # and x* > 1 at its upper end, so a bracket [c, c] fails
+        lo, hi = report["bracket"]
+        assert lo <= c <= hi
+        x_lo, x_hi = (shoot_blowup(exponents, end, ZERO, a) for end in (lo, hi))
+        assert math.log(x_lo) <= 0.0 < math.log(x_hi)
 
     def test_even_forcing_matches_hopf_cole_eigenvalue(self):
         # alpha = 0, beta = 2, a = 1: u = -log phi turns the ODE into
@@ -181,6 +188,24 @@ class TestErgodicConstant:
         # against the Hopf-Cole eigenvalue -2.4630
         with pytest.raises(OutOfRange, match="even"):
             ergodic_constant_1d(EP_LOG, ScalarField.from_expression("0.5*x", dim=1))
+
+    def test_no_sign_change_is_bracket_failure(self, monkeypatch):
+        # x* = 2 whatever c is: log x* never changes sign
+        shots = []
+
+        def constant_blowup(*args, **kwargs):
+            shots.append(args)
+            return 2.0
+
+        monkeypatch.setattr(oracle1d, "shoot_blowup", constant_blowup)
+        with pytest.raises(BracketFailure, match="no sign change"):
+            ergodic_constant_1d(EP_LOG, ZERO)
+        assert 0 < len(shots) <= oracle1d._SEARCH_STEPS
+
+    def test_unreachable_tol_is_bracket_failure(self):
+        # the shooting resolves |x* - 1| to about 1e-13, not to 1e-300
+        with pytest.raises(BracketFailure, match=r"\|x\* - 1\| = .* > 1\.0e-300"):
+            ergodic_constant_1d(EP_LOG, ZERO, tol=1e-300)
 
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
     def test_rejects_bad_tol_before_shooting(self, monkeypatch, tol):
