@@ -119,6 +119,11 @@ def _section(cfg: dict, key: str, default=None) -> dict:
     return section
 
 
+# libyaml's parser with the safe constructor (the types of yaml.safe_load),
+# about 6 times faster on a config; the pure-Python one if libyaml is absent
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path: Path) -> tuple:
     """Returns (config dict, sha256 of the raw bytes)."""
     try:
@@ -127,8 +132,8 @@ def load_config(path: Path) -> tuple:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     digest = hashlib.sha256(raw).hexdigest()
     try:
-        cfg = yaml.safe_load(raw)
-    except yaml.YAMLError as exc:
+        cfg = yaml.load(raw, Loader=_YAML_LOADER)
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a tag like !!int 'x'
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")

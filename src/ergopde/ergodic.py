@@ -79,14 +79,17 @@ class ErgodicExperiment:
         return self.solver_config or SolverConfig()
 
 
-def solve_at(exp: ErgodicExperiment, c: float, amplitude: float) -> tuple:
+def solve_at(exp: ErgodicExperiment, c: float, amplitude: float,
+             start: GridFunction | None = None) -> tuple:
     """One ladder rung: the Dirichlet solve of the c-shifted instance with
-    constant data, on the experiment's (Peclet-switched hybrid) scheme.
+    constant data, on the experiment's (Peclet-switched hybrid) scheme,
+    from `start` if one is given (`solve_dirichlet`).
 
     Returns (u, SolveReport); a failed solve raises NonConvergence.
     """
     datum = ScalarField.constant(float(amplitude), exp.grid.dim)
-    return solve_dirichlet(exp.instance.shifted_f(c), datum, exp.grid, exp.config())
+    return solve_dirichlet(exp.instance.shifted_f(c), datum, exp.grid, exp.config(),
+                           start=start)
 
 
 # ---------------------------------------------------------------------------
@@ -135,18 +138,25 @@ def _extrapolate(g, values) -> float:
 
 
 def offset_constants(exp: ErgodicExperiment, offsets):
-    """Yield (c_h(L), u) on the experiment's grid at each of the increasing offsets.
+    """An iterator of (c_h(L), u) on the experiment's grid at each of the
+    increasing offsets.
 
     One converged solve at c = 1 - min f, shifted to u(probe) = 0, starts
-    the pairs; bordered Newton solves from the translation u + dL raise L
+    the pairs; it is made here, so its failure raises NonConvergence from
+    this call.  Bordered Newton solves from the translation u + dL raise L
     by C, or by half of L once that is more.  A step that fails is halved,
     from the last converged pair, down to C/4; a step that fails there
-    raises NonConvergence.  The sequence ends once the layer is narrower
-    than a third of a cell.
+    raises NonConvergence from the iterator.  The sequence ends once the
+    layer is narrower than a third of a cell.
     """
-    chi_val, amp = _layer_scale(exp)
     c = 1.0 - float(np.min(exp.instance.f(*exp.grid.coords())))
     u, _ = solve_at(exp, c, 0.0)
+    return _offset_pairs(exp, offsets, u, c)
+
+
+def _offset_pairs(exp: ErgodicExperiment, offsets, u: GridFunction, c: float):
+    """The iterator of `offset_constants`, from the Dirichlet solution u at c."""
+    chi_val, amp = _layer_scale(exp)
     level = -u(exp.probe_node)
     u = GridFunction(exp.grid, u.values + level)
     for target in offsets:
@@ -177,10 +187,11 @@ def estimate_ergodic_constant(exp: ErgodicExperiment, tol: float = 1e-2) -> tupl
     ratio of differences lies in [3, 5]; then to g = e^-k = 0 through the
     top three offsets (two if three resolve), if their ratio is near e.
     The bar adds the changes when the top offset and when the finest grid
-    are left out; a bordered solve that fails on a refined grid ends the
-    offsets, and the report's "stopped" or the UnresolvedLayer says why.
-    Returns (c_est, report); raises UnresolvedLayer if that fails or the
-    bar exceeds tol, NonConvergence if a step on the experiment's grid fails.
+    are left out; a bordered solve that fails, on the experiment's grid or
+    a refined one, ends the offsets, and the report's "stopped" or the
+    UnresolvedLayer says why.  Returns (c_est, report); raises
+    UnresolvedLayer if that fails or the bar exceeds tol, NonConvergence if
+    the solve that starts the offsets fails.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise OutOfRange(f"tol must be a finite positive number, not {tol!r}")
@@ -188,22 +199,26 @@ def estimate_ergodic_constant(exp: ErgodicExperiment, tol: float = 1e-2) -> tupl
     levels = list(itertools.takewhile(lambda v: v <= exp.ladder[-1], (
         amp * (k if chi_val == 0.0 else math.exp(chi_val * k)) for k in itertools.count(1))))
     fine_nodes = [tuple(m * i for i in exp.probe_node) for m in (2, 4)]  # the same point
+    pairs = offset_constants(exp, levels)  # a failed starting solve raises here
     c_h, stopped = [], None
-    for c, u in offset_constants(exp, levels):
-        row = [c]
-        try:
+    shape = exp.grid.shape  # the grid of the bordered solve under way
+    try:
+        for c, u in pairs:
+            row = [c]
             for node in fine_nodes:
                 u = _refine(u)
+                shape = u.grid.shape
                 u, c, _ = solve_bordered(exp.instance, u, c, node, exp.config())
                 row.append(c)
-        except NonConvergence as exc:
-            stopped = (f"the bordered solve at offset {levels[len(c_h)]:.4g} on "
-                       f"{u.grid.shape} failed: {exc}")
-            break
-        ratio = (row[0] - row[1]) / (row[1] - row[2]) if row[1] != row[2] else math.inf
-        if not _ORDER_RATIOS[0] <= ratio <= _ORDER_RATIOS[1]:
-            break
-        c_h.append(row)
+            shape = exp.grid.shape
+            ratio = (row[0] - row[1]) / (row[1] - row[2]) if row[1] != row[2] \
+                else math.inf
+            if not _ORDER_RATIOS[0] <= ratio <= _ORDER_RATIOS[1]:
+                break
+            c_h.append(row)
+    except NonConvergence as exc:
+        stopped = (f"the bordered solve at offset {levels[len(c_h)]:.4g} on {shape} "
+                   f"failed: {exc}")
     offsets = levels[:len(c_h)]
     where = f"offsets {[round(v, 4) for v in offsets]} on {exp.grid.shape} refined twice"
     where += f" ({stopped})" if stopped else ""
@@ -237,7 +252,7 @@ def estimate_ergodic_constant(exp: ErgodicExperiment, tol: float = 1e-2) -> tupl
         "L_rate": rate,
         "ladder": list(exp.ladder),
         "grid_shape": list(exp.grid.shape),
-        "stopped": stopped,  # why the offsets ended early, if a refined solve failed
+        "stopped": stopped,  # why the offsets ended early, if a bordered solve failed
         # read by the benchmark's span counters until they are redefined
         # for this estimator: there are no verdicts any more
         "classifications": [],
@@ -264,29 +279,22 @@ def _face_rays(exp: ErgodicExperiment) -> list:
 
 
 def _layer_samples(exp: ErgodicExperiment, u: GridFunction, name, normal, node):
-    """(distances, values, nodes) along the inward normal in the fit layer."""
+    """(distances, values, ray) along the inward normal in the fit layer.
+
+    The ray is the index tuple of the sampled nodes: `u.values[ray]` are
+    the values.
+    """
     grid = exp.grid
     k = int(np.argmax(np.abs(normal)))
-    step = int(np.sign(normal[k]))
-    h = grid.spacing[k]
     lo_mult, hi_mult = exp.fit_span
-    k_min = max(1, int(math.ceil(lo_mult)))
-    k_max = int(math.floor(hi_mult))
-    limit = grid.shape[k] - 1
-    ds, vals, nodes = [], [], []
-    for m in range(k_min, k_max + 1):
-        idx = list(node)
-        idx[k] += step * m
-        if not (0 < idx[k] < limit):
-            break
-        ds.append(m * h)
-        vals.append(float(u(tuple(idx))))
-        nodes.append(tuple(idx))
-    if len(ds) < 8:
+    m = np.arange(max(1, math.ceil(lo_mult)), math.floor(hi_mult) + 1)
+    m = m[m < grid.shape[k] - 1]  # the ray starts on the face: stop before the far one
+    if m.size < 8:
         raise UnresolvedLayer(
-            f"face {name}: only {len(ds)} usable shells in the fit layer (need >= 8)"
+            f"face {name}: only {m.size} usable shells in the fit layer (need >= 8)"
         )
-    return np.array(ds), np.array(vals), nodes
+    ray = node[:k] + (node[k] + int(np.sign(normal[k])) * m,) + node[k + 1:]
+    return m * grid.spacing[k], u.values[ray], ray
 
 
 def _power_normalization_shift(ds, vals) -> float:
@@ -295,11 +303,13 @@ def _power_normalization_shift(ds, vals) -> float:
     Solutions are determined up to additive constants and carry a bounded
     regular part next to the C d^-chi profile; both bias a two-parameter
     log-log fit at the coarse end of the layer.  A three-parameter fit of
-    C d^-chi + k is used only to estimate the normalization k.
+    C d^-chi + k, with its Jacobian in closed form, is used only to
+    estimate the normalization k.
     """
     from scipy.optimize import least_squares
 
-    design = np.column_stack([np.log(ds), np.ones_like(ds)])
+    log_ds = np.log(ds)
+    design = np.column_stack([log_ds, np.ones_like(ds)])
     coef, _, _, _ = np.linalg.lstsq(design, np.log(np.maximum(vals, 1e-300)),
                                     rcond=None)
     x0 = np.array([math.exp(coef[1]), -coef[0], 0.0])
@@ -310,7 +320,13 @@ def _power_normalization_shift(ds, vals) -> float:
         c_amp, chi_v, k = params
         return (c_amp * ds ** (-chi_v) + k - vals) / scale
 
-    out = least_squares(resid, x0, method="lm", max_nfev=400)
+    def jac(params):
+        c_amp, chi_v, _ = params
+        power = ds ** (-chi_v)
+        return np.column_stack([power, -c_amp * power * log_ds, np.ones_like(ds)]) \
+            / scale[:, None]
+
+    out = least_squares(resid, x0, jac=jac, method="lm", max_nfev=400)
     return float(out.x[2])
 
 
@@ -388,14 +404,12 @@ def verify_gradient_rate(
     grad = gradient_field(u.values, u.grid.spacing)
     faces = []
     for name, normal, node in _face_rays(exp):
-        ds, _, nodes = _layer_samples(exp, u, name, normal, node)
+        ds, _, ray = _layer_samples(exp, u, name, normal, node)
         c_ref = amplitude_C(exp.instance.operator, normal, exp.exponents)
-        rate = []
-        for d, idx in zip(ds, nodes):
-            grad_d = -np.asarray(normal)  # distance decreases toward the face
-            g = np.array([gk[tuple(i - 1 for i in idx)] for gk in grad])
-            rate.append(d ** (chi_val + 1.0) * float(g @ (-grad_d)) / c_ref)
-        rate = np.array(rate)
+        inner = tuple(i - 1 for i in ray)  # the gradient lives on the interior
+        # grad d is the inward normal: the distance grows away from the face
+        slope = sum(nk * gk[inner] for nk, gk in zip(normal, grad))
+        rate = ds ** (chi_val + 1.0) * slope / c_ref
         design = np.column_stack([np.ones_like(ds), ds])
         coef, _, _, _ = np.linalg.lstsq(design, rate, rcond=None)
         trend = float(coef[0])
@@ -453,15 +467,21 @@ def verify_uniqueness(
     """Max deviation from constancy of u - v over the inner-half core.
 
     u and v are the solutions at the highest and the lowest ladder
-    amplitude; u is solved here unless given.  The mean of u - v over the
+    amplitude; u is solved here unless given.  At alpha = 0 the system is
+    invariant under u -> u + k (rho = 1 and the eps terms cancel), so v is
+    solved from u's translate to the lower data, and Newton only confirms
+    its residual; otherwise v is solved cold.  The mean of u - v over the
     core is removed before the maximum is taken.  Raises HypothesisViolated
     if the experiment lies outside the regime where uniqueness holds
     (inapplicable, not a failure).
     """
     check_uniqueness_hypotheses(exp, c)
     lo_amp, hi_amp = exp.ladder[0], exp.ladder[-1]
-    u_lo, _ = solve_at(exp, c, lo_amp)
     u_hi = u if u is not None else solve_at(exp, c, hi_amp)[0]
+    start = None
+    if exp.exponents.alpha == 0.0:
+        start = GridFunction(exp.grid, u_hi.values - (hi_amp - lo_amp))
+    u_lo, _ = solve_at(exp, c, lo_amp, start=start)
     mask = _core_mask(exp.grid)
     diff = u_hi.values[mask] - u_lo.values[mask]
     return {

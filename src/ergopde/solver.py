@@ -617,16 +617,26 @@ def solve_dirichlet(
     boundary: ScalarField,
     grid: UniformGrid,
     config: SolverConfig | None = None,
+    start: GridFunction | None = None,
 ) -> tuple:
     """Solve the Dirichlet problem at `config.delta`, raising the truncation M.
 
-    Each truncation round is one Newton solve (`_solve_round`, with its
-    delta continuation as a fallback at alpha != 0).  Returns (solution
-    GridFunction, SolveReport).  Raises NonConvergence if a round cannot be
-    completed.
+    Newton starts from the interior of `start` when one is given (with the
+    boundary values of the data), else from `_initial_guess`; the first
+    truncation level is twice the start's largest slope, and at least 1.  Each truncation
+    round is one Newton solve (`_solve_round`, with its delta continuation
+    as a fallback at alpha != 0).  Returns (solution GridFunction,
+    SolveReport).  Raises NonConvergence if a round cannot be completed.
     """
     config = config or SolverConfig()
-    u_full = _initial_guess(grid, _boundary_values_full(grid, boundary))
+    u_full = _boundary_values_full(grid, boundary)
+    if start is None:
+        u_full = _initial_guess(grid, u_full)
+    elif start.grid.shape != grid.shape:
+        raise OutOfRange(f"start on {start.grid.shape} nodes, grid {grid.shape}")
+    else:
+        inner = (slice(1, -1),) * grid.dim
+        u_full[inner] = start.values[inner]
     system = _System(instance, grid, config)
     m_level = max(1.0, 2.0 * _max_axis_slope(u_full, grid.spacing))
     rounds = 0

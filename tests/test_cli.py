@@ -322,6 +322,30 @@ class TestExitCodes:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    @pytest.mark.parametrize("text", [
+        b"alpha: [", b"alpha: 1\n beta: 2", b"- alpha\nbeta: 2", b"key: *undefined",
+        b"\x80alpha: 0", b"alpha: \x07", b"!!python/object:os.system x",
+        b"alpha: !!int 'x'", b"alpha: 2001-13-45", b"[0, 2]", b"",
+    ], ids=["unclosed", "indent", "mixed-root", "alias", "utf8", "control-char",
+            "python-tag", "int-tag", "bad-date", "list-root", "empty"])
+    def test_invalid_yaml_is_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "config.yaml"
+        path.write_bytes(text)
+        rc = main(["oracle", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_config_reads_as_safe_load(self, tmp_path):
+        # libyaml's parser, when present, gives the types yaml.safe_load gives
+        text = ("a: 1\nb: 1.5e-3\nc: [1, -2.0, .inf]\nd: {e: true, f: null, "
+                "g: '3'}\nh: 0x1f\ni: 2001-02-03\n")
+        path = tmp_path / "config.yaml"
+        path.write_text(text)
+        cfg, _ = cli.load_config(path)
+        expected = yaml.safe_load(text)
+        assert cfg == expected
+        assert repr(cfg) == repr(expected)
+
     def test_nonempty_outdir_requires_force(self, tmp_path):
         path = write_config(tmp_path, {"alpha": 0.0, "beta": 2.0})
         out = tmp_path / "out"

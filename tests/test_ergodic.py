@@ -1,5 +1,6 @@
 """Ergodic estimation, asymptotic verification, uniqueness, zoom rescaling."""
 
+import math
 import time
 
 import numpy as np
@@ -30,7 +31,9 @@ from ergopde import (
     verify_gradient_rate,
     verify_uniqueness,
 )
-from ergopde.ergodic import offset_constants
+from ergopde.ergodic import _face_rays, _layer_samples, offset_constants
+from ergopde.grid import gradient_field
+from ergopde.model import amplitude_C, chi
 from conftest import (
     COSINE_C,
     POWER_C,
@@ -138,14 +141,53 @@ class TestEstimate:
             estimate_ergodic_constant(experiment(cosine_instance, 101, (8.0, 12.0)), tol)
 
     def test_failed_continuation_raises(self, cosine_instance, monkeypatch):
+        # every bordered step fails: no offset resolves, and the
+        # UnresolvedLayer names the first offset, the grid and the stall
         from ergopde import ergodic
 
         def fail(*args, **kwargs):
             raise NonConvergence("newton stalled")
 
         monkeypatch.setattr(ergodic, "solve_bordered", fail)
+        with pytest.raises(UnresolvedLayer, match=r"only 0 resolved .*bordered solve at "
+                           r"offset 1 on \(101,\) failed: newton stalled"):
+            estimate_ergodic_constant(experiment(cosine_instance, 101, (8.0, 12.0)))
+
+    def test_failed_start_raises(self, cosine_instance, monkeypatch):
+        # the Dirichlet solve that starts the offsets is not an offset
+        from ergopde import ergodic
+
+        def fail(*args, **kwargs):
+            raise NonConvergence("newton stalled")
+
+        monkeypatch.setattr(ergodic, "solve_dirichlet", fail)
         with pytest.raises(NonConvergence, match="stalled"):
             estimate_ergodic_constant(experiment(cosine_instance, 101, (8.0, 12.0)))
+
+    def test_failed_base_step_ends_the_offsets(self, cosine_instance, monkeypatch):
+        # the bordered steps on the experiment's grid to offsets 1 to 3
+        # converge, and every one beyond offset 3 fails, down to the step
+        # C/4: the three resolved offsets stand and give the estimate
+        from ergopde import ergodic
+
+        exp = experiment(cosine_instance, 101, (10.0, 15.0, 20.0))
+        real, failed = ergodic.solve_bordered, []
+
+        def solve_bordered(instance, guess, c, node, config):
+            level = guess.values[0]  # the data: the offset the step goes to
+            if guess.grid.shape == exp.grid.shape and level > 3.0:
+                failed.append(level - 3.0)
+                raise NonConvergence("newton line search failed: planted")
+            return real(instance, guess, c, node, config)
+
+        monkeypatch.setattr(ergodic, "solve_bordered", solve_bordered)
+        c_est, report = estimate_ergodic_constant(exp, tol=0.05)
+        assert failed == [1.0, 0.5, 0.25]
+        assert report["offsets"] == [1.0, 2.0, 3.0]
+        assert report["stopped"] == ("the bordered solve at offset 4 on (101,) failed: "
+                                     "newton line search failed: planted")
+        lo, hi = report["bracket"]
+        assert lo <= COSINE_C <= hi
 
     @staticmethod
     def fail_refined_after(exp, monkeypatch, solves):
@@ -193,14 +235,17 @@ class TestEstimate:
         exp = experiment(cosine_instance, 101, (8.0, 12.0))
         configs = []
 
-        def counted(instance, boundary, grid, config):
-            configs.append(config)
-            return solve_dirichlet(instance, boundary, grid, config)
+        def counted(instance, boundary, grid, config, start=None):
+            configs.append((config, start))
+            return solve_dirichlet(instance, boundary, grid, config, start=start)
 
         monkeypatch.setattr(ergodic, "solve_dirichlet", counted)
         u, _ = solve_at(exp, COSINE_C + 1.0, 8.0)
-        assert configs == [exp.config()]
+        assert configs == [(exp.config(), None)]
         assert u.values[0] == u.values[-1] == 8.0
+        v, _ = solve_at(exp, COSINE_C + 1.0, 5.0, start=u)
+        assert configs[1][0] == exp.config() and configs[1][1] is u
+        assert v.values[0] == v.values[-1] == 5.0
 
         def fail(*args, **kwargs):
             raise NonConvergence("newton stalled")
@@ -243,7 +288,52 @@ class TestEstimate:
         assert abs(c1 - (c0 - 1.0)) <= 2 * 0.05
 
 
+def loop_layer_samples(exp, u, normal, node):
+    """The per-node loop that the sliced `_layer_samples` replaced."""
+    k = int(np.argmax(np.abs(normal)))
+    step, h = int(np.sign(normal[k])), exp.grid.spacing[k]
+    ds, vals, nodes = [], [], []
+    for m in range(max(1, math.ceil(exp.fit_span[0])), math.floor(exp.fit_span[1]) + 1):
+        idx = list(node)
+        idx[k] += step * m
+        if not 0 < idx[k] < exp.grid.shape[k] - 1:
+            break
+        ds.append(m * h)
+        vals.append(u(tuple(idx)))
+        nodes.append(tuple(idx))
+    return np.array(ds), np.array(vals), nodes
+
+
 class TestProfileVerification:
+    @pytest.mark.parametrize("shape", [(41,), (31, 25)])
+    def test_sliced_samples_equal_the_loop(self, shape):
+        # the same values, distances and gradient-rate trends, bit for bit
+        dim = len(shape)
+        domain = Box((-1.0,) * dim, (1.0, 0.5)[:dim])
+        inst = EquationInstance(
+            operator=ScaledTrace(), exponents=ExponentPair(0.0, 1.5),
+            b=ScalarField.constant(1.0, dim), f=ScalarField.constant(0.0, dim),
+            domain=domain)
+        exp = ErgodicExperiment(instance=inst, grid=UniformGrid(shape, domain),
+                                ladder=(10.0, 20.0), probe_point=(0.0,) * dim)
+        u = GridFunction(exp.grid, np.random.default_rng(3).normal(size=shape))
+        grad = gradient_field(u.values, exp.grid.spacing)
+        trends = []
+        for name, normal, node in _face_rays(exp):
+            ds, vals, ray = _layer_samples(exp, u, name, normal, node)
+            ref_ds, ref_vals, nodes = loop_layer_samples(exp, u, normal, node)
+            assert np.array_equal(ds, ref_ds) and np.array_equal(vals, ref_vals)
+            assert list(zip(*np.broadcast_arrays(*ray))) == nodes
+            c_ref = amplitude_C(inst.operator, normal, inst.exponents)
+            rate = []
+            for d, idx in zip(ref_ds, nodes):
+                g = np.array([gk[tuple(i - 1 for i in idx)] for gk in grad])
+                rate.append(d ** (chi(inst.exponents) + 1.0) * float(g @ np.asarray(normal))
+                            / c_ref)
+            design = np.column_stack([np.ones_like(ref_ds), ref_ds])
+            trends.append(float(np.linalg.lstsq(design, rate, rcond=None)[0][0]))
+        assert [f["trend"] for f in verify_gradient_rate(exp, u)["faces"]] == trends
+
     def test_synthetic_exact_power_profile(self, power_instance):
         # u = C d^-chi exactly: the fit must recover chi and C
         exp = experiment(power_instance, 801, (10.0, 20.0))
@@ -306,8 +396,53 @@ class TestUniqueness:
 
         monkeypatch.setattr(ergodic, "solve_at", bumped)
         report = verify_uniqueness(exp, COSINE_C + 0.1)
-        assert amplitudes == [8.0, 12.0]
+        # the top rung first; the lower one is solved from its translate,
+        # bump included, and Newton removes the bump
+        assert amplitudes == [12.0, 8.0]
         assert report["max_deviation"] > 1e-2
+
+    @pytest.mark.parametrize("alpha, beta, c, warm", [
+        (0.0, 2.0, COSINE_C + 0.1, True),
+        (0.0, 1.5, POWER_C + 0.1, True),
+        (-0.3, 1.5, -1.0, False),
+    ], ids=["log", "power", "alpha-negative"])
+    def test_lower_rung_starts_from_the_translate_at_alpha_zero(self, monkeypatch, alpha,
+                                                                beta, c, warm):
+        # at alpha != 0 the eps-stabilizer breaks the invariance u -> u + k,
+        # and the lower rung is solved cold
+        from ergopde import ergodic
+
+        exp = experiment(make_instance(alpha, beta), 21, (8.0, 12.0))
+        top = GridFunction(exp.grid, 12.0 + np.cos(exp.grid.axes()[0]))
+        calls = []
+
+        def recorded(exp, c, amplitude, start=None):
+            calls.append((amplitude, start))
+            return top, None
+
+        monkeypatch.setattr(ergodic, "solve_at", recorded)
+        verify_uniqueness(exp, c)
+        (hi, hi_start), (lo, lo_start) = calls
+        assert (hi, hi_start, lo) == (12.0, None, 8.0)
+        if warm:
+            assert np.array_equal(lo_start.values, top.values - 4.0)
+        else:
+            assert lo_start is None
+
+    @pytest.mark.parametrize("instance_name, c", [
+        ("cosine_instance", COSINE_C + 0.01), ("power_instance", POWER_C + 0.01)])
+    def test_translate_of_the_top_rung_solves_the_lower_one(self, request,
+                                                            instance_name, c):
+        # alpha = 0: Newton confirms the residual of the translate, with no
+        # step in one truncation round, and lands on the cold solve
+        exp = experiment(request.getfixturevalue(instance_name), 801, (10.0, 15.0))
+        u_hi, _ = solve_at(exp, c, 15.0)
+        cold, _ = solve_at(exp, c, 10.0)
+        start = GridFunction(exp.grid, u_hi.values - 5.0)
+        warm, rep = solve_at(exp, c, 10.0, start=start)
+        assert np.abs(warm.values - cold.values).max() <= 1e-9
+        assert rep.iterations_per_stage == (0,)
+        assert rep.truncation_rounds == 1
 
     def test_hypothesis_check_rejects_large_f(self):
         inst = make_instance(0.0, 2.0, f="10.0")

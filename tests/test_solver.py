@@ -17,6 +17,7 @@ from ergopde import (
     ExponentPair,
     GridFunction,
     NonConvergence,
+    OutOfRange,
     PucciMinus,
     PucciPlus,
     ScalarField,
@@ -632,6 +633,36 @@ class TestReports:
         u5, _ = solve(inst, 5.0, 101)
         u9, _ = solve(inst, 9.0, 101)
         assert np.max(np.abs(u9.values - u5.values - 4.0)) < 1e-8
+
+
+class TestStart:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_solution_as_start_takes_no_step(self, dim):
+        # Newton starts from the start's interior, with the data's boundary
+        # values: from a converged solution it only confirms the residual
+        if dim == 1:
+            inst, grid = make_instance(0.0, 1.5, f="1 + 0.3*x"), interval_grid(101)
+        else:
+            inst = EquationInstance(
+                operator=PucciPlus(AC6_BOUNDS), exponents=ExponentPair(0.0, 1.5),
+                b=ScalarField.constant(1.0, 2),
+                f=ScalarField.from_expression("1 + 0.4*x*y", dim=2), domain=SQUARE,
+            )
+            grid = UniformGrid((7, 7), SQUARE)
+        data = ScalarField.constant(3.0, dim)
+        u, rep = solve_dirichlet(inst, data, grid)
+        assert rep.iterations_per_stage != (0,)
+        start = GridFunction(grid, np.where(grid.boundary_mask(), 99.0, u.values))
+        warm, rep = solve_dirichlet(inst, data, grid, start=start)
+        assert np.array_equal(warm.values, u.values)
+        assert rep.iterations_per_stage == (0,)
+        assert rep.truncation_rounds == 1
+
+    def test_start_on_another_grid_is_refused(self):
+        inst = make_instance(0.0, 1.5)
+        start = GridFunction(interval_grid(11), np.zeros(11))
+        with pytest.raises(OutOfRange, match="start"):
+            solve_dirichlet(inst, ZERO, interval_grid(21), start=start)
 
 
 class TestFailureModes:
