@@ -319,17 +319,44 @@ def run_asymptotics(cfg: dict, out: Path, seed) -> dict:
     return report
 
 
-def _reference(ref: dict):
-    """The exact solution u(x) named by the `reference:` section."""
+def _reference(ref: dict, instance: EquationInstance, boundary: ScalarField, nodes):
+    """The exact solution u(x) of the run's problem named by `reference: {kind}`.
+
+    Its constants are the run's, each constant on the nodes: alpha from
+    the instance, c0 (dirichlet-1d) or c (cosine) from f, and the cosine's
+    amplitude from the boundary datum.  Any other key, or a reference that
+    does not solve the problem, is a ConfigError.
+    """
+    for key in ref:
+        if key != "kind":
+            raise ConfigError(f"the reference key {key!r} is refused: the constants "
+                              "come from the instance and the boundary")
     kind = ref["kind"]
+
+    def constant(field: ScalarField, name: str) -> float:
+        values = field(nodes)
+        if np.any(values != values[0]):
+            raise ConfigError(f"the {kind} reference needs a constant {name}")
+        return float(values[0])
+
+    trace = (instance.operator == ScaledTrace(1.0)
+             and instance.domain == Box((-1.0,), (1.0,)))
     if kind == "dirichlet-1d":
-        return exact_dirichlet_1d(_number(ref, "alpha"), _number(ref, "c0"))
+        if not (trace and constant(instance.b, "b") == 0.0
+                and constant(boundary, "boundary") == 0.0):
+            raise ConfigError("the dirichlet-1d reference solves only the trace with "
+                              "a = 1, b = 0 and boundary 0 on (-1, 1)")
+        return exact_dirichlet_1d(instance.exponents.alpha, constant(instance.f, "f"))
     if kind != "cosine":
         raise ConfigError(f"unknown reference kind: {kind!r}")
-    c_val = _number(ref, "c")
-    amp = _number(ref, "amplitude", 0.0)
+    if not (trace and instance.exponents == ExponentPair(0.0, 2.0)
+            and constant(instance.b, "b") == 1.0):
+        raise ConfigError("the cosine reference solves only the trace with a = 1, "
+                          "alpha = 0, beta = 2 and b = 1 on (-1, 1)")
+    c_val = constant(instance.f, "f")
     if c_val >= 0.0 or c_val <= -np.pi**2 / 4:
-        raise ConfigError("cosine reference requires c in (-pi^2/4, 0)")
+        raise ConfigError("the cosine reference requires f = c in (-pi^2/4, 0)")
+    amp = constant(boundary, "boundary")
     root = np.sqrt(-c_val)
 
     def exact(x):
@@ -342,14 +369,14 @@ def run_convergence(cfg: dict, out: Path, seed) -> dict:
     with _reading():
         instance = _instance(cfg)
         sizes = _number(cfg, "grid_sizes", kind=lambda v: [_integer(n) for n in v])
-        if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise ConfigError("grid_sizes must be strictly increasing")
+        if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
+            raise ConfigError("grid_sizes must be nonempty and strictly increasing")
         grids = [UniformGrid((n,), instance.domain) for n in sizes]
-        ref = _section(cfg, "reference")
-        exact = _reference(ref)
         boundary = ScalarField.from_expression(
             str(cfg["boundary"]), dim=instance.domain.dim
         )
+        ref = _section(cfg, "reference")
+        exact = _reference(ref, instance, boundary, grids[-1].axes()[0])
         solver = _solver_config(cfg)
     rows, errors = [], []
     for grid in grids:

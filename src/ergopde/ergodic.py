@@ -330,20 +330,14 @@ def _power_normalization_shift(ds, vals) -> float:
     return float(out.x[2])
 
 
-def verify_blowup_profile(
-    exp: ErgodicExperiment,
-    c: float,
-    u: GridFunction | None = None,
-) -> dict:
-    """Fit the boundary-layer samples against the predicted blow-up profile.
+def verify_blowup_profile(exp: ErgodicExperiment, c: float, u: GridFunction) -> dict:
+    """Fit the boundary-layer samples of u against the predicted blow-up profile.
 
-    Solves at the top ladder amplitude unless a solution is supplied.
-    Values are normalized before fitting: by u(probe) in the log case
-    (pure additive-constant ambiguity) and by the estimated regular part
-    in the power case.
+    u is the solution at the shift c (`solve_at` at the top ladder
+    amplitude, in the CLI and the demo).  Values are normalized before
+    fitting: by u(probe) in the log case (pure additive-constant
+    ambiguity) and by the estimated regular part in the power case.
     """
-    if u is None:
-        u, _ = solve_at(exp, c, exp.ladder[-1])
     chi_val = chi(exp.exponents)
     case = "power" if chi_val > 0.0 else "log"
     base_shift = float(u(exp.probe_node))
@@ -353,8 +347,8 @@ def verify_blowup_profile(
         shift = base_shift
         if case == "power":
             shift += _power_normalization_shift(ds, raw - base_shift)
-        vals = raw
-        fit = blowup_profile_fit(ds, vals - shift, case)
+        vals = raw - shift
+        fit = blowup_profile_fit(ds, vals, case)
         c_ref = amplitude_C(exp.instance.operator, normal, exp.exponents)
         entry = {
             "face": name,
@@ -364,7 +358,7 @@ def verify_blowup_profile(
             "samples": fit["samples"],
             "profile_rows": [
                 [float(d), float(v), float(v * d**chi_val / c_ref)]
-                for d, v in zip(ds, vals - shift)
+                for d, v in zip(ds, vals)
             ],
         }
         if case == "power":

@@ -1,13 +1,15 @@
 """Uniform-grid discretization: stencils, seminorms, snapshots.
 
 Grids are 1D or 2D tensor products of equally spaced nodes.  Values are
-stored row-major (2D shape = (nx, ny)).  Gradients use centered
-differences, Hessians the standard second differences plus four-point
-corner stencils; both are exact on quadratics.
+stored row-major (2D shape = (nx, ny)).  The stencils read a node's
+neighbours along each axis through one set of views; only the 2D corner
+stencil d_xy is written per dimension.  The centered ones are exact on
+quadratics.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -119,31 +121,43 @@ class GridFunction:
 # stencils
 
 
-def gradient_field(values: np.ndarray, spacing: tuple) -> tuple:
-    """Centered gradient components on the interior of a value array.
+@functools.cache
+def _neighbour_slices(ndim: int) -> tuple:
+    """Per axis, the index tuples of the (lower, centre, upper) interior views."""
+    inner = (slice(1, -1),) * ndim
+    return tuple((inner[:k] + (slice(None, -2),) + inner[k + 1:], inner,
+                  inner[:k] + (slice(2, None),) + inner[k + 1:]) for k in range(ndim))
 
-    Returns one array per axis, each of the interior shape.
+
+def axis_slopes(values: np.ndarray, spacing: tuple) -> list:
+    """Per axis, the slopes (D-u, D+u, D0u) on the interior of a value array.
+
+    D-u = (u - u_lo) / h and D+u = (u_hi - u) / h are the one-sided slopes
+    to the lower and upper neighbour, D0u = (u_hi - u_lo) / (2h) the centered one.
     """
-    v, h = values, spacing
-    if v.ndim == 1:
-        return ((v[2:] - v[:-2]) / (2.0 * h[0]),)
-    gx = (v[2:, 1:-1] - v[:-2, 1:-1]) / (2.0 * h[0])
-    gy = (v[1:-1, 2:] - v[1:-1, :-2]) / (2.0 * h[1])
-    return (gx, gy)
+    v = values
+    return [((v[c] - v[lo]) / h, (v[hi] - v[c]) / h, (v[hi] - v[lo]) / (2.0 * h))
+            for (lo, c, hi), h in zip(_neighbour_slices(v.ndim), spacing)]
+
+
+def gradient_field(values: np.ndarray, spacing: tuple) -> tuple:
+    """Centered gradient components (D0u of `axis_slopes`), one per axis."""
+    return tuple(d0 for _, _, d0 in axis_slopes(values, spacing))
 
 
 def hessian_field(values: np.ndarray, spacing: tuple) -> tuple:
     """Second-difference Hessian components on the interior of a value array.
 
-    1D: (dxx,); 2D: (dxx, dxy, dyy).
+    1D: (dxx,); 2D: (dxx, dxy, dyy), d_xy from the four corner neighbours.
     """
-    v, h = values, spacing
-    if v.ndim == 1:
-        return ((v[2:] - 2.0 * v[1:-1] + v[:-2]) / h[0] ** 2,)
-    dxx = (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / h[0] ** 2
-    dyy = (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / h[1] ** 2
-    dxy = (v[2:, 2:] + v[:-2, :-2] - v[2:, :-2] - v[:-2, 2:]) / (4.0 * h[0] * h[1])
-    return (dxx, dxy, dyy)
+    v = values
+    hess = [(v[hi] - 2.0 * v[c] + v[lo]) / h**2
+            for (lo, c, hi), h in zip(_neighbour_slices(v.ndim), spacing)]
+    if v.ndim == 2:
+        hx, hy = spacing
+        corners = v[2:, 2:] + v[:-2, :-2] - v[2:, :-2] - v[:-2, 2:]
+        hess.insert(1, corners / (4.0 * hx * hy))
+    return tuple(hess)
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,10 @@ def shoot_blowup(
 
     Integrates p = u' of  a |p|^alpha p' = p^beta - f(x) - c  from the
     symmetry point x = 0, p = 0.  Requires f + c < 0 on [0, 1] so that p
-    is strictly increasing (InvalidRegime otherwise).
+    is strictly increasing (InvalidRegime otherwise).  f is read on [0, 1]
+    only and continued by f(1) beyond, so a value x* > 1 says that the
+    solution stays finite on [0, 1]; where beyond 1 it blows up depends on
+    that continuation, not on f there.
     """
     if f.dim != 1:
         raise OutOfRange("the shooting oracle is one-dimensional")
@@ -155,20 +158,20 @@ def shoot_blowup(
 
     def rhs_s(s, x):
         p = s ** (1.0 / opa) if s > 0.0 else 0.0
-        return 1.0 / (opa * ((p**beta - f_at(x) - c) / a))
+        return 1.0 / (opa * ((p**beta - f_at(x if x < 1.0 else 1.0) - c) / a))
 
     x1 = _dop853(rhs_s, 0.0, p_switch**opa, 0.0)
 
     # phase 2: ell = log p up to a large cutoff
     def rhs_log(ell, x):
         p = math.exp(ell)
-        return a * p**opa / (p**beta - f_at(x) - c)
+        return a * p**opa / (p**beta - f_at(x if x < 1.0 else 1.0) - c)
 
     x2 = _dop853(rhs_log, math.log(p_switch), math.log(_P_MAX), x1)
 
     # asymptotic tail: integral of a p^alpha / (p^beta - K) from P to infinity
     gap = beta - opa
-    k_val = f_at(x2) + c
+    k_val = f_at(x2 if x2 < 1.0 else 1.0) + c
     tail = a * (
         _P_MAX ** (-gap) / gap + k_val * _P_MAX ** (-(beta + gap)) / (beta + gap)
     )

@@ -13,14 +13,15 @@ regularized system
 with the Hamiltonian clamped at a truncation level M, raised until no node
 reaches it, for every operator in 1D and 2D.  F enters the Jacobian
 through its policy at the current Hessian (`operators.policy_1d`,
-`operators.policy_2d`).  The stencils are written once over the axes,
-from each node's neighbours along it; only the d_xy stencil, the packing
-of the Jacobian and the linear solve differ between the dimensions:
-banded in 1D, a sparse 9-point CSC matrix in 2D, filled through a
-pattern cached per grid shape.  The system and F's policy are evaluated
-once per iterate (`_System.evaluate`), on raw value arrays and from the
-stencils of `grid`; the Jacobian and the Newton step read that record,
-and a solve reports the residual of the system it converged on.
+`operators.policy_2d`).  The stencils come from `grid`: the per-axis
+slopes of `grid.axis_slopes` and the second differences of
+`grid.hessian_field`.  Only the d_xy stencil, the packing of the Jacobian
+and the linear solve differ between the dimensions: banded in 1D, a
+sparse 9-point CSC matrix in 2D, filled through a pattern cached per grid
+shape.  The system and F's policy are evaluated once per iterate
+(`_System.evaluate`), from one set of axis slopes; the Jacobian and the
+Newton step read that record, and a solve reports the residual of the
+system it converged on.
 `residual_field` is the residual of the original equation.
 """
 
@@ -39,7 +40,7 @@ import scipy.sparse.linalg
 
 from . import operators
 from .errors import InvalidBoundary, NonConvergence, OutOfRange
-from .grid import GridFunction, UniformGrid, gradient_field, hessian_field
+from .grid import GridFunction, UniformGrid, axis_slopes, hessian_field
 from .model import EquationInstance, ScalarField
 
 _GRAD_FLOOR = 1e-14
@@ -142,55 +143,30 @@ def _max_axis_slope(u: np.ndarray, h: tuple) -> float:
     return max(float(np.abs(np.diff(u, axis=k)).max()) / hk for k, hk in enumerate(h))
 
 
-@functools.cache
-def _neighbour_slices(ndim: int) -> tuple:
-    """Per axis, the index tuples of the (lower, centre, upper) interior views."""
-    inner = (slice(1, -1),) * ndim
-    return tuple((inner[:k] + (slice(None, -2),) + inner[k + 1:], inner,
-                  inner[:k] + (slice(2, None),) + inner[k + 1:]) for k in range(ndim))
-
-
-def _axis_neighbours(u: np.ndarray) -> list:
-    """Per axis, the (lower, centre, upper) values on the interior of u."""
-    return [(u[lo], u[c], u[hi]) for lo, c, hi in _neighbour_slices(u.ndim)]
-
-
-def _one_sided_slopes(nbrs: list, h: tuple) -> list:
-    """Per axis, the backward and forward slopes (D-u, D+u)."""
-    return [((c - lo) / hk, (hi - c) / hk) for (lo, c, hi), hk in zip(nbrs, h)]
-
-
 def _norm(parts: list) -> np.ndarray:
     """Euclidean norm of nonnegative per-axis parts: the part itself in 1D."""
     return functools.reduce(np.hypot, parts)
 
 
-def _centered_magnitude(grad: tuple) -> np.ndarray:
-    """|grad u| from the centered slopes `grid.gradient_field(u, h)`."""
-    return _norm([np.abs(g) for g in grad])
+def _smooth_magnitude(slopes: list, alpha: float) -> np.ndarray:
+    """|grad u| from `grid.axis_slopes`: centered at alpha = 0, else RMS.
 
-
-def _rms_magnitude(nbrs: list, h: tuple) -> np.ndarray:
-    """Root-mean-square of the one-sided slopes, given `_axis_neighbours(u)`.
-
-    Used in place of the centered magnitude inside the degenerate factor
-    when alpha != 0: the centered difference vanishes identically at a
-    smooth extremum, which would turn an integrable |grad u|^(-alpha)
-    singularity into an O(h/delta) point defect.  The RMS form is smooth
-    in u, second-order accurate away from extrema, and positive at them.
+    The root-mean-square of the one-sided slopes is used in place of the
+    centered magnitude inside the degenerate factor when alpha != 0: the
+    centered difference vanishes identically at a smooth extremum, which
+    would turn an integrable |grad u|^(-alpha) singularity into an
+    O(h/delta) point defect.  The RMS form is smooth in u, second-order
+    accurate away from extrema, and positive at them.
     """
-    squares = [0.5 * (back**2 + fwd**2) for back, fwd in _one_sided_slopes(nbrs, h)]
-    return np.sqrt(functools.reduce(np.add, squares))
+    if alpha == 0.0:
+        return _norm([np.abs(d0) for _, _, d0 in slopes])
+    return np.sqrt(functools.reduce(
+        np.add, [0.5 * (back**2 + fwd**2) for back, fwd, _ in slopes]))
 
 
 def _godunov(back: np.ndarray, fwd: np.ndarray) -> np.ndarray:
     """max(D-, -D+, 0), the upwind one-dimensional slope."""
     return np.maximum(np.maximum(back, -fwd), 0.0)
-
-
-def _upwind_magnitude(nbrs: list, h: tuple) -> np.ndarray:
-    """Monotone (Rouy-Tourin) gradient magnitude, given `_axis_neighbours(u)`."""
-    return _norm([_godunov(back, fwd) for back, fwd in _one_sided_slopes(nbrs, h)])
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +178,7 @@ def residual_field(instance: EquationInstance, u: GridFunction) -> np.ndarray:
     grid = u.grid
     alpha = instance.exponents.alpha
     beta = instance.exponents.beta
-    gmag = _centered_magnitude(gradient_field(u.values, grid.spacing))
+    gmag = _smooth_magnitude(axis_slopes(u.values, grid.spacing), 0.0)
     fvals, _ = _eval_f_hessian(instance.operator, hessian_field(u.values, grid.spacing))
     ic = _interior_coords(grid)
     return (
@@ -249,18 +225,15 @@ def _csc_pattern(shape: tuple, offsets: tuple) -> tuple:
 class _Evaluation:
     """The regularized system at one iterate u (full array), from `_System.evaluate`.
 
-    `nbrs` is `_axis_neighbours(u)`, `grad` the centered slopes (alpha = 0
-    only, else None), `hess` the second differences and `policy` F's
-    policy there (`operators.policy_1d` or `policy_2d`); gmag is the
+    `slopes` is `grid.axis_slopes(u)` and `policy` F's policy at the
+    second differences (`operators.policy_1d` or `policy_2d`); gmag is the
     Peclet-selected magnitude, `upwind` its Godunov mask, rho the
     regularization factor, t_m = min(gmag, M), p the lower-order part
     f + c + eps |u|^alpha u - b t_m^beta, and res the residual.
     """
 
     u: np.ndarray
-    nbrs: list
-    grad: tuple | None
-    hess: tuple
+    slopes: list
     policy: np.ndarray | tuple
     gmag: np.ndarray
     upwind: np.ndarray
@@ -312,16 +285,11 @@ class _System:
         The smooth (centered / one-sided RMS) magnitude is second-order
         accurate but loses the discrete maximum principle once the local
         cell Peclet number q h / (2 a) of the linearized Hamiltonian
-        exceeds ~1; at such nodes the monotone Godunov magnitude
-        max(D-, -D+, 0) is used instead.
+        exceeds ~1; at such nodes the monotone Godunov (Rouy-Tourin)
+        magnitude max(D-, -D+, 0) is used instead.
         """
-        nbrs = _axis_neighbours(u_full)
-        grad = None
-        if self.alpha != 0.0:
-            g_c = _rms_magnitude(nbrs, self.h)
-        else:
-            grad = gradient_field(u_full, self.h)
-            g_c = _centered_magnitude(grad)
+        slopes = axis_slopes(u_full, self.h)
+        g_c = _smooth_magnitude(slopes, self.alpha)
         t_mc = np.minimum(g_c, self.m_level)
         # 0^(beta-1) = inf for beta < 1, and 0 * inf = nan where b = 0
         with np.errstate(divide="ignore", invalid="ignore") if self.beta < 1.0 \
@@ -329,17 +297,16 @@ class _System:
             tpow = t_mc ** (self.beta - 1.0)
             q = self.b_beta * tpow * _regularization_factor(g_c, self.delta, self.alpha)
         upwind = q * self.h_min / self.two_floor > self.config.peclet_threshold
-        gmag = np.where(upwind, _upwind_magnitude(nbrs, self.h), g_c) \
-            if upwind.any() else g_c
+        gmag = np.where(upwind, _norm([_godunov(back, fwd) for back, fwd, _ in slopes]),
+                        g_c) if upwind.any() else g_c
         rho = _regularization_factor(gmag, self.delta, self.alpha)
         t_m = np.minimum(gmag, self.m_level)
         es = self.eps * _signed_power(self.interior(u_full), self.alpha)
         p = self.f_int + es - self.b_int * t_m**self.beta
-        hess = hessian_field(u_full, self.h)
-        fvals, policy = _eval_f_hessian(self.instance.operator, hess)
+        fvals, policy = _eval_f_hessian(self.instance.operator,
+                                        hessian_field(u_full, self.h))
         res = es - fvals - p * rho
-        return _Evaluation(u_full, nbrs, grad, hess, policy, gmag, upwind, rho, t_m, p,
-                           res)
+        return _Evaluation(u_full, slopes, policy, gmag, upwind, rho, t_m, p, res)
 
     def _lower_order_slopes(self, ev: _Evaluation) -> tuple:
         """(q, dstab): the slopes of the residual's first-order part.
@@ -370,12 +337,8 @@ class _System:
         of the generalized gradient of max(D-, -D+, 0) there.
         """
         weights = []
-        for k, ((lo, c, hi), h) in enumerate(zip(ev.nbrs, self.h)):
-            back, fwd = (c - lo) / h, (hi - c) / h
-            if ev.grad is None:
-                wb, wf = 0.5 * back, 0.5 * fwd
-            else:
-                wb = wf = 0.5 * ev.grad[k]
+        for back, fwd, d0 in ev.slopes:
+            wb, wf = (0.5 * d0,) * 2 if self.alpha == 0.0 else (0.5 * back, 0.5 * fwd)
             if ev.upwind.any():
                 back_sel = (back >= -fwd) & (back >= 0.0)
                 fwd_sel = ~back_sel & (-fwd >= 0.0)

@@ -31,6 +31,15 @@ INSTANCE_YAML = {
 }
 
 
+# -u'' + u'^2 = -1 on (-1, 1) with u(+-1) = 0.5: the cosine reference's problem
+COSINE_CONVERGENCE = {
+    "instance": dict(INSTANCE_YAML["instance"], f="-1"),
+    "grid_sizes": [33, 65],
+    "boundary": "0.5",
+    "reference": {"kind": "cosine"},
+}
+
+
 def write_config(tmp_path: Path, payload: dict, name: str = "config.yaml") -> Path:
     path = tmp_path / name
     path.write_text(yaml.safe_dump(payload))
@@ -157,7 +166,7 @@ class TestSolve:
         ("solve", "probe_point", [-1.5]),
         ("ergodic", "fit_span", [4]),
         ("convergence", "grid_sizes", [2, 5]),
-        ("convergence", "reference", {"kind": "dirichlet-1d", "alpha": 0.0, "c0": -1}),
+        ("convergence", "reference", {"kind": "dirichlet-1d", "c0": -1.0}),
         ("oracle", "alpha", 5),
         ("property-suite", "trials", 0),
         ("asymptotics", "uniqueness", "no"),
@@ -187,10 +196,12 @@ class TestSolve:
         for name in ("solve_dirichlet", "solve_at", "estimate_ergodic_constant",
                      "ergodic_constant_1d", "check_uniform_ellipticity"):
             monkeypatch.setattr(cli, name, no_work)
-        cfg = dict(INSTANCE_YAML)
+        # every run would accept this config but for the key set below; the
+        # cosine reference takes c = -1 from f
+        cfg = {"instance": dict(INSTANCE_YAML["instance"], f="-1")}
         cfg["grid"] = {"shape": [21]}
         cfg["grid_sizes"] = [21, 41]
-        cfg["reference"] = {"kind": "cosine", "c": -1.0}
+        cfg["reference"] = {"kind": "cosine"}
         cfg["boundary"] = "0"
         cfg["ladder"] = [10.0, 20.0]
         cfg["probe_point"] = [0.0]
@@ -251,7 +262,7 @@ class TestConvergence:
             },
             "grid_sizes": [129, 257, 513],
             "boundary": "0",
-            "reference": {"kind": "dirichlet-1d", "alpha": 1.0, "c0": 1.0},
+            "reference": {"kind": "dirichlet-1d"},  # alpha = 1 and c0 = f = 1
             # small delta: the regularization floor must sit below the
             # finest grid's truncation error for the orders to be visible
             "solver": {"delta": 2.0**-23},
@@ -263,17 +274,82 @@ class TestConvergence:
         assert all(o >= 1.0 for o in report["observed_orders"])
         assert (out / "errors.csv").exists()
 
-    def test_nonmonotone_sizes_rejected(self, tmp_path):
-        cfg = {
-            "instance": INSTANCE_YAML["instance"],
-            "grid_sizes": [129, 65],
-            "boundary": "0",
-            "reference": {"kind": "cosine", "c": -1.0},
-        }
+    def test_cosine_orders(self, tmp_path):
+        # -u'' + u'^2 = -1 with u(+-1) = 0.5: c = -1 from f, the amplitude
+        # from the boundary datum; the centered scheme is second order
+        cfg = dict(COSINE_CONVERGENCE, grid_sizes=[33, 65, 129, 257])
+        out = tmp_path / "out"
         path = write_config(tmp_path, cfg)
+        assert main(["convergence", "--config", str(path), "--out", str(out)]) == 0
+        orders = read_report(out)["observed_orders"]
+        assert len(orders) == 3 and min(orders) >= 1.99, orders
+
+    def test_nonmonotone_sizes_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, dict(COSINE_CONVERGENCE, grid_sizes=[129, 65]))
         rc = main(["convergence", "--config", str(path),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
+        assert "strictly increasing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["alpha", "c0", "c", "amplitude"])
+    def test_reference_constants_are_refused_by_name(self, tmp_path, capsys, key):
+        # the constants come from the instance and the boundary, never twice
+        cfg = dict(COSINE_CONVERGENCE, reference={"kind": "cosine", key: -1.0})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", str(path), "--out", str(out)]) == 2
+        assert f"the reference key {key!r} is refused" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("kind, change, message", [
+        # f = 0 with the cosine's c = -1 ran to max error 0.616 and orders 0
+        ("cosine", {"f": "0"}, "f = c in"),
+        ("cosine", {"f": "-1 + 0.1*x**2"}, "constant f"),
+        ("cosine", {"b": "0"}, "solves only"),
+        ("cosine", {"alpha": 0.5}, "solves only"),
+        ("cosine", {"beta": 1.5}, "solves only"),
+        ("cosine", {"operator": {"kind": "trace", "a": 2.0}}, "solves only"),
+        ("cosine", {"operator": {"kind": "pucci+", "a": 1.0, "A": 2.0}}, "solves only"),
+        ("cosine", {"domain": {"lo": [0.0], "hi": [1.0]}}, "solves only"),
+        ("cosine", {"boundary": "0.5 + 0.1*x"}, "constant boundary"),
+        ("dirichlet-1d", {}, "solves only"),
+        ("dirichlet-1d", {"b": "0", "boundary": "0.5"}, "solves only"),
+        ("dirichlet-1d", {"b": "0", "boundary": "0"}, "c0 must be positive"),
+    ], ids=["cosine-f-zero", "cosine-f-varies", "cosine-b-zero", "cosine-alpha",
+            "cosine-beta", "cosine-trace-coefficient", "cosine-pucci", "cosine-domain",
+            "cosine-boundary-varies", "dirichlet-b-one", "dirichlet-boundary",
+            "dirichlet-f-negative"])
+    def test_reference_that_does_not_solve_the_run_is_refused(
+            self, tmp_path, capsys, kind, change, message):
+        instance = dict(COSINE_CONVERGENCE["instance"])
+        instance.update({k: v for k, v in change.items() if k != "boundary"})
+        cfg = dict(COSINE_CONVERGENCE, instance=instance, reference={"kind": kind},
+                   boundary=change.get("boundary", COSINE_CONVERGENCE["boundary"]))
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+
+class TestAsymptotics:
+    def test_log_case_with_uniqueness(self, tmp_path):
+        # the config of the console-script check: alpha = 0, beta = 2, f = 0
+        cfg = dict(INSTANCE_YAML, grid={"shape": [201]}, ladder=[8.0, 12.0],
+                   probe_point=[0.0], c=-2.3674, uniqueness=True)
+        path = write_config(tmp_path, cfg)
+        reports = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["asymptotics", "--config", str(path), "--out", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        report = strict_json(reports[0])
+        assert report["failed"] is False
+        assert report["uniqueness"]["max_deviation"] <= 1e-8
+        lines = (tmp_path / "a" / "profile.csv").read_text().splitlines()
+        assert lines[0] == "face,d,u,d_chi_u_over_C"
+        assert len(lines) == 1 + 122
 
 
 class TestPropertySuite:

@@ -19,7 +19,7 @@ from ergopde import (
     save_binary,
     save_csv,
 )
-from ergopde.grid import gradient_field, hessian_field
+from ergopde.grid import axis_slopes, gradient_field, hessian_field
 
 
 def grid1d(n, lo=-1.0, hi=1.0):
@@ -81,6 +81,41 @@ class TestStencils:
         for errs in (errs_g, errs_h):
             orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
             assert min(orders) >= 1.9
+
+
+def _explicit_stencils(v, h):
+    """The per-dimension formulas: (centered gradient, Hessian, one-sided slopes)."""
+    if v.ndim == 1:
+        grad = ((v[2:] - v[:-2]) / (2.0 * h[0]),)
+        hess = ((v[2:] - 2.0 * v[1:-1] + v[:-2]) / h[0] ** 2,)
+        one_sided = (((v[1:-1] - v[:-2]) / h[0], (v[2:] - v[1:-1]) / h[0]),)
+        return grad, hess, one_sided
+    gx = (v[2:, 1:-1] - v[:-2, 1:-1]) / (2.0 * h[0])
+    gy = (v[1:-1, 2:] - v[1:-1, :-2]) / (2.0 * h[1])
+    dxx = (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / h[0] ** 2
+    dyy = (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / h[1] ** 2
+    dxy = (v[2:, 2:] + v[:-2, :-2] - v[2:, :-2] - v[:-2, 2:]) / (4.0 * h[0] * h[1])
+    c = v[1:-1, 1:-1]
+    one_sided = (((c - v[:-2, 1:-1]) / h[0], (v[2:, 1:-1] - c) / h[0]),
+                 ((c - v[1:-1, :-2]) / h[1], (v[1:-1, 2:] - c) / h[1]))
+    return (gx, gy), (dxx, dxy, dyy), one_sided
+
+
+@pytest.mark.parametrize("shape, spacing", [((17,), (0.37,)), ((9, 13), (0.11, 0.029))])
+def test_axis_views_match_explicit_formulas_to_the_bit(shape, spacing):
+    # the shared per-axis views give every stencil bit for bit as written out
+    # per dimension, on random values and unequal spacings
+    v = np.random.default_rng(7).normal(scale=3.0, size=shape)
+    grad, hess, one_sided = _explicit_stencils(v, spacing)
+    slopes = axis_slopes(v, spacing)
+    assert len(slopes) == len(shape)
+    for (back, fwd, d0), (back_ref, fwd_ref), g_ref in zip(slopes, one_sided, grad):
+        for got, ref in ((back, back_ref), (fwd, fwd_ref), (d0, g_ref)):
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+    for stencil, ref in ((gradient_field, grad), (hessian_field, hess)):
+        got = stencil(v, spacing)
+        assert len(got) == len(ref)
+        assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 class TestSeminorms:

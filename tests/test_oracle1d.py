@@ -86,10 +86,12 @@ class TestShooting:
             shoot_blowup(EP_LOG, 1.0, ZERO)
 
     def test_forcing_error_reaches_the_caller(self):
-        # f + c < 0 on [0, 1], but f is NaN past sqrt(1.5), which the
-        # integration reaches before the blow-up
-        f = ScalarField.from_expression("-sqrt(1.5 - x**2)", dim=1)
-        with pytest.raises(OutOfRange, match="non-finite"), np.errstate(invalid="ignore"):
+        # f is read on [0, 1] only, where the margin scan checks it on 4,001
+        # nodes; this f + c < 0 on those nodes, but f is NaN at the points
+        # past x = 0.5 that the integration evaluates one at a time, a stand-in
+        # for a NaN between the scan's nodes
+        f = ScalarField(lambda x: -1.0 if np.ndim(x) or x < 0.5 else math.nan, 1)
+        with pytest.raises(OutOfRange, match="non-finite"):
             shoot_blowup(EP_LOG, 0.5, f)
 
 
@@ -151,6 +153,20 @@ class TestErgodicConstant:
         c, report = ergodic_constant_1d(EP_LOG, f)
         # constant-comparison bounds: c_erg(max f) <= c <= c_erg(min f)
         assert COSINE_C - 0.5 <= c <= COSINE_C + 0.5
+
+    def test_forcing_that_rises_beyond_the_domain(self):
+        # f = 0.3 x^2: the first shot, at c = -1.3, blows up beyond x ~ 2.08,
+        # where f + c turns positive; f is read on [0, 1] only, so the shot
+        # goes on with f(1) and ends instead of collapsing its step
+        exponents = ExponentPair(-0.5, 1.5)
+        f = ScalarField.from_expression("0.3*x**2", dim=1)
+        assert shoot_blowup(exponents, -1.3, f, 2.0) > 2.0
+        c, report = ergodic_constant_1d(exponents, f, trace_coefficient=2.0)
+        c0, _ = ergodic_constant_1d(exponents, ZERO, trace_coefficient=2.0)
+        # constant-comparison bounds: c_erg(max f) <= c <= c_erg(min f)
+        assert c0 - 0.3 <= c <= c0
+        assert c == pytest.approx(-10.69279, abs=1e-5)
+        assert report["evaluations"] <= 5
 
     @pytest.mark.parametrize("alpha, beta, a", [
         (-0.5, 0.9, 0.5), (-0.5, 1.5, 2.0), (1.0, 2.4, 0.5), (1.0, 3.0, 2.0),
