@@ -20,7 +20,6 @@ from .errors import (
     ErgopdeError,
     HypothesisViolated,
     InsufficientSpan,
-    InvalidBoundary,
     InvalidRegime,
     NonConvergence,
     OutOfRange,
@@ -87,8 +86,7 @@ __all__ = [
     "__version__",
     # errors
     "ErgopdeError", "OutOfRange", "DimensionMismatch", "DegenerateOperator",
-    "EmptyRegion", "InsufficientSpan", "InvalidBoundary",
-    "NonConvergence", "InvalidRegime",
+    "EmptyRegion", "InsufficientSpan", "NonConvergence", "InvalidRegime",
     "BracketFailure", "UnresolvedLayer",
     "UnsupportedCase", "HypothesisViolated", "ConfigError",
     # model

@@ -8,8 +8,9 @@ package version and seed.  Output directories are never overwritten
 unless ``--force`` is given.
 
 Each runner reads all of its inputs inside one ``with _reading():`` block
-before it starts any work, so a missing key, a value of the wrong type or
-a value the constructors refuse is a config error (exit 2, no report).
+before it starts any work, so a missing key, a key the run does not read,
+a value of the wrong type or a value the constructors refuse is a config
+error (exit 2, no report).
 Exit 1 means only that the experiment itself failed; its failure report is
 still written.  Exit 0 is success.
 """
@@ -111,12 +112,26 @@ def _tol(cfg: dict, default: float) -> float:
     return tol
 
 
-def _section(cfg: dict, key: str, default=None) -> dict:
-    """cfg[key], or `default` when one is given and the key is absent; a mapping."""
+def _known(cfg: dict, accepted: tuple, where: str) -> dict:
+    """cfg, once each of its keys is one of `accepted`, the keys the run reads.
+
+    Any other key, such as a misspelt one, is a ConfigError naming it:
+    a key nothing reads would otherwise be dropped without a word.
+    """
+    for key in cfg:
+        if key not in accepted:
+            raise ConfigError(f"the {where} key {key!r} is refused; the accepted keys "
+                              "are " + ", ".join(accepted))
+    return cfg
+
+
+def _section(cfg: dict, key: str, accepted=None, default=None) -> dict:
+    """cfg[key], or `default` when one is given and the key is absent; a
+    mapping whose keys are among `accepted` when that is given."""
     section = cfg[key] if default is None else cfg.get(key, default)
     if not isinstance(section, dict):
         raise ConfigError(f"the {key} section must be a mapping")
-    return section
+    return section if accepted is None else _known(section, accepted, key)
 
 
 # libyaml's parser with the safe constructor (the types of yaml.safe_load),
@@ -146,23 +161,24 @@ _SOLVER_KEYS = ("delta", "inner_tol")
 
 def _solver_config(cfg: dict) -> SolverConfig:
     """SolverConfig from the optional `solver:` section (all keys optional)."""
-    section = _section(cfg, "solver", {})
-    for key in section:
-        if key not in _SOLVER_KEYS:
-            raise ConfigError(
-                f"unknown solver key {key!r}; the accepted keys are "
-                + ", ".join(_SOLVER_KEYS)
-            )
+    section = _section(cfg, "solver", _SOLVER_KEYS, {})
     return SolverConfig(**{key: _number(section, key) for key in section})
+
+
+# the keys each operator kind reads
+_OPERATOR_KEYS = {"trace": ("kind", "a"), "pucci+": ("kind", "a", "A"),
+                  "pucci-": ("kind", "a", "A"),
+                  "bellman-max": ("kind", "a", "A", "matrices")}
 
 
 def _operator(cfg: dict) -> OperatorSpec:
     """F from the `operator:` section of an instance."""
     kind = cfg.get("kind")
+    if kind not in _OPERATOR_KEYS:
+        raise ConfigError(f"unknown operator kind {kind!r}")
+    _known(cfg, _OPERATOR_KEYS[kind], "operator")
     if kind == "trace":
         return ScaledTrace(_number(cfg, "a", 1.0))
-    if kind not in ("pucci+", "pucci-", "bellman-max"):
-        raise ConfigError(f"unknown operator kind {kind!r}")
     bounds = EllipticityBounds(_number(cfg, "a"), _number(cfg, "A"))
     if kind == "bellman-max":
         mats = tuple(SymMatrix.from_array(np.array(m, dtype=float))
@@ -173,8 +189,9 @@ def _operator(cfg: dict) -> OperatorSpec:
 
 def _instance(cfg: dict) -> EquationInstance:
     """The equation from the `instance:` section."""
-    cfg = _section(cfg, "instance")
-    domain = Box(tuple(cfg["domain"]["lo"]), tuple(cfg["domain"]["hi"]))
+    cfg = _section(cfg, "instance", ("operator", "alpha", "beta", "b", "f", "domain"))
+    domain = _section(cfg, "domain", ("lo", "hi"))
+    domain = Box(tuple(domain["lo"]), tuple(domain["hi"]))
     return EquationInstance(
         operator=_operator(_section(cfg, "operator")),
         exponents=ExponentPair(_number(cfg, "alpha"), _number(cfg, "beta")),
@@ -185,14 +202,15 @@ def _instance(cfg: dict) -> EquationInstance:
 
 
 def _grid(cfg: dict, box: Box) -> UniformGrid:
-    shape = _section(cfg, "grid")["shape"]
+    shape = _section(cfg, "grid", ("shape",))["shape"]
     return UniformGrid(tuple(_integer(n) for n in np.atleast_1d(shape)), box)
 
 
-def _experiment(cfg: dict) -> ErgodicExperiment:
-    """The instance, grid, ladder, probe point, fit span and solver of a run."""
-    if "drift_tol" in cfg:  # the ladder classifier's key: nothing reads it
-        raise ConfigError("the key 'drift_tol' is refused: the estimate has no drifts")
+def _experiment(cfg: dict, *run_keys: str) -> ErgodicExperiment:
+    """The instance, grid, ladder, probe point, fit span and solver of a run
+    whose config may hold, besides these, only `run_keys`."""
+    _known(cfg, ("instance", "grid", "ladder", "probe_point", "fit_span", "solver")
+           + run_keys, "top-level")
     instance = _instance(cfg)
     kwargs = {}
     if "fit_span" in cfg:
@@ -207,17 +225,8 @@ def _experiment(cfg: dict) -> ErgodicExperiment:
 # artifact emission
 
 
-def _json_default(obj):
-    """numpy scalars and arrays, the values json cannot write itself."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
+    text = json.dumps(payload, sort_keys=True, indent=2)
     path.write_text(text + "\n", encoding="utf-8")
 
 
@@ -255,6 +264,8 @@ def _write_rows_csv(path: Path, header: list, rows: list) -> None:
 
 def run_solve(cfg: dict, out: Path, seed) -> dict:
     with _reading():
+        _known(cfg, ("instance", "grid", "boundary", "solver", "probe_point"),
+               "top-level")
         instance = _instance(cfg)
         grid = _grid(cfg, instance.domain)
         boundary = ScalarField.from_expression(str(cfg["boundary"]), dim=grid.dim)
@@ -283,7 +294,7 @@ def run_solve(cfg: dict, out: Path, seed) -> dict:
 
 def run_ergodic(cfg: dict, out: Path, seed) -> dict:
     with _reading():
-        exp = _experiment(cfg)
+        exp = _experiment(cfg, "tol")
         tol = _tol(cfg, 1e-2)
     c_est, rep = estimate_ergodic_constant(exp, tol=tol)
     return {"experiment": "ergodic", **rep}
@@ -291,7 +302,7 @@ def run_ergodic(cfg: dict, out: Path, seed) -> dict:
 
 def run_asymptotics(cfg: dict, out: Path, seed) -> dict:
     with _reading():
-        exp = _experiment(cfg)
+        exp = _experiment(cfg, "c", "uniqueness")
         c = _number(cfg, "c")
         uniqueness = cfg.get("uniqueness", False)
         if not isinstance(uniqueness, bool):
@@ -324,13 +335,9 @@ def _reference(ref: dict, instance: EquationInstance, boundary: ScalarField, nod
 
     Its constants are the run's, each constant on the nodes: alpha from
     the instance, c0 (dirichlet-1d) or c (cosine) from f, and the cosine's
-    amplitude from the boundary datum.  Any other key, or a reference that
-    does not solve the problem, is a ConfigError.
+    amplitude from the boundary datum, so `kind` is the section's only key.
+    A reference that does not solve the problem is a ConfigError.
     """
-    for key in ref:
-        if key != "kind":
-            raise ConfigError(f"the reference key {key!r} is refused: the constants "
-                              "come from the instance and the boundary")
     kind = ref["kind"]
 
     def constant(field: ScalarField, name: str) -> float:
@@ -367,6 +374,8 @@ def _reference(ref: dict, instance: EquationInstance, boundary: ScalarField, nod
 
 def run_convergence(cfg: dict, out: Path, seed) -> dict:
     with _reading():
+        _known(cfg, ("instance", "grid_sizes", "boundary", "reference", "solver"),
+               "top-level")
         instance = _instance(cfg)
         sizes = _number(cfg, "grid_sizes", kind=lambda v: [_integer(n) for n in v])
         if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -375,7 +384,7 @@ def run_convergence(cfg: dict, out: Path, seed) -> dict:
         boundary = ScalarField.from_expression(
             str(cfg["boundary"]), dim=instance.domain.dim
         )
-        ref = _section(cfg, "reference")
+        ref = _section(cfg, "reference", ("kind",))
         exact = _reference(ref, instance, boundary, grids[-1].axes()[0])
         solver = _solver_config(cfg)
     rows, errors = [], []
@@ -415,6 +424,7 @@ def _suite_operators() -> tuple:
 
 def run_property_suite(cfg: dict, out: Path, seed) -> dict:
     with _reading():
+        _known(cfg, ("trials",), "top-level")
         trials = _number(cfg, "trials", 1000, _integer)
         if trials < 1:
             raise ConfigError(f"trials must be at least 1, not {trials}")
@@ -438,6 +448,7 @@ def run_property_suite(cfg: dict, out: Path, seed) -> dict:
 
 def run_oracle(cfg: dict, out: Path, seed) -> dict:
     with _reading():
+        _known(cfg, ("alpha", "beta", "f", "tol", "shoot_c"), "top-level")
         exponents = ExponentPair(_number(cfg, "alpha"), _number(cfg, "beta"))
         f = ScalarField.from_expression(str(cfg.get("f", "0")), dim=1)
         tol = _tol(cfg, 1e-8)

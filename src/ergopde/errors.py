@@ -25,10 +25,6 @@ class InsufficientSpan(ErgopdeError):
     """Fit samples do not span a wide enough distance range."""
 
 
-class InvalidBoundary(ErgopdeError):
-    """Boundary datum is non-finite on some boundary node."""
-
-
 class NonConvergence(ErgopdeError):
     """An iteration failed to meet its tolerance."""
 

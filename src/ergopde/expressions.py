@@ -2,7 +2,12 @@
 
 Supports +, -, *, /, **, unary minus, the variables x and y, the constants
 pi and e, numeric literals, and the functions abs, exp, log, sqrt, sin,
-cos, tan.  Expressions compile to numpy-vectorized callables.
+cos, tan.  An expression compiles to the bare evaluator of its checked
+syntax tree: it takes one coordinate per dimension and returns what numpy
+computes from them, an array or a scalar.  `model.ScalarField` alone checks
+the coordinate count, shapes the values and checks that they are finite.
+The operands are numpy floats even for a single point, so that `x**0.5`
+takes numpy's path and a point value equals the array value bit for bit.
 """
 
 from __future__ import annotations
@@ -26,11 +31,14 @@ _FUNCTIONS = {
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
+# the globals of every evaluation; the coordinates are its only locals
+_SCOPE = {"__builtins__": {}, **_FUNCTIONS, **_CONSTANTS}
+
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _ALLOWED_UNARYOPS = (ast.UAdd, ast.USub)
 
 
-def _validate(node: ast.AST, variables: set) -> None:
+def _validate(node: ast.AST, variables: tuple) -> None:
     if isinstance(node, ast.Expression):
         _validate(node.body, variables)
     elif isinstance(node, ast.Constant):
@@ -59,29 +67,20 @@ def _validate(node: ast.AST, variables: set) -> None:
 
 
 def compile_expression(expr: str, dim: int):
-    """Compile an expression string into f(x[, y]) operating on numpy arrays."""
+    """Compile an expression string into its evaluator f(x[, y])."""
     if dim not in (1, 2):
         raise ConfigError(f"expression dimension must be 1 or 2, got {dim}")
-    variables = {"x"} if dim == 1 else {"x", "y"}
+    variables = ("x", "y")[:dim]
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse expression {expr!r}: {exc}") from exc
     _validate(tree, variables)
     code = compile(tree, "<field>", "eval")
-    namespace = dict(_FUNCTIONS)
-    namespace.update(_CONSTANTS)
 
     def fn(*coords):
-        if len(coords) != dim:
-            raise ConfigError(
-                f"expression expects {dim} coordinate array(s), got {len(coords)}"
-            )
-        local = dict(namespace)
-        local["x"] = np.asarray(coords[0], dtype=float)
-        if dim == 2:
-            local["y"] = np.asarray(coords[1], dtype=float)
-        out = eval(code, {"__builtins__": {}}, local)  # noqa: S307 - whitelisted AST
-        return np.broadcast_to(np.asarray(out, dtype=float), local["x"].shape).copy()
+        operands = {name: np.asarray(c, dtype=float)
+                    for name, c in zip(variables, coords)}
+        return eval(code, _SCOPE, operands)  # noqa: S307 - whitelisted AST
 
     return fn

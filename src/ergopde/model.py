@@ -8,7 +8,7 @@ zoom residual factor) used by the asymptotic experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,7 +90,7 @@ def rescale_residual_factor(exponents: ExponentPair, delta: float) -> float:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Deterministic evaluation rule over domain points."""
+    """Evaluation rule `fn` over domain points, checked and shaped only here."""
 
     fn: object
     dim: int
@@ -175,19 +175,9 @@ class EquationInstance:
             raise DimensionMismatch("coefficient field dimension != domain dimension")
 
     def shifted_f(self, shift: float) -> "EquationInstance":
-        """Same instance with f replaced by f + shift."""
-        base = self.f
-
-        def fn(*coords):
-            return base(*coords) + shift
-
-        return EquationInstance(
-            operator=self.operator,
-            exponents=self.exponents,
-            b=self.b,
-            f=ScalarField(fn=fn, dim=base.dim),
-            domain=self.domain,
-        )
+        """Same instance with f replaced by f + shift, one checked evaluation."""
+        base = self.f.fn
+        return replace(self, f=ScalarField(lambda *c: base(*c) + shift, self.f.dim))
 
 
 def face_normals(domain: Box) -> dict:

@@ -39,7 +39,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import operators
-from .errors import InvalidBoundary, NonConvergence, OutOfRange
+from .errors import NonConvergence, OutOfRange
 from .grid import GridFunction, UniformGrid, axis_slopes, hessian_field
 from .model import EquationInstance, ScalarField
 
@@ -519,13 +519,8 @@ def _run_newton(system: _System, u_full, border=None) -> tuple:
 
 def _boundary_values_full(grid: UniformGrid, boundary: ScalarField) -> np.ndarray:
     vals = np.zeros(grid.shape)
-    coords = grid.coords()
     mask = grid.boundary_mask()
-    pts = [c[mask] for c in coords]
-    bvals = boundary(*pts)
-    if not np.all(np.isfinite(bvals)):
-        raise InvalidBoundary("boundary datum is non-finite on some node")
-    vals[mask] = bvals
+    vals[mask] = boundary(*(c[mask] for c in grid.coords()))
     return vals
 
 

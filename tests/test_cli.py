@@ -40,6 +40,19 @@ COSINE_CONVERGENCE = {
 }
 
 
+# for each subcommand a config it reads in full, with no work done yet
+BASE_CONFIGS = {
+    "solve": dict(INSTANCE_YAML, grid={"shape": [21]}, boundary="0", probe_point=[0.0]),
+    "ergodic": dict(INSTANCE_YAML, grid={"shape": [21]}, ladder=[10.0, 20.0],
+                    probe_point=[0.0]),
+    "asymptotics": dict(INSTANCE_YAML, grid={"shape": [21]}, ladder=[10.0, 20.0],
+                        probe_point=[0.0], c=-1.0),
+    "convergence": dict(COSINE_CONVERGENCE, grid_sizes=[21, 41]),
+    "property-suite": {"trials": 10},
+    "oracle": {"alpha": 0.0, "beta": 2.0},
+}
+
+
 def write_config(tmp_path: Path, payload: dict, name: str = "config.yaml") -> Path:
     path = tmp_path / name
     path.write_text(yaml.safe_dump(payload))
@@ -196,23 +209,52 @@ class TestSolve:
         for name in ("solve_dirichlet", "solve_at", "estimate_ergodic_constant",
                      "ergodic_constant_1d", "check_uniform_ellipticity"):
             monkeypatch.setattr(cli, name, no_work)
-        # every run would accept this config but for the key set below; the
-        # cosine reference takes c = -1 from f
-        cfg = {"instance": dict(INSTANCE_YAML["instance"], f="-1")}
-        cfg["grid"] = {"shape": [21]}
-        cfg["grid_sizes"] = [21, 41]
-        cfg["reference"] = {"kind": "cosine"}
-        cfg["boundary"] = "0"
-        cfg["ladder"] = [10.0, 20.0]
-        cfg["probe_point"] = [0.0]
-        cfg["c"] = -1.0
-        cfg["alpha"], cfg["beta"] = 0.0, 2.0  # the oracle's exponents
+        # the subcommand accepts its base: reading it reaches the stubbed work
+        cfg = dict(BASE_CONFIGS[command])
+        out = tmp_path / "out"
+        with pytest.raises(AssertionError, match="started work"):
+            main([command, "--config", str(write_config(tmp_path, cfg, "base.yaml")),
+                  "--out", str(tmp_path / "base")])
         cfg[key] = value
         path = write_config(tmp_path, cfg)
-        out = tmp_path / "out"
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         assert not (out / "report.json").exists()
         assert "config error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, path, key, value", [
+        # ran without a uniqueness block, exit 0
+        ("asymptotics", (), "uniquness", True),
+        # returned -pi^2/4, the constant of f = 0
+        ("oracle", (), "forcing", "0.5*cos(3.0*x)"),
+        ("oracle", (), "a", 2.0),
+        ("ergodic", (), "drift_tol", 1e-3),
+        ("ergodic", (), "c", -1.0),
+        ("asymptotics", (), "tol", 0.1),
+        ("solve", (), "probe", [0.0]),
+        ("convergence", (), "grid", {"shape": [21]}),
+        ("property-suite", (), "seed", 3),
+        ("solve", ("instance",), "g", "0"),
+        ("solve", ("instance", "operator"), "A", 2.0),  # read by the Pucci kinds only
+        ("solve", ("instance", "domain"), "high", [2.0]),
+        ("solve", ("grid",), "shapes", [21]),
+        ("convergence", ("reference",), "c0", -1.0),
+    ], ids=["asymptotics-uniquness", "oracle-forcing", "oracle-a", "ergodic-drift-tol",
+            "ergodic-c", "asymptotics-tol", "solve-probe", "convergence-grid",
+            "suite-seed", "instance-g", "trace-A", "domain-high", "grid-shapes",
+            "reference-c0"])
+    def test_unread_keys_are_refused_by_name(self, tmp_path, capsys, command, path,
+                                             key, value):
+        cfg = json.loads(json.dumps(BASE_CONFIGS[command]))  # a deep copy
+        section = cfg
+        for name in path:
+            section = section[name]
+        section[key] = value
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 2
+        where = path[-1] if path else "top-level"
+        assert f"the {where} key {key!r} is refused" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
 
 class TestOracleAndErgodic:

@@ -1,5 +1,6 @@
 """Exponent bookkeeping, blow-up data, scalar fields, the CLI's instance reader."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -133,11 +134,14 @@ class TestScalarField:
         assert type(value) is float and value == -1.5
 
     def test_at_is_the_array_value_as_a_float(self):
+        # x**0.5 on numpy operands, as in the array evaluation
         for f in (ScalarField.from_expression("0.5*cos(3.0*x)", dim=1),
+                  ScalarField.from_expression("abs(x)**0.5 + x**2", dim=1),
                   ScalarField.constant(-2.0, dim=1)):
-            value = f.at(0.3)
-            assert type(value) is float
-            assert value == f(np.array([0.3]))[0]
+            for x in (-0.7, 0.3, 0.55):
+                value = f.at(x)
+                assert type(value) is float
+                assert value == f(np.array([x]))[0]
         with pytest.raises(OutOfRange), np.errstate(divide="ignore"):
             ScalarField.from_expression("log(x)", dim=1).at(0.0)
 
@@ -166,7 +170,19 @@ class TestDomain:
         assert inner.lo[0] == pytest.approx(-0.5)
         assert inner.hi[0] == pytest.approx(0.5)
 
-    def test_shifted_f(self):
-        inst = make_instance(0.0, 1.5, f="0")
-        shifted = inst.shifted_f(-3.0)
-        assert shifted.f(np.array([0.25])) == pytest.approx([-3.0])
+    def test_shifted_f(self, monkeypatch):
+        shift, xs = -2.7, np.linspace(-1.0, 1.0, 9)
+        counted, calls = ScalarField.__call__, []
+        monkeypatch.setattr(ScalarField, "__call__",
+                            lambda field, *c: calls.append(field) or counted(field, *c))
+        for f in (ScalarField.constant(0.3, dim=1), ScalarField.from_expression("1"),
+                  ScalarField.from_expression("0.5*cos(3.0*x)")):
+            inst = dataclasses.replace(make_instance(0.0, 1.5), f=f)
+            shifted = inst.shifted_f(shift)
+            assert shifted.b is inst.b and shifted.exponents == inst.exponents
+            expected = f(xs) + shift
+            calls.clear()
+            values = shifted.f(xs)
+            assert calls == [shifted.f]  # f + shift is one checked evaluation
+            assert values.shape == xs.shape and np.array_equal(values, expected)
+            assert shifted.f.at(0.3) == f.at(0.3) + shift

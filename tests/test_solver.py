@@ -716,6 +716,13 @@ class TestFailureModes:
             with pytest.raises(OutOfRange):
                 SolverConfig(inner_tol=inner_tol)
 
+    def test_nonfinite_boundary_datum_raises(self):
+        # log(x + 1) is -inf at x = -1: ScalarField refuses it before any step
+        datum = ScalarField.from_expression("log(x + 1)", dim=1)
+        with pytest.raises(OutOfRange, match="non-finite"), np.errstate(divide="ignore"):
+            solve_dirichlet(make_instance(0.0, 1.5, b="1", f="1"), datum,
+                            interval_grid(21))
+
     @pytest.mark.parametrize("fault", ["nan-band", "inf-rhs", "singular"])
     def test_tridiagonal_solve_failures_raise(self, monkeypatch, fault):
         # in 1D solve_banded raises ValueError on a non-finite band or
