@@ -5,8 +5,8 @@ The package studies equations of the form
     -|grad u|^alpha F(D^2 u) + b(x) |grad u|^beta = f(x)
 
 with a delta-regularized Dirichlet solver, a 1D shooting oracle,
-ergodic-constant estimation by bordered continuation in the boundary
-offset with extrapolation in h and in the offset, and
+ergodic-constant estimation by one bordered solve per grid for the
+bounded remainder below the leading blow-up term, extrapolated in h, and
 verification of boundary blow-up asymptotics (exponent, amplitude,
 gradient rate, uniqueness up to additive constants).
 """

@@ -2,14 +2,10 @@
 
 The ergodic problem replaces Dirichlet data with u = +infinity on the
 boundary; the constant c_Omega is the unique c for which it has a
-solution.  The estimate replaces the infinite datum by an offset L: the
-pair (u, c) with u = L on the boundary and u(x0) = 0 at the probe point
-has a constant c_h(L) that is smooth in the spacing h and in L, and falls
-to c_Omega as L grows.  One converged solve above c_Omega starts the
-pairs, and bordered Newton steps (Keller's continuation, c one more
-unknown) raise L.  c_h(L) is extrapolated in h from the grid and its two
-refinements, then in L at the predicted rate: exp(-L/C) in the log case
-(the Hopf-Cole picture), L^(-1/chi) in the power case.
+solution.  The estimate solves for the bounded remainder w = u - s, s the
+leading blow-up term of each face, with c one more unknown and w(x0) = 0
+at the probe point (`solver.solve_remainder`): one solve per grid on the
+grid and its two refinements, extrapolated in h.
 
 With c in hand, the boundary-layer behaviour is compared against the
 predicted power/log profiles, the gradient rate, and uniqueness up to
@@ -18,7 +14,6 @@ additive constants.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +21,6 @@ import numpy as np
 
 from .errors import (
     HypothesisViolated,
-    NonConvergence,
     OutOfRange,
     UnresolvedLayer,
     UnsupportedCase,
@@ -36,15 +30,15 @@ from .model import EquationInstance, ExponentPair, ScalarField, amplitude_C, chi
     face_normals
 from .operators import ScaledTrace
 from .oracle1d import blowup_profile_fit
-from .solver import SolverConfig, solve_bordered, solve_dirichlet
+from .solver import SolverConfig, solve_dirichlet, solve_remainder
 
 
 @dataclass(frozen=True)
 class ErgodicExperiment:
     """A gradient-coercive instance plus the ladder/probe/fit-layer data.
 
-    The ladder's top bounds the ergodic estimate's offsets; the checks
-    solve at its rungs.
+    The probe point normalizes the ergodic estimate; the ladder serves only
+    the checks, which solve at its rungs.
     """
 
     instance: EquationInstance
@@ -95,164 +89,47 @@ def solve_at(exp: ErgodicExperiment, c: float, amplitude: float,
 # ---------------------------------------------------------------------------
 # ergodic constant
 
-_MAX_LAYER_CELLS = 3.0  # L rises while the layer spans at least h / 3
-_ORDER_RATIOS = (3.0, 5.0)  # difference ratios in h that confirm second order
-_RATE_SLACK = 1.25  # ... and in L: within e / 1.25 and 1.25 e
-
-
-def _layer_scale(exp: ErgodicExperiment) -> tuple:
-    """(chi, C), C the largest face amplitude: the widest layer converges slowest."""
-    normals = face_normals(exp.instance.domain).values()
-    amp = max(amplitude_C(exp.instance.operator, n, exp.exponents) for n in normals)
-    return chi(exp.exponents), amp
-
-
-def _layer_cells(u: GridFunction, level: float, chi_val: float, amp: float) -> float:
-    """h / d_L: the largest jump of u across a first cell, read through the
-    layer L - C log(1 + d / d_L) (log case) or C (d + d_L)^-chi with
-    C d_L^-chi = L (power case).
-    """
-    inner = u.values[(slice(1, -1),) * u.grid.dim]
-    jump = level - min(np.take(inner, [0, -1], axis=k).min() for k in range(inner.ndim))
-    if chi_val == 0.0:
-        return math.expm1(jump / amp)
-    return math.inf if jump >= level else (1.0 - jump / level) ** (-1.0 / chi_val) - 1.0
-
-
-def _refine(u: GridFunction) -> GridFunction:
-    """Linear interpolation of u onto the grid with 2n - 1 nodes per axis."""
-    fine = UniformGrid(tuple(2 * n - 1 for n in u.grid.shape), u.grid.box)
-    values = u.values
-    for k, (x, x_fine) in enumerate(zip(u.grid.axes(), fine.axes())):
-        values = np.apply_along_axis(lambda col: np.interp(x_fine, x, col), k, values)
-    return GridFunction(fine, values)
-
-
-def _extrapolate(g, values) -> float:
-    """Value at g = 0 of the polynomial in g through the points (Neville)."""
-    table = list(values)
-    for j in range(1, len(table)):
-        table = [b + (b - a) * g[i + j] / (g[i] - g[i + j])
-                 for i, (a, b) in enumerate(zip(table, table[1:]))]
-    return table[0]
-
-
-def offset_constants(exp: ErgodicExperiment, offsets):
-    """An iterator of (c_h(L), u) on the experiment's grid at each of the
-    increasing offsets.
-
-    One converged solve at c = 1 - min f, shifted to u(probe) = 0, starts
-    the pairs; it is made here, so its failure raises NonConvergence from
-    this call.  Bordered Newton solves from the translation u + dL raise L
-    by C, or by half of L once that is more.  A step that fails is halved,
-    from the last converged pair, down to C/4; a step that fails there
-    raises NonConvergence from the iterator.  The sequence ends once the
-    layer is narrower than a third of a cell.
-    """
-    c = 1.0 - float(np.min(exp.instance.f(*exp.grid.coords())))
-    u, _ = solve_at(exp, c, 0.0)
-    return _offset_pairs(exp, offsets, u, c)
-
-
-def _offset_pairs(exp: ErgodicExperiment, offsets, u: GridFunction, c: float):
-    """The iterator of `offset_constants`, from the Dirichlet solution u at c."""
-    chi_val, amp = _layer_scale(exp)
-    level = -u(exp.probe_node)
-    u = GridFunction(exp.grid, u.values + level)
-    for target in offsets:
-        while level < target:
-            step = min(target - level, max(amp, 0.5 * level))
-            while True:
-                guess = GridFunction(exp.grid, u.values + step)
-                try:
-                    u, c, _ = solve_bordered(exp.instance, guess, c, exp.probe_node,
-                                             exp.config())
-                    break
-                except NonConvergence:
-                    if step <= 0.25 * amp:
-                        raise
-                    step *= 0.5
-            level += step
-            if _layer_cells(u, level, chi_val, amp) > _MAX_LAYER_CELLS:
-                return
-        yield c, u
+_RICHARDSON = 1.0 / 3.0  # c_2h - c_h over 2^2 - 1: the h^2 term of c_h
+_GCI_SAFETY = 1.25  # Roache's factor of safety for an order observed on three grids
 
 
 def estimate_ergodic_constant(exp: ErgodicExperiment, tol: float = 1e-2) -> tuple:
-    """The ergodic constant, extrapolated from c_h(L) in h and then in L.
+    """The ergodic constant from one remainder solve per grid, extrapolated in h.
 
-    The k-th offset, L = C k (log case) or C e^(chi k) (power case), thins
-    the layer to e^-k.  c_h(L) on the grid and its refinements with 2n - 1
-    and 4n - 3 nodes per axis goes to h = 0 at second order while its
-    ratio of differences lies in [3, 5]; then to g = e^-k = 0 through the
-    top three offsets (two if three resolve), if their ratio is near e.
-    The bar adds the changes when the top offset and when the finest grid
-    are left out; a bordered solve that fails, on the experiment's grid or
-    a refined one, ends the offsets, and the report's "stopped" or the
-    UnresolvedLayer says why.  Returns (c_est, report); raises
-    UnresolvedLayer if that fails or the bar exceeds tol, NonConvergence if
-    the solve that starts the offsets fails.
+    c_h comes from `solve_remainder` on the experiment's grid and its
+    refinements with 2n - 1 and 4n - 3 nodes per axis, each from w = 0.
+    The estimate is the Richardson value of the two finest at second order,
+    and the bar its change from the coarser pair; at alpha != 0, where the
+    order is not known, the bar adds the Grid Convergence Index at the
+    order the three grids show (Roache), infinite if they show none.
+    Returns (c_est, report); raises NonConvergence, naming the grid, if a
+    solve fails, and UnresolvedLayer if the bar exceeds tol.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise OutOfRange(f"tol must be a finite positive number, not {tol!r}")
-    chi_val, amp = _layer_scale(exp)
-    levels = list(itertools.takewhile(lambda v: v <= exp.ladder[-1], (
-        amp * (k if chi_val == 0.0 else math.exp(chi_val * k)) for k in itertools.count(1))))
-    fine_nodes = [tuple(m * i for i in exp.probe_node) for m in (2, 4)]  # the same point
-    pairs = offset_constants(exp, levels)  # a failed starting solve raises here
-    c_h, stopped = [], None
-    shape = exp.grid.shape  # the grid of the bordered solve under way
-    try:
-        for c, u in pairs:
-            row = [c]
-            for node in fine_nodes:
-                u = _refine(u)
-                shape = u.grid.shape
-                u, c, _ = solve_bordered(exp.instance, u, c, node, exp.config())
-                row.append(c)
-            shape = exp.grid.shape
-            ratio = (row[0] - row[1]) / (row[1] - row[2]) if row[1] != row[2] \
-                else math.inf
-            if not _ORDER_RATIOS[0] <= ratio <= _ORDER_RATIOS[1]:
-                break
-            c_h.append(row)
-    except NonConvergence as exc:
-        stopped = (f"the bordered solve at offset {levels[len(c_h)]:.4g} on {shape} "
-                   f"failed: {exc}")
-    offsets = levels[:len(c_h)]
-    where = f"offsets {[round(v, 4) for v in offsets]} on {exp.grid.shape} refined twice"
-    where += f" ({stopped})" if stopped else ""
-    if len(c_h) < 3:
-        raise UnresolvedLayer(f"only {len(c_h)} resolved {where}; need 3")
-    c_fine = [f + (f - m) / 3.0 for _, m, f in c_h]  # Richardson in h
-    c_coarse = [m + (m - c0) / 3.0 for c0, m, _ in c_h]
-    rate = (c_fine[-3] - c_fine[-2]) / (c_fine[-2] - c_fine[-1])
-    if not math.e / _RATE_SLACK <= rate <= math.e * _RATE_SLACK:
-        raise UnresolvedLayer(f"c(L) - c_Omega shrinks by {rate:.3g} per offset, "
-                              f"not by e: short of the asymptotic rate ({where})")
-    g = [math.exp(-k) for k in range(1, len(c_h) + 1)]
-    top = slice(-min(3, len(c_h) - 1), None)
-    below = slice(top.start - 1, -1)  # the top offset left out
-    c_est = _extrapolate(g[top], c_fine[top])
-    bar = abs(c_est - _extrapolate(g[below], c_fine[below])) \
-        + abs(c_est - _extrapolate(g[top], c_coarse[top]))
+    shapes = [tuple(m * (n - 1) + 1 for n in exp.grid.shape) for m in (1, 2, 4)]
+    c_h = [solve_remainder(exp.instance, UniformGrid(shape, exp.grid.box),
+                           tuple(m * i for i in exp.probe_node), exp.config())[1]
+           for m, shape in zip((1, 2, 4), shapes)]
+    c_coarse, c_est = (fine + _RICHARDSON * (fine - coarse)
+                       for coarse, fine in zip(c_h, c_h[1:]))
+    bar = abs(c_est - c_coarse)
+    if exp.exponents.alpha != 0.0:
+        ratio = (c_h[0] - c_h[1]) / (c_h[1] - c_h[2]) if c_h[1] != c_h[2] else math.inf
+        bar += _GCI_SAFETY * abs(c_h[2] - c_h[1]) / (ratio - 1.0) if ratio > 1.0 \
+            else math.inf
     if bar > tol:
         raise UnresolvedLayer(f"error bar {bar:.3g} of the estimate {c_est:.6g} "
-                              f"exceeds tol {tol:.3g} ({where})")
+                              f"exceeds tol {tol:.3g} (c_h {c_h} on {shapes})")
     return c_est, {
         "c_est": c_est,
         "bar": bar,
         "bracket": [c_est - bar, c_est + bar],
         "tol": tol,
-        "case": "log" if chi_val == 0.0 else "power",
-        "offsets": offsets,
-        "grid_shapes": [[m * (n - 1) + 1 for n in exp.grid.shape] for m in (1, 2, 4)],
-        "c_h": c_h,  # the discrete constants, per offset and grid
-        "c_h_extrapolated": c_fine,  # c(L) at h = 0
-        "L_rate": rate,
-        "ladder": list(exp.ladder),
-        "grid_shape": list(exp.grid.shape),
-        "stopped": stopped,  # why the offsets ended early, if a bordered solve failed
+        "case": "log" if chi(exp.exponents) == 0.0 else "power",
+        "grid_shapes": [list(shape) for shape in shapes],
+        "c_h": c_h,  # the discrete constants, per grid
+        "c_richardson": [c_coarse, c_est],  # of the coarser and the finer pair
         # read by the benchmark's span counters until they are redefined
         # for this estimator: there are no verdicts any more
         "classifications": [],

@@ -23,6 +23,12 @@ shape.  The system and F's policy are evaluated once per iterate
 Newton step read that record, and a solve reports the residual of the
 system it converged on.
 `residual_field` is the residual of the original equation.
+
+`solve_remainder` solves the ergodic problem on the same system: for the
+bounded remainder w = u - s, s the leading blow-up term of the wall
+(Lasry & Lions), with s's exact derivatives added to w's differences,
+ghost values that copy the interior node next to them, and c one more
+unknown (Keller's bordered step).
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import scipy.sparse.linalg
 from . import operators
 from .errors import NonConvergence, OutOfRange
 from .grid import GridFunction, UniformGrid, axis_slopes, hessian_field
-from .model import EquationInstance, ScalarField
+from .model import EquationInstance, ScalarField, amplitude_C, chi, face_normals
 
 _GRAD_FLOOR = 1e-14
 _DELTA_FLOOR = 1e-8
@@ -169,6 +175,49 @@ def _godunov(back: np.ndarray, fwd: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(back, -fwd), 0.0)
 
 
+def _blowup_part(instance: EquationInstance, grid: UniformGrid) -> tuple:
+    """(slopes, second derivatives), per axis on the interior nodes, of s.
+
+    s is the sum over the faces of C d^(-chi), or -C log d when chi = 0,
+    with d the distance to the face and C the face's `amplitude_C` for b = 1
+    times b^(-1/(beta - alpha - 1)), b read on the face.  Each term is
+    taken to depend on one coordinate, so s has no d_xy part; that is exact
+    where b is constant along each face.
+    """
+    ep = instance.exponents
+    x_chi = chi(ep)
+    # d^(-chi) has the slope -chi d^(-chi-1) and -log d the slope -d^-1
+    k1 = x_chi or 1.0
+    normals = face_normals(instance.domain)
+    ic = _interior_coords(grid)
+    slopes, second = [], []
+    for k, x in enumerate(ic):
+        ds = d2s = 0.0
+        for side, wall, sign in (("lo", grid.box.lo[k], 1.0), ("hi", grid.box.hi[k], -1.0)):
+            d = sign * (x - wall)
+            b_face = instance.b(*ic[:k], np.full_like(x, wall), *ic[k + 1:])
+            amp = amplitude_C(instance.operator, normals[f"axis{k}_{side}"], ep) \
+                * b_face ** (-1.0 / (ep.beta - ep.alpha - 1.0))
+            ds = ds - sign * amp * k1 * d ** (-x_chi - 1.0)
+            d2s = d2s + amp * k1 * (x_chi + 1.0) * d ** (-x_chi - 2.0)
+        slopes.append(ds)
+        second.append(d2s)
+    return slopes, second
+
+
+def _fold_edges(stencil: dict, shape: tuple) -> dict:
+    """The stencil on the edge closure, where each ghost value copies the
+    interior node next to it: a coupling to a ghost moves onto that node."""
+    stencil = {o: np.array(np.broadcast_to(v, shape)) for o, v in stencil.items()}
+    for k in range(len(shape)):
+        for off in [o for o in stencil if o[k]]:
+            edge = (slice(None),) * k + (-1 if off[k] > 0 else 0,)
+            to = off[:k] + (0,) + off[k + 1:]
+            stencil[to][edge] += stencil[off][edge]
+            stencil[off][edge] = 0.0
+    return stencil
+
+
 # ---------------------------------------------------------------------------
 # residual of the original equation
 
@@ -252,11 +301,19 @@ class _System:
     shift c (`set_c`), by default no truncation and c = 0.  `evaluate`
     computes the system at an iterate once; the Jacobian, the c column and
     the Newton steps read its record.
+
+    With a `blowup` part ((slopes, second derivatives) from `_blowup_part`)
+    the unknown is the remainder w = u - s on the edge closure: the ghost
+    values copy the interior node next to them, and s's exact slopes and
+    second derivatives are added to w's.
     """
 
-    def __init__(self, instance, grid, config):
+    def __init__(self, instance, grid, config, blowup=None):
         self.instance = instance
         self.config = config
+        self.blowup = blowup
+        if blowup is not None:  # per node, the second derivatives that s adds
+            self.s_second = functools.reduce(np.add, [np.abs(t) for t in blowup[1]])
         ic = _interior_coords(grid)
         self.f_base, self.b_int = instance.f(*ic), instance.b(*ic)
         self.eps = _EPS_SCALE * (1.0 + float(np.abs(self.f_base).max()))
@@ -288,7 +345,8 @@ class _System:
         exceeds ~1; at such nodes the monotone Godunov (Rouy-Tourin)
         magnitude max(D-, -D+, 0) is used instead.
         """
-        slopes = axis_slopes(u_full, self.h)
+        slopes = axis_slopes(u_full, self.h) if self.blowup is None \
+            else self._closed_slopes(u_full)
         g_c = _smooth_magnitude(slopes, self.alpha)
         t_mc = np.minimum(g_c, self.m_level)
         # 0^(beta-1) = inf for beta < 1, and 0 * inf = nan where b = 0
@@ -303,10 +361,20 @@ class _System:
         t_m = np.minimum(gmag, self.m_level)
         es = self.eps * _signed_power(self.interior(u_full), self.alpha)
         p = self.f_int + es - self.b_int * t_m**self.beta
-        fvals, policy = _eval_f_hessian(self.instance.operator,
-                                        hessian_field(u_full, self.h))
+        hess = hessian_field(u_full, self.h)
+        if self.blowup is not None:  # s adds to the diagonal entries only
+            hess = tuple(t + self.blowup[1][i // 2] if i % 2 == 0 else t
+                         for i, t in enumerate(hess))
+        fvals, policy = _eval_f_hessian(self.instance.operator, hess)
         res = es - fvals - p * rho
         return _Evaluation(u_full, slopes, policy, gmag, upwind, rho, t_m, p, res)
+
+    def _closed_slopes(self, u_full) -> list:
+        """Refresh the ghost values of w in place (`np.pad` "edge") and
+        return its axis slopes with those of s added."""
+        u_full[...] = np.pad(self.interior(u_full), 1, mode="edge")
+        return [tuple(d + ds for d in axis)
+                for axis, ds in zip(axis_slopes(u_full, self.h), self.blowup[0])]
 
     def _lower_order_slopes(self, ev: _Evaluation) -> tuple:
         """(q, dstab): the slopes of the residual's first-order part.
@@ -348,16 +416,17 @@ class _System:
             weights.append((wb, wf))
         return weights
 
-    def jacobian(self, ev: _Evaluation):
-        """Semismooth Jacobian of the residual.
+    def jacobian(self, ev: _Evaluation, border=None):
+        """Semismooth Jacobian of the residual, plus e0 e0^T with `border` x0.
 
         One {offset: coefficient} stencil on the interior nodes: F through
         its Howard policy at the current Hessian, the gradient magnitude
         through the chain rule of its active branch, and the stabiliser's
-        slope.  Packed as the (3, n) band of `scipy.linalg.solve_banded`
-        in 1D, and as a sparse 9-point CSC matrix on the interior nodes in
-        C order in 2D, filled through `_csc_pattern` and without its zero
-        entries.
+        slope; on the edge closure its couplings to the ghosts are folded
+        (`_fold_edges`).  Packed as the (3, n) band of
+        `scipy.linalg.solve_banded` in 1D, and as a sparse 9-point CSC
+        matrix on the interior nodes in C order in 2D, filled through
+        `_csc_pattern` and without its zero entries.
         """
         ndim = ev.u.ndim
         if ndim == 1:
@@ -384,6 +453,10 @@ class _System:
             stencil[hi] = stencil[hi] + q * (wf / safe / h)
             d_centre = d_centre + (wb - wf) / safe / h
         stencil[centre] = stencil[centre] + q * d_centre
+        if self.blowup is not None:
+            stencil = _fold_edges(stencil, ev.gmag.shape)
+        if border is not None:
+            stencil[centre][border] += 1.0
         if ndim == 1:
             ab = np.zeros((3, ev.gmag.size))
             ab[0, 1:] = stencil[(1,)][:-1]
@@ -407,17 +480,23 @@ class _System:
     def bordered_step(self, ev: _Evaluation, border) -> tuple:
         """(du, dc) with J du + (dR/dc) dc = -res and du(x0) = -u(x0), x0 = border.
 
-        J y = -res and J z = dR/dc share one factorization; then
-        dc = (y(x0) + u(x0)) / z(x0) and du = y - z dc.
+        K = J + e0 e0^T, which stays regular where the constants lie in J's
+        kernel (the edge closure at alpha = 0), gives K y = -res - e0 u(x0)
+        and K z = dR/dc from one factorization; then dc = (y(x0) + u(x0)) /
+        z(x0) and du = y - z dc.
         """
-        yz = self.solve(ev, np.stack([-ev.res, self.c_column(ev)], -1))
+        u0 = self.interior(ev.u)[border]
+        rhs = np.stack([-ev.res, self.c_column(ev)], -1)
+        rhs[border + (0,)] -= u0
+        yz = self.solve(ev, rhs, border)
         y, z = yz[..., 0], yz[..., 1]
-        dc = (y[border] + self.interior(ev.u)[border]) / z[border]
+        dc = (y[border] + u0) / z[border]
         return y - z * dc, float(dc)
 
-    def solve(self, ev: _Evaluation, rhs):
-        """Solve J d = rhs for one interior array or a stack of them (last axis)."""
-        jac = self.jacobian(ev)
+    def solve(self, ev: _Evaluation, rhs, border=None):
+        """Solve J d = rhs (K d = rhs with `border`) for one interior array
+        or a stack of them (last axis)."""
+        jac = self.jacobian(ev, border)
         if ev.u.ndim == 1:
             return scipy.linalg.solve_banded((1, 1), jac, rhs)
         with warnings.catch_warnings():  # a singular matrix gives NaN, tested below
@@ -451,9 +530,7 @@ def _run_newton(system: _System, u_full, border=None) -> tuple:
 
     With `border`, an interior index x0, the system is bordered (Keller):
     the shift c of f (`system.c`) is one more unknown and u(x0) = 0 one more
-    equation (`_System.bordered_step`).  The first step is taken whole: from
-    a predictor that solves the system, it is the tangent step, and the
-    halvings count from where it lands.
+    equation (`_System.bordered_step`).
     """
     config = system.config
     big_a = system.instance.operator.bounds.A
@@ -461,18 +538,23 @@ def _run_newton(system: _System, u_full, border=None) -> tuple:
     data_tol = config.inner_tol * (1.0 + float(np.abs(system.f_int).max()))
     macheps = float(np.finfo(float).eps)
 
-    def norm(ev):  # bordered: u(x0) is one more entry of the residual
-        return _rms_norm(ev.res if border is None else
-                         np.append(ev.res, system.interior(ev.u)[border]))
+    def norm(ev, res):  # bordered: u(x0) is one more entry of the residual
+        return _rms_norm(res if border is None else
+                         np.append(res, system.interior(ev.u)[border]))
 
     dc = 0.0
     ev = system.evaluate(u_full)
-    res_norm = best = norm(ev)  # best: the residual norm at the last halving
+    res_norm = best = norm(ev, ev.res)  # best: the residual norm at the last halving
     steps = halved_at = 0
     while True:
         # the second-difference evaluation has a rounding floor ~ |u| eps/h^2
         eval_floor = 4.0 * macheps * big_a * (1.0 + float(np.abs(ev.u).max())) / h2
-        if res_norm <= data_tol + eval_floor:
+        if system.blowup is None:
+            converged = res_norm <= data_tol + eval_floor
+        else:  # each node's floor is raised by the size of s'' there
+            excess = np.abs(ev.res) - eval_floor - 4.0 * macheps * big_a * system.s_second
+            converged = norm(ev, np.maximum(excess, 0.0)) <= data_tol
+        if converged:
             return ev, steps
         if steps - halved_at == _STALL_STEPS:
             raise NonConvergence(
@@ -494,10 +576,8 @@ def _run_newton(system: _System, u_full, border=None) -> tuple:
             system.interior(trial)[...] += step * delta_u
             system.set_c(c + step * dc)
             trial_ev = system.evaluate(trial)
-            trial_norm = norm(trial_ev)
-            if math.isfinite(trial_norm) and (
-                    trial_norm <= res_norm * (1.0 - 1e-4 * step)
-                    or (border is not None and steps == 0)):
+            trial_norm = norm(trial_ev, trial_ev.res)
+            if math.isfinite(trial_norm) and trial_norm <= res_norm * (1.0 - 1e-4 * step):
                 break
             step *= 0.5
         else:
@@ -507,9 +587,7 @@ def _run_newton(system: _System, u_full, border=None) -> tuple:
                 f"the residual {res_norm:.3e} after {steps} steps")
         steps += 1
         ev, res_norm = trial_ev, trial_norm
-        # strict, so a zero residual is never progress; a bordered run
-        # counts from where its whole first step lands
-        if res_norm < 0.5 * best or (border is not None and steps == 1):
+        if res_norm < 0.5 * best:  # strict, so a zero residual is never progress
             best, halved_at = res_norm, steps
 
 
@@ -633,16 +711,22 @@ def solve_dirichlet(
     return GridFunction(grid, u_full), report
 
 
-def solve_bordered(instance, guess: GridFunction, c: float, probe, config=None) -> tuple:
-    """Newton on the pair (u, c) of the regularized system with f + c.
+def solve_remainder(instance: EquationInstance, grid: UniformGrid, probe,
+                    config: SolverConfig | None = None) -> tuple:
+    """Newton on the pair (w, c): the remainder w = u - s of the ergodic
+    problem with f + c, s its blow-up part (`_blowup_part`).
 
-    The boundary values of `guess` are the data, u(probe) = 0 is the extra
-    equation; the scheme is centered and the truncation off.  Returns
-    (u, c, Newton steps).
+    Bordered `_run_newton` on the edge closure, w(probe) = 0 the extra
+    equation; the scheme is centered and the truncation off.  It starts from
+    w = 0 and c = -sup f - 1.  Returns (w, c, Newton steps); a failed solve
+    raises NonConvergence naming the grid shape.
     """
     config = replace(config or SolverConfig(), peclet_threshold=math.inf)
-    system = _System(instance, guess.grid, config)
-    system.set_c(c)
+    system = _System(instance, grid, config, _blowup_part(instance, grid))
+    system.set_c(-float(system.f_base.max()) - 1.0)
     border = tuple(int(i) - 1 for i in probe)
-    ev, its = _run_newton(system, guess.values.copy(), border)
-    return GridFunction(guess.grid, ev.u), system.c, its
+    try:
+        ev, its = _run_newton(system, np.zeros(grid.shape), border)
+    except NonConvergence as exc:
+        raise NonConvergence(f"remainder solve on {grid.shape} nodes: {exc}") from exc
+    return GridFunction(grid, ev.u), system.c, its

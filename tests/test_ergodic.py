@@ -16,6 +16,7 @@ from ergopde import (
     HypothesisViolated,
     NonConvergence,
     OutOfRange,
+    PucciMinus,
     PucciPlus,
     ScalarField,
     ScaledTrace,
@@ -31,9 +32,10 @@ from ergopde import (
     verify_gradient_rate,
     verify_uniqueness,
 )
-from ergopde.ergodic import _face_rays, _layer_samples, offset_constants
+from ergopde.ergodic import _face_rays, _layer_samples
 from ergopde.grid import gradient_field
 from ergopde.model import amplitude_C, chi
+from ergopde.solver import solve_remainder
 from conftest import (
     COSINE_C,
     POWER_C,
@@ -78,40 +80,13 @@ class TestEstimate:
         lo, hi = report["bracket"]
         assert lo <= c_est <= hi
 
-    def test_offset_constant_decreases_in_L(self, cosine_instance):
-        # c_h(L) falls towards c_Omega as the boundary offset grows
-        exp = experiment(cosine_instance, 201, (10.0, 15.0, 20.0))
-        cs = [c for c, _ in offset_constants(exp, (1.0, 2.0, 3.0, 4.0))]
-        assert len(cs) == 4
-        assert all(b < a for a, b in zip(cs, cs[1:]))
-        assert cs[-1] > COSINE_C
-
-    def test_offsets_2c_apart_match_steps_of_c(self, cosine_instance):
-        # the step from L = 6 to 8 fails on 801 nodes; it is halved from the
-        # last converged pair, and the layer check then ends the sequence
-        exp = experiment(cosine_instance, 801, (10.0, 15.0, 20.0))
-        unit = [c for c, _ in offset_constants(exp, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))]
-        wide = [c for c, _ in offset_constants(exp, (2.0, 4.0, 6.0, 8.0, 10.0, 12.0))]
-        assert len(unit) == 6 and len(wide) == 3
-        np.testing.assert_allclose(wide, unit[1::2], rtol=0, atol=1e-10)
-
-    def test_offset_constant_normalizes_at_the_probe(self, cosine_instance):
-        exp = experiment(cosine_instance, 101, (10.0, 15.0, 20.0))
-        (c, u), = offset_constants(exp, (2.0,))
-        assert u(exp.probe_node) == pytest.approx(0.0, abs=1e-12)
-        assert u.values[0] == u.values[-1] == pytest.approx(2.0)
-
-    def test_square_offset_constants_smoke(self):
-        square = Box((-1.0, -1.0), (1.0, 1.0))
-        inst = EquationInstance(
-            operator=ScaledTrace(), exponents=ExponentPair(0.0, 2.0),
-            b=ScalarField.constant(1.0, 2), f=ScalarField.constant(0.0, 2),
-            domain=square,
-        )
-        exp = ErgodicExperiment(instance=inst, grid=UniformGrid((33, 33), square),
-                                ladder=(5.0, 10.0), probe_point=(0.0, 0.0))
-        c2, c3 = (c for c, _ in offset_constants(exp, (2.0, 3.0)))
-        assert c2 > c3 > -np.pi**2 / 2
+    def test_remainder_normalizes_at_the_probe(self, cosine_instance):
+        # w(x0) = 0, and each ghost value copies the interior node next to it
+        grid = interval_grid(101)
+        w, c, steps = solve_remainder(cosine_instance, grid, (50,))
+        assert w(50) == pytest.approx(0.0, abs=1e-12)
+        assert w.values[0] == w.values[1] and w.values[-1] == w.values[-2]
+        assert abs(c - COSINE_C) < 1e-4 and steps <= 5
 
     def test_matches_oracle_with_forcing(self):
         # the benchmark's instance: f = 0.5 cos 3x on 101 nodes
@@ -124,7 +99,8 @@ class TestEstimate:
         assert lo <= c_ref <= hi
         assert report["bar"] <= 0.02
         assert report["grid_shapes"] == [[101], [201], [401]]
-        assert len(report["offsets"]) == len(report["c_h"]) >= 3
+        assert len(report["c_h"]) == 3
+        assert abs(c_est - c_ref) <= 1e-6 and report["bar"] <= 1e-5
 
     def test_exact_case_fast_and_accurate(self, cosine_instance):
         exp = experiment(cosine_instance, 801, (10.0, 15.0, 20.0))
@@ -140,93 +116,38 @@ class TestEstimate:
         with pytest.raises(OutOfRange):
             estimate_ergodic_constant(experiment(cosine_instance, 101, (8.0, 12.0)), tol)
 
-    def test_failed_continuation_raises(self, cosine_instance, monkeypatch):
-        # every bordered step fails: no offset resolves, and the
-        # UnresolvedLayer names the first offset, the grid and the stall
-        from ergopde import ergodic
+    @staticmethod
+    def fail_newton_on(monkeypatch, shape):
+        """Make every Newton run on a grid of `shape` nodes stall."""
+        from ergopde import solver
 
-        def fail(*args, **kwargs):
-            raise NonConvergence("newton stalled")
+        real = solver._run_newton
 
-        monkeypatch.setattr(ergodic, "solve_bordered", fail)
-        with pytest.raises(UnresolvedLayer, match=r"only 0 resolved .*bordered solve at "
-                           r"offset 1 on \(101,\) failed: newton stalled"):
-            estimate_ergodic_constant(experiment(cosine_instance, 101, (8.0, 12.0)))
+        def run_newton(system, u_full, border=None):
+            if u_full.shape == shape:
+                raise NonConvergence("newton stalled: planted")
+            return real(system, u_full, border)
+
+        monkeypatch.setattr(solver, "_run_newton", run_newton)
 
     def test_failed_start_raises(self, cosine_instance, monkeypatch):
-        # the Dirichlet solve that starts the offsets is not an offset
-        from ergopde import ergodic
-
-        def fail(*args, **kwargs):
-            raise NonConvergence("newton stalled")
-
-        monkeypatch.setattr(ergodic, "solve_dirichlet", fail)
-        with pytest.raises(NonConvergence, match="stalled"):
+        # the solve on the experiment's own grid fails: a NonConvergence
+        # naming that grid, not an unresolved layer
+        self.fail_newton_on(monkeypatch, (101,))
+        with pytest.raises(NonConvergence, match=r"^remainder solve on \(101,\) nodes: "
+                           r"newton stalled: planted$"):
             estimate_ergodic_constant(experiment(cosine_instance, 101, (8.0, 12.0)))
 
-    def test_failed_base_step_ends_the_offsets(self, cosine_instance, monkeypatch):
-        # the bordered steps on the experiment's grid to offsets 1 to 3
-        # converge, and every one beyond offset 3 fails, down to the step
-        # C/4: the three resolved offsets stand and give the estimate
-        from ergopde import ergodic
-
-        exp = experiment(cosine_instance, 101, (10.0, 15.0, 20.0))
-        real, failed = ergodic.solve_bordered, []
-
-        def solve_bordered(instance, guess, c, node, config):
-            level = guess.values[0]  # the data: the offset the step goes to
-            if guess.grid.shape == exp.grid.shape and level > 3.0:
-                failed.append(level - 3.0)
-                raise NonConvergence("newton line search failed: planted")
-            return real(instance, guess, c, node, config)
-
-        monkeypatch.setattr(ergodic, "solve_bordered", solve_bordered)
-        c_est, report = estimate_ergodic_constant(exp, tol=0.05)
-        assert failed == [1.0, 0.5, 0.25]
-        assert report["offsets"] == [1.0, 2.0, 3.0]
-        assert report["stopped"] == ("the bordered solve at offset 4 on (101,) failed: "
-                                     "newton line search failed: planted")
-        lo, hi = report["bracket"]
-        assert lo <= COSINE_C <= hi
-
-    @staticmethod
-    def fail_refined_after(exp, monkeypatch, solves):
-        """Make every bordered solve on a refined grid after the first
-        `solves` of them raise NonConvergence."""
-        from ergopde import ergodic
-
-        real, refined = ergodic.solve_bordered, []
-
-        def solve_bordered(instance, guess, c, node, config):
-            if guess.grid.shape != exp.grid.shape:
-                refined.append(guess.grid.shape)
-                if len(refined) > solves:
-                    raise NonConvergence("newton line search failed: planted")
-            return real(instance, guess, c, node, config)
-
-        monkeypatch.setattr(ergodic, "solve_bordered", solve_bordered)
-
     def test_failed_refined_solve_is_named(self, cosine_instance, monkeypatch):
-        # the first refined solve fails: no offset resolves, and the
-        # UnresolvedLayer names the offset, the grid and Newton's message
-        exp = experiment(cosine_instance, 101, (10.0, 15.0, 20.0))
-        self.fail_refined_after(exp, monkeypatch, 0)
-        with pytest.raises(UnresolvedLayer, match=r"only 0 resolved .*bordered solve at "
-                           r"offset 1 on \(201,\) failed: newton line search failed: "
-                           r"planted"):
-            estimate_ergodic_constant(exp, tol=0.05)
+        self.fail_newton_on(monkeypatch, (201,))
+        with pytest.raises(NonConvergence, match=r"^remainder solve on \(201,\) nodes: "
+                           r"newton stalled: planted$"):
+            estimate_ergodic_constant(experiment(cosine_instance, 101, (8.0, 12.0)))
 
-    def test_failed_refined_solve_ends_the_offsets(self, cosine_instance, monkeypatch):
-        # the refined solves of offsets 1 to 3 converge and the first one of
-        # offset 4 fails: the three resolved offsets stand and give the estimate
-        exp = experiment(cosine_instance, 101, (10.0, 15.0, 20.0))
-        self.fail_refined_after(exp, monkeypatch, 6)
-        c_est, report = estimate_ergodic_constant(exp, tol=0.05)
-        assert report["offsets"] == [1.0, 2.0, 3.0]
-        assert report["stopped"] == ("the bordered solve at offset 4 on (201,) failed: "
-                                     "newton line search failed: planted")
-        lo, hi = report["bracket"]
-        assert lo <= COSINE_C <= hi
+    def test_bar_above_tol_is_named(self, cosine_instance):
+        with pytest.raises(UnresolvedLayer, match=r"^error bar 4\.\d+e-07 of the estimate "
+                           r"-2\.4674 exceeds tol 1e-07 "):
+            estimate_ergodic_constant(experiment(cosine_instance, 101, (8.0, 12.0)), 1e-7)
 
     def test_solve_at_is_one_dirichlet_solve(self, cosine_instance, monkeypatch):
         # one solve on the experiment's config; its failure reaches the caller
@@ -255,29 +176,28 @@ class TestEstimate:
             solve_at(exp, COSINE_C + 1.0, 8.0)
 
     def test_power_case_meets_its_bar(self, power_instance):
-        # offsets up to 594 are resolved on 401 nodes: five of them
         exp = experiment(power_instance, 401, (10.0, 20.0, 600.0))
-        c_est, report = estimate_ergodic_constant(exp, tol=0.1)
+        c_est, report = estimate_ergodic_constant(exp, tol=1e-4)
         assert report["case"] == "power"
-        assert len(report["offsets"]) == 5
         lo, hi = report["bracket"]
         assert lo <= POWER_C <= hi
-        assert abs(c_est - POWER_C) / abs(POWER_C) < 1e-3
+        assert abs(c_est - POWER_C) / abs(POWER_C) < 1e-6
 
-    def test_power_case_short_of_its_rate_raises(self, power_instance):
-        # with the offsets capped at 300, c(L) has not reached its L^-1 rate
-        exp = experiment(power_instance, 401, (10.0, 20.0, 300.0))
-        with pytest.raises(UnresolvedLayer, match="rate"):
-            estimate_ergodic_constant(exp, tol=0.1)
-
-    @pytest.mark.parametrize("alpha, beta, why", [
-        (0.5, 2.0, "only 0 resolved"),  # c_h converges at first order in h
-        (-0.3, 1.5, "rate"),  # c(L) shrinks by about 1.6 per offset, not e
-    ])
-    def test_degenerate_cases_raise(self, alpha, beta, why):
-        exp = experiment(make_instance(alpha, beta), 401, (10.0, 20.0, 1e4))
-        with pytest.raises(UnresolvedLayer, match=why):
-            estimate_ergodic_constant(exp, tol=0.1)
+    @pytest.mark.parametrize("alpha, beta", [(0.5, 2.0), (-0.3, 1.2)])
+    def test_degenerate_cases_bracket_the_oracle_or_raise(self, alpha, beta):
+        # at alpha != 0 the bar adds the Grid Convergence Index at the
+        # observed order (about 0.6 here): it holds the oracle, or the
+        # estimate is refused as unresolved
+        inst = make_instance(alpha, beta, f="0.5*cos(3.0*x)")
+        c_ref, _ = ergodic_constant_1d(inst.exponents, inst.f)
+        for n, tol in ((101, 1.0), (401, 1.0), (401, 0.01)):
+            try:
+                _, report = estimate_ergodic_constant(experiment(inst, n, (8.0, 12.0)), tol)
+            except UnresolvedLayer as exc:
+                assert tol == 0.01 and "error bar" in str(exc)
+                continue
+            lo, hi = report["bracket"]
+            assert lo <= c_ref <= hi
 
     def test_shift_identity(self, cosine_instance):
         exp0 = experiment(cosine_instance, 101, (8.0, 12.0))
@@ -286,6 +206,137 @@ class TestEstimate:
         c0, _ = estimate_ergodic_constant(exp0, tol=0.05)
         c1, _ = estimate_ergodic_constant(exp1, tol=0.05)
         assert abs(c1 - (c0 - 1.0)) <= 2 * 0.05
+
+
+PUCCI_BOUNDS = EllipticityBounds(1.0, 2.0)
+SQUARE = Box((-1.0, -1.0), (1.0, 1.0))
+
+
+def cosine_forcing(operator, beta=2.0):
+    return EquationInstance(operator=operator, exponents=ExponentPair(0.0, beta),
+                            b=ScalarField.constant(1.0, 1),
+                            f=ScalarField.from_expression("0.5*cos(3.0*x)", dim=1),
+                            domain=INTERVAL)
+
+
+def oracle(trace=1.0):
+    def reference(inst):
+        return ergodic_constant_1d(inst.exponents, inst.f, trace_coefficient=trace)[0]
+    return reference
+
+
+# (instance, its reference constant from the instance); in 1D the Pucci solutions
+# are convex, so Pucci+ is the trace 2 and Pucci- the trace 1.  With b = 2,
+# -u'' + 2 u'^2 = c is 2u's log case at 2c: c = -pi^2/8
+SWEEP = {
+    "log-f0": (make_instance(0.0, 2.0), oracle()),
+    "log-f0-b2": (make_instance(0.0, 2.0, b="2"), lambda inst: -math.pi**2 / 8.0),
+    "log-quadratic-a2": (EquationInstance(
+        operator=ScaledTrace(2.0), exponents=ExponentPair(0.0, 2.0),
+        b=ScalarField.constant(1.0, 1), f=ScalarField.from_expression("0.3*x**2", dim=1),
+        domain=INTERVAL), oracle(2.0)),
+    "power-1.5-cos": (cosine_forcing(ScaledTrace(), 1.5), oracle()),
+    "power-1.75-cos": (cosine_forcing(ScaledTrace(), 1.75), oracle()),
+    "pucci+-cos": (cosine_forcing(PucciPlus(PUCCI_BOUNDS)), oracle(2.0)),
+    "pucci--cos": (cosine_forcing(PucciMinus(PUCCI_BOUNDS)), oracle(1.0)),
+    "log-2d-f0": (EquationInstance(
+        operator=ScaledTrace(), exponents=ExponentPair(0.0, 2.0),
+        b=ScalarField.constant(1.0, 2), f=ScalarField.constant(0.0, 2), domain=SQUARE),
+        lambda inst: -math.pi**2 / 2.0),
+}
+
+
+def sweep_failures():
+    """What the remainder sweep finds wrong, over every SWEEP instance on the
+    grids n, 2n - 1, 4n - 3 (n = 101 in 1D, 33 in 2D), references included:
+    an error above its bar, a median bar/err outside [5, 20], or 3 s passed.
+
+    At second order the Richardson value's error is of higher order than
+    its bar (bar/err 4.1 to 8.7 here), while a factor that does not match
+    the order leaves a fixed fraction of the bar.
+    """
+    t0 = time.perf_counter()
+    failures, ratios = [], []
+    for name, (inst, reference) in SWEEP.items():
+        c_ref, dim = reference(inst), inst.domain.dim
+        grid = UniformGrid((101 if dim == 1 else 33,) * dim, inst.domain)
+        exp = ErgodicExperiment(instance=inst, grid=grid, ladder=(8.0, 12.0),
+                                probe_point=(0.0,) * dim)
+        c_est, report = estimate_ergodic_constant(exp, tol=1e-3)
+        err = abs(c_est - c_ref)
+        if err > report["bar"]:
+            failures.append(f"{name}: error {err:.3g} above the bar {report['bar']:.3g}")
+        ratios.append(report["bar"] / err)
+    median = float(np.median(ratios))
+    if not 5.0 <= median <= 20.0:
+        failures.append(f"median bar/err {median:.3g} outside [5, 20]")
+    if time.perf_counter() - t0 > 3.0:
+        failures.append(f"the sweep took {time.perf_counter() - t0:.2f} s")
+    return failures
+
+
+class TestRemainderSweep:
+    """The remainder estimate against the shooting oracle and -pi^2/2."""
+
+    def test_every_instance_within_its_bar(self):
+        assert sweep_failures() == []
+
+    def test_richardson_factor_of_first_order_fails(self, monkeypatch):
+        # mutant: c_h - c_2h over 2 - 1 in place of 2^2 - 1
+        from ergopde import ergodic
+
+        monkeypatch.setattr(ergodic, "_RICHARDSON", 0.5)
+        assert any("above the bar" in why or "median" in why for why in sweep_failures())
+
+
+def decomposition_gaps(monkeypatch, inst, n):
+    """(|c_g - c|, max over the core of |w_g - (w - g) - k|, k their mean):
+    the remainder solve again with the blow-up part s + g, g smooth and bounded."""
+    from ergopde import solver
+
+    real = solver._blowup_part
+
+    def with_g(instance, grid):
+        (ds,), (d2s,) = real(instance, grid)
+        x = grid.axes()[0][1:-1]
+        return [ds + 0.6 * np.cos(2.0 * x) + 0.4 * x], [d2s - 1.2 * np.sin(2.0 * x) + 0.4]
+
+    grid = interval_grid(n)
+    w, c, _ = solve_remainder(inst, grid, (n // 2,))
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_blowup_part", with_g)
+        w_g, c_g, _ = solve_remainder(inst, grid, (n // 2,))
+    x = grid.axes()[0]
+    core = np.abs(x) <= 0.5
+    gap = (w_g.values - w.values + 0.3 * np.sin(2.0 * x) + 0.2 * x**2)[core]
+    return abs(c_g - c), float(np.abs(gap - gap.mean()).max())
+
+
+class TestDecomposition:
+    """u = s + w does not depend on how u is split: s + g leaves w - g."""
+
+    def check(self, monkeypatch):
+        h2 = interval_grid(101).spacing[0] ** 2
+        for beta in (2.0, 1.5):  # the log and a power case
+            dc, dw = decomposition_gaps(monkeypatch, cosine_forcing(ScaledTrace(), beta), 101)
+            assert dc <= 0.05 * h2 and dw <= 0.25 * h2, (beta, dc, dw)
+
+    def test_remainder_absorbs_a_smooth_change_of_s(self, monkeypatch):
+        self.check(monkeypatch)
+
+    def test_remainder_fixed_at_the_wall_fails(self, monkeypatch):
+        # mutant: the Dirichlet closure, w = 0 on the ghosts, kept with its Jacobian
+        from ergopde import solver
+
+        def dirichlet(system, u_full):
+            u_full[...] = np.pad(system.interior(u_full), 1)
+            return [tuple(d + ds for d in axis) for axis, ds in
+                    zip(solver.axis_slopes(u_full, system.h), system.blowup[0])]
+
+        monkeypatch.setattr(solver._System, "_closed_slopes", dirichlet)
+        monkeypatch.setattr(solver, "_fold_edges", lambda stencil, shape: stencil)
+        with pytest.raises(AssertionError):
+            self.check(monkeypatch)
 
 
 def loop_layer_samples(exp, u, normal, node):

@@ -32,7 +32,8 @@ from ergopde import (
     residual_field,
     solve_dirichlet,
 )
-from ergopde.solver import _initial_guess, _max_axis_slope, _run_newton, _System
+from ergopde.solver import _blowup_part, _initial_guess, _max_axis_slope, _run_newton, \
+    _System
 from conftest import (
     COSINE_C,
     INTERVAL,
@@ -67,8 +68,8 @@ OPERATOR_KINDS = ("trace", "pucci+", "pucci-", "bellman-max")
 EXACT_CONFIG = SolverConfig(inner_tol=1e-12, peclet_threshold=math.inf)
 
 
-def make_system(inst, grid, eps, m_level, delta, config):
-    system = _System(inst, grid, config)
+def make_system(inst, grid, eps, m_level, delta, config, blowup=None):
+    system = _System(inst, grid, config, blowup)
     system.eps, system.m_level, system.delta = eps, m_level, delta
     return system
 
@@ -416,15 +417,19 @@ class TestJacobian:
             np.testing.assert_array_equal(jac.indices, want.indices)
             np.testing.assert_array_equal(jac.data, want.data)
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.5])
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_bordered_system_matches_finite_differences(self, alpha, dim):
-        # the bordered map (u, c) -> (R(u; f + c), u(x0)), no truncation
+    @pytest.mark.parametrize("dim, alpha, closure", [
+        pytest.param(dim, alpha, closure, id=f"{dim}-{alpha}" + (closure == "edge") * "-edge")
+        for closure in ("dirichlet", "edge") for dim in (1, 2) for alpha in (0.0, 0.5)])
+    def test_bordered_system_matches_finite_differences(self, alpha, dim, closure):
+        # the bordered map (u, c) -> (R(u; f + c), u(x0)), no truncation; on
+        # the edge closure u is the remainder w, whose ghost values copy the
+        # interior node next to them, and s adds its exact derivatives
         grid, u, _ = smooth_profile(dim)
         inst = profile_instance(ScaledTrace(1.5), alpha, dim)
+        blowup = _blowup_part(inst, grid) if closure == "edge" else None
         system = make_system(inst, grid, 0.1, math.inf, 0.25,
-                             SolverConfig(peclet_threshold=math.inf))
-        c, step = -0.7, 1e-6
+                             SolverConfig(peclet_threshold=math.inf), blowup)
+        c, step = -0.7, 1e-3  # R is affine in c: a long step rounds off less
         columns = []
         for shift in (step, -step):
             system.set_c(c + shift)
@@ -438,6 +443,9 @@ class TestJacobian:
         jac = dense_jacobian(system, u)
         np.testing.assert_allclose(jac, fd_jacobian(system, u), rtol=0,
                                    atol=1e-6 * np.abs(jac).max())
+        if closure == "edge" and not alpha:  # u -> u + k solves the same system
+            np.testing.assert_allclose(jac.sum(axis=1), 0.0, rtol=0,
+                                       atol=1e-12 * np.abs(jac).max())
         # the step solves the bordered system built from the differences
         x0 = tuple(n // 2 - 1 for n in grid.shape)  # interior index of the centre
         res = ev.res
@@ -688,8 +696,9 @@ class TestFailureModes:
             _run_newton(system, np.zeros(81))
 
     def test_failed_line_search_restores_c(self, monkeypatch):
-        # a bordered run takes its first step whole; when every trial of the
-        # second is non-finite, the run ends with c where the first step left it
+        # the first step of a remainder solve lowers the residual; when every
+        # trial of the second is non-finite, the run ends with c where the
+        # first step left it
         evaluate, shifts = _System.evaluate, []
 
         def failing(self, u):
@@ -698,14 +707,15 @@ class TestFailureModes:
             return ev if len(shifts) <= 2 else replace(ev, res=ev.res * math.nan)
 
         monkeypatch.setattr(_System, "evaluate", failing)
-        system = _System(make_instance(0.0, 2.0), interval_grid(21), SolverConfig())
-        system.set_c(-2.0)
+        inst, grid = make_instance(0.0, 2.0), interval_grid(21)
+        system = _System(inst, grid, SolverConfig(), _blowup_part(inst, grid))
+        system.set_c(-1.0)
         with pytest.raises(NonConvergence, match=(
                 r"^newton line search failed at delta=0\.0009765625: no step lowers "
                 r"the residual \S+ after 1 steps$")):
-            _run_newton(system, np.full(21, 3.0), border=(9,))
+            _run_newton(system, np.zeros(21), border=(9,))
         assert len(shifts) == 2 + 25
-        assert shifts[1] != -2.0 and system.c == shifts[1]
+        assert shifts[1] != -1.0 and system.c == shifts[1]
 
     def test_invalid_config_rejected(self):
         from ergopde import OutOfRange
@@ -734,8 +744,8 @@ class TestFailureModes:
                                 solve_linear(self, ev, rhs + math.inf))
         else:
             scale = math.nan if fault == "nan-band" else 0.0
-            monkeypatch.setattr(_System, "jacobian", lambda self, ev:
-                                scale * jacobian(self, ev))
+            monkeypatch.setattr(_System, "jacobian", lambda self, ev, border=None:
+                                scale * jacobian(self, ev, border))
         with pytest.raises(NonConvergence, match=(
                 r"^newton linear solve failed at delta=0\.0009765625: ")) as info:
             solve(make_instance(0.0, 1.5, b="1", f="1"), 0.0, 21)
