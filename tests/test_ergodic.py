@@ -144,6 +144,15 @@ class TestEstimate:
                            r"newton stalled: planted$"):
             estimate_ergodic_constant(experiment(cosine_instance, 101, (8.0, 12.0)))
 
+    def test_failed_continuation_raises(self, cosine_instance, monkeypatch):
+        # the last step of the refinement, on 4n - 3 nodes, fails: the two
+        # coarser solves that stand give no estimate, and the failure names
+        # the finest grid
+        self.fail_newton_on(monkeypatch, (401,))
+        with pytest.raises(NonConvergence, match=r"^remainder solve on \(401,\) nodes: "
+                           r"newton stalled: planted$"):
+            estimate_ergodic_constant(experiment(cosine_instance, 101, (8.0, 12.0)))
+
     def test_bar_above_tol_is_named(self, cosine_instance):
         with pytest.raises(UnresolvedLayer, match=r"^error bar 4\.\d+e-07 of the estimate "
                            r"-2\.4674 exceeds tol 1e-07 "):
