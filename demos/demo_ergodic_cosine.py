@@ -5,7 +5,8 @@ phi = exp(-u) turns the problem into phi'' = c phi with phi(+-1) = 0, so
 the constant is -pi^2/4 exactly.  The 1D shooting oracle and the PDE-side
 estimator (one bordered solve per grid for the bounded remainder
 w = u - s, s = -log(1 - x) - log(1 + x), extrapolated in h) should both
-land there.
+land there.  Each refined grid starts from the coarser grid's solution,
+so it takes fewer Newton steps than the first.
 
 Run:  python3 demos/demo_ergodic_cosine.py
 """
@@ -53,8 +54,10 @@ def main():
     t0 = time.time()
     c_pde, report = estimate_ergodic_constant(exp, tol=0.02)
     elapsed = time.time() - t0
-    for shape, c_h in zip(report["grid_shapes"], report["c_h"]):
-        print(f"  c_h on {shape[0]:4d} nodes: {c_h:.10f} (err {abs(c_h - EXACT):.1e})")
+    for shape, c_h, steps in zip(report["grid_shapes"], report["c_h"],
+                                 report["newton_steps"]):
+        print(f"  c_h on {shape[0]:4d} nodes: {c_h:.10f} (err {abs(c_h - EXACT):.1e}, "
+              f"{steps} Newton steps)")
     print(f"Richardson from the two finest: c = {c_pde:.10f} +- {report['bar']:.1e} "
           f"(err {abs(c_pde - EXACT):.1e}, {elapsed:.3f}s)")
 

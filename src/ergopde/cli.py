@@ -448,15 +448,18 @@ def run_property_suite(cfg: dict, out: Path, seed) -> dict:
 
 def run_oracle(cfg: dict, out: Path, seed) -> dict:
     with _reading():
-        _known(cfg, ("alpha", "beta", "f", "tol", "shoot_c"), "top-level")
+        _known(cfg, ("alpha", "beta", "a", "f", "tol", "shoot_c"), "top-level")
         exponents = ExponentPair(_number(cfg, "alpha"), _number(cfg, "beta"))
+        a = _number(cfg, "a", 1.0)  # the trace coefficient: -a|u'|^alpha u''
+        if not (np.isfinite(a) and a > 0.0):
+            raise ConfigError(f"a must be a finite positive number, not {a!r}")
         f = ScalarField.from_expression(str(cfg.get("f", "0")), dim=1)
         tol = _tol(cfg, 1e-8)
         shoot_c = _number(cfg, "shoot_c") if "shoot_c" in cfg else None
-    c_erg, rep = ergodic_constant_1d(exponents, f, tol=tol)
+    c_erg, rep = ergodic_constant_1d(exponents, f, trace_coefficient=a, tol=tol)
     report = {"experiment": "oracle", "c_erg": c_erg, **rep}
     if shoot_c is not None:
-        report["x_star"] = shoot_blowup(exponents, shoot_c, f)
+        report["x_star"] = shoot_blowup(exponents, shoot_c, f, trace_coefficient=a)
     return report
 
 

@@ -4,7 +4,8 @@ Grids are 1D or 2D tensor products of equally spaced nodes.  Values are
 stored row-major (2D shape = (nx, ny)).  The stencils read a node's
 neighbours along each axis through one set of views; only the 2D corner
 stencil d_xy is written per dimension.  The centered ones are exact on
-quadratics.
+quadratics.  `prolong` carries node values to the grid with every cell
+halved.
 """
 
 from __future__ import annotations
@@ -158,6 +159,23 @@ def hessian_field(values: np.ndarray, spacing: tuple) -> tuple:
         corners = v[2:, 2:] + v[:-2, :-2] - v[2:, :-2] - v[:-2, 2:]
         hess.insert(1, corners / (4.0 * hx * hy))
     return tuple(hess)
+
+
+def prolong(values: np.ndarray) -> np.ndarray:
+    """Node values on the refinement with 2n - 1 nodes per axis.
+
+    Injection at the shared nodes and the midpoint average between them,
+    axis by axis: linear interpolation in 1D, bilinear in 2D.
+    """
+    out = np.asarray(values, dtype=float)
+    for k in range(out.ndim):
+        fine = np.empty(out.shape[:k] + (2 * out.shape[k] - 1,) + out.shape[k + 1:])
+        lead = (slice(None),) * k
+        fine[lead + (slice(None, None, 2),)] = out
+        fine[lead + (slice(1, None, 2),)] = 0.5 * (out[lead + (slice(None, -1),)]
+                                                   + out[lead + (slice(1, None),)])
+        out = fine
+    return out
 
 
 # ---------------------------------------------------------------------------

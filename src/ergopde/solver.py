@@ -28,7 +28,7 @@ system it converged on.
 bounded remainder w = u - s, s the leading blow-up term of the wall
 (Lasry & Lions), with s's exact derivatives added to w's differences,
 ghost values that copy the interior node next to them, and c one more
-unknown (Keller's bordered step).
+unknown (Keller's bordered step), from w = 0 or from a given (w, c).
 """
 
 from __future__ import annotations
@@ -205,6 +205,18 @@ def _blowup_part(instance: EquationInstance, grid: UniformGrid) -> tuple:
     return slopes, second
 
 
+def _copy_edges(u_full: np.ndarray) -> None:
+    """Set each boundary node to the interior node next to it, in place.
+
+    One slice copy per face, axis by axis, so a corner takes the value of
+    its diagonal neighbour: `np.pad(interior, 1, mode="edge")`.
+    """
+    for k in range(u_full.ndim):
+        lead = (slice(None),) * k
+        u_full[lead + (0,)] = u_full[lead + (1,)]
+        u_full[lead + (-1,)] = u_full[lead + (-2,)]
+
+
 def _fold_edges(stencil: dict, shape: tuple) -> dict:
     """The stencil on the edge closure, where each ghost value copies the
     interior node next to it: a coupling to a ghost moves onto that node."""
@@ -343,20 +355,16 @@ class _System:
         accurate but loses the discrete maximum principle once the local
         cell Peclet number q h / (2 a) of the linearized Hamiltonian
         exceeds ~1; at such nodes the monotone Godunov (Rouy-Tourin)
-        magnitude max(D-, -D+, 0) is used instead.
+        magnitude max(D-, -D+, 0) is used instead.  No node can exceed a
+        `peclet_threshold` of +inf, so there the Peclet number is not computed.
         """
         slopes = axis_slopes(u_full, self.h) if self.blowup is None \
             else self._closed_slopes(u_full)
         g_c = _smooth_magnitude(slopes, self.alpha)
-        t_mc = np.minimum(g_c, self.m_level)
-        # 0^(beta-1) = inf for beta < 1, and 0 * inf = nan where b = 0
-        with np.errstate(divide="ignore", invalid="ignore") if self.beta < 1.0 \
-                else nullcontext():
-            tpow = t_mc ** (self.beta - 1.0)
-            q = self.b_beta * tpow * _regularization_factor(g_c, self.delta, self.alpha)
-        upwind = q * self.h_min / self.two_floor > self.config.peclet_threshold
-        gmag = np.where(upwind, _norm([_godunov(back, fwd) for back, fwd, _ in slopes]),
-                        g_c) if upwind.any() else g_c
+        if self.config.peclet_threshold == math.inf:  # no node can be upwinded
+            gmag, upwind = g_c, np.zeros(g_c.shape, dtype=bool)
+        else:
+            gmag, upwind = self._switched_magnitude(slopes, g_c)
         rho = _regularization_factor(gmag, self.delta, self.alpha)
         t_m = np.minimum(gmag, self.m_level)
         es = self.eps * _signed_power(self.interior(u_full), self.alpha)
@@ -369,10 +377,24 @@ class _System:
         res = es - fvals - p * rho
         return _Evaluation(u_full, slopes, policy, gmag, upwind, rho, t_m, p, res)
 
+    def _switched_magnitude(self, slopes: list, g_c: np.ndarray) -> tuple:
+        """(gmag, upwind): g_c, with the Godunov magnitude at the nodes whose
+        cell Peclet number exceeds `peclet_threshold`, and their mask."""
+        t_mc = np.minimum(g_c, self.m_level)
+        # 0^(beta-1) = inf for beta < 1, and 0 * inf = nan where b = 0
+        with np.errstate(divide="ignore", invalid="ignore") if self.beta < 1.0 \
+                else nullcontext():
+            tpow = t_mc ** (self.beta - 1.0)
+            q = self.b_beta * tpow * _regularization_factor(g_c, self.delta, self.alpha)
+        upwind = q * self.h_min / self.two_floor > self.config.peclet_threshold
+        gmag = np.where(upwind, _norm([_godunov(back, fwd) for back, fwd, _ in slopes]),
+                        g_c) if upwind.any() else g_c
+        return gmag, upwind
+
     def _closed_slopes(self, u_full) -> list:
-        """Refresh the ghost values of w in place (`np.pad` "edge") and
-        return its axis slopes with those of s added."""
-        u_full[...] = np.pad(self.interior(u_full), 1, mode="edge")
+        """Refresh the ghost values of w in place (`_copy_edges`) and return
+        its axis slopes with those of s added."""
+        _copy_edges(u_full)
         return [tuple(d + ds for d in axis)
                 for axis, ds in zip(axis_slopes(u_full, self.h), self.blowup[0])]
 
@@ -539,8 +561,10 @@ def _run_newton(system: _System, u_full, border=None) -> tuple:
     macheps = float(np.finfo(float).eps)
 
     def norm(ev, res):  # bordered: u(x0) is one more entry of the residual
-        return _rms_norm(res if border is None else
-                         np.append(res, system.interior(ev.u)[border]))
+        if border is None:
+            return _rms_norm(res)
+        r, u0 = res.ravel(), float(system.interior(ev.u)[border])
+        return math.sqrt(r.dot(r) + u0 * u0) / math.sqrt(r.size + 1)
 
     dc = 0.0
     ev = system.evaluate(u_full)
@@ -712,21 +736,28 @@ def solve_dirichlet(
 
 
 def solve_remainder(instance: EquationInstance, grid: UniformGrid, probe,
-                    config: SolverConfig | None = None) -> tuple:
+                    config: SolverConfig | None = None, start: tuple | None = None) -> tuple:
     """Newton on the pair (w, c): the remainder w = u - s of the ergodic
     problem with f + c, s its blow-up part (`_blowup_part`).
 
     Bordered `_run_newton` on the edge closure, w(probe) = 0 the extra
     equation; the scheme is centered and the truncation off.  It starts from
-    w = 0 and c = -sup f - 1.  Returns (w, c, Newton steps); a failed solve
-    raises NonConvergence naming the grid shape.
+    `start`, a pair (w GridFunction on `grid`, c), when one is given, else
+    from w = 0 and c = -sup f - 1.  Returns (w, c, Newton steps); a failed
+    solve raises NonConvergence naming the grid shape.
     """
     config = replace(config or SolverConfig(), peclet_threshold=math.inf)
     system = _System(instance, grid, config, _blowup_part(instance, grid))
-    system.set_c(-float(system.f_base.max()) - 1.0)
+    if start is None:
+        w_full, c = np.zeros(grid.shape), -float(system.f_base.max()) - 1.0
+    elif start[0].grid.shape != grid.shape:
+        raise OutOfRange(f"start on {start[0].grid.shape} nodes, grid {grid.shape}")
+    else:
+        w_full, c = start[0].values.copy(), float(start[1])  # the ghosts are written
+    system.set_c(c)
     border = tuple(int(i) - 1 for i in probe)
     try:
-        ev, its = _run_newton(system, np.zeros(grid.shape), border)
+        ev, its = _run_newton(system, w_full, border)
     except NonConvergence as exc:
         raise NonConvergence(f"remainder solve on {grid.shape} nodes: {exc}") from exc
     return GridFunction(grid, ev.u), system.c, its

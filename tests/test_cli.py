@@ -1,6 +1,7 @@
 """Command-line interface: configs, artifacts, determinism, exit codes."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -191,6 +192,9 @@ class TestSolve:
         ("ergodic", "tol", True),
         ("solve", "solver", {"delta": 0.0}),
         ("solve", "solver", {"inner_tol": float("nan")}),
+        ("oracle", "a", 0),
+        ("oracle", "a", -1),
+        ("oracle", "a", "x"),
     ], ids=["truncation-abc", "delta-many", "truncation-negative",
             "truncation-number", "inner-tol-list", "ladder-word", "solver-key-misspelt",
             "tol-abc", "c-abc", "tol-nan", "reference-not-mapping", "oracle-tol-nan",
@@ -200,7 +204,8 @@ class TestSolve:
             "reference-c0-negative", "oracle-alpha-out-of-range", "trials-zero",
             "uniqueness-string", "shape-fraction",
             "grid-sizes-fraction", "trials-fraction", "trials-infinite",
-            "inner-tol-boolean", "tol-boolean", "delta-zero", "inner-tol-nan"])
+            "inner-tol-boolean", "tol-boolean", "delta-zero", "inner-tol-nan",
+            "oracle-a-zero", "oracle-a-negative", "oracle-a-word"])
     def test_bad_values_are_config_errors(self, tmp_path, capsys, monkeypatch, command,
                                           key, value):
         def no_work(*args, **kwargs):
@@ -226,7 +231,6 @@ class TestSolve:
         ("asymptotics", (), "uniquness", True),
         # returned -pi^2/4, the constant of f = 0
         ("oracle", (), "forcing", "0.5*cos(3.0*x)"),
-        ("oracle", (), "a", 2.0),
         ("ergodic", (), "drift_tol", 1e-3),
         ("ergodic", (), "c", -1.0),
         ("asymptotics", (), "tol", 0.1),
@@ -238,7 +242,7 @@ class TestSolve:
         ("solve", ("instance", "domain"), "high", [2.0]),
         ("solve", ("grid",), "shapes", [21]),
         ("convergence", ("reference",), "c0", -1.0),
-    ], ids=["asymptotics-uniquness", "oracle-forcing", "oracle-a", "ergodic-drift-tol",
+    ], ids=["asymptotics-uniquness", "oracle-forcing", "ergodic-drift-tol",
             "ergodic-c", "asymptotics-tol", "solve-probe", "convergence-grid",
             "suite-seed", "instance-g", "trace-A", "domain-high", "grid-shapes",
             "reference-c0"])
@@ -264,6 +268,18 @@ class TestOracleAndErgodic:
         assert main(["oracle", "--config", str(path), "--out", str(out)]) == 0
         report = read_report(out)
         assert abs(report["c_erg"] - COSINE_C) < 1e-6
+
+    def test_oracle_reads_the_trace_coefficient(self, tmp_path):
+        # -a u'' + u'^2 = c: u = -a log cos(pi x / 2) gives c = -a^2 pi^2 / 4,
+        # -pi^2 at a = 2; the shot takes a too: at c = -4, p = 2 tan x
+        # blows up at pi/2 as for a = 1 at c = -1
+        path = write_config(tmp_path, {"alpha": 0.0, "beta": 2.0, "a": 2.0,
+                                       "shoot_c": -4.0})
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(path), "--out", str(out)]) == 0
+        report = read_report(out)
+        assert abs(report["c_erg"] + math.pi**2) <= 1e-9 * math.pi**2
+        assert report["x_star"] == pytest.approx(np.pi / 2.0, rel=1e-9)
 
     def test_oracle_shoot_c(self, tmp_path):
         # c = -1, f = 0: p' = 1 + p^2 from p(0) = 0, so p = tan x and the

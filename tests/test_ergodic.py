@@ -88,6 +88,14 @@ class TestEstimate:
         assert w.values[0] == w.values[1] and w.values[-1] == w.values[-2]
         assert abs(c - COSINE_C) < 1e-4 and steps <= 5
 
+    def test_remainder_from_its_solution_takes_no_step(self, cosine_instance):
+        grid = interval_grid(101)
+        w, c, _ = solve_remainder(cosine_instance, grid, (50,))
+        w2, c2, steps = solve_remainder(cosine_instance, grid, (50,), start=(w, c))
+        assert steps == 0 and c2 == c and np.array_equal(w2.values, w.values)
+        with pytest.raises(OutOfRange, match=r"start on \(101,\) nodes, grid \(201,\)"):
+            solve_remainder(cosine_instance, interval_grid(201), (100,), start=(w, c))
+
     def test_matches_oracle_with_forcing(self):
         # the benchmark's instance: f = 0.5 cos 3x on 101 nodes
         inst = make_instance(0.0, 2.0, f="0.5*cos(3.0*x)")
@@ -255,6 +263,14 @@ SWEEP = {
 }
 
 
+def sweep_experiment(inst):
+    """The experiment of a sweep instance: 101 nodes in 1D, 33^2 in 2D, probe at 0."""
+    dim = inst.domain.dim
+    grid = UniformGrid((101 if dim == 1 else 33,) * dim, inst.domain)
+    return ErgodicExperiment(instance=inst, grid=grid, ladder=(8.0, 12.0),
+                             probe_point=(0.0,) * dim)
+
+
 def sweep_failures():
     """What the remainder sweep finds wrong, over every SWEEP instance on the
     grids n, 2n - 1, 4n - 3 (n = 101 in 1D, 33 in 2D), references included:
@@ -267,11 +283,8 @@ def sweep_failures():
     t0 = time.perf_counter()
     failures, ratios = [], []
     for name, (inst, reference) in SWEEP.items():
-        c_ref, dim = reference(inst), inst.domain.dim
-        grid = UniformGrid((101 if dim == 1 else 33,) * dim, inst.domain)
-        exp = ErgodicExperiment(instance=inst, grid=grid, ladder=(8.0, 12.0),
-                                probe_point=(0.0,) * dim)
-        c_est, report = estimate_ergodic_constant(exp, tol=1e-3)
+        c_ref = reference(inst)
+        c_est, report = estimate_ergodic_constant(sweep_experiment(inst), tol=1e-3)
         err = abs(c_est - c_ref)
         if err > report["bar"]:
             failures.append(f"{name}: error {err:.3g} above the bar {report['bar']:.3g}")
@@ -296,6 +309,48 @@ class TestRemainderSweep:
 
         monkeypatch.setattr(ergodic, "_RICHARDSON", 0.5)
         assert any("above the bar" in why or "median" in why for why in sweep_failures())
+
+    def test_nested_starts_change_the_work_not_the_numbers(self):
+        assert nested_start_failures() == []
+
+    def test_cold_refined_solves_fail(self, monkeypatch):
+        # mutant: each refined grid starts from w = 0 and c = -sup f - 1 again
+        from ergopde import ergodic
+
+        real = ergodic.solve_remainder
+
+        def cold(instance, grid, probe, config=None, start=None):
+            return real(instance, grid, probe, config)
+
+        monkeypatch.setattr(ergodic, "solve_remainder", cold)
+        assert any("ergodic-1d: steps" in why for why in nested_start_failures())
+
+
+ERGODIC_1D = make_instance(0.0, 2.0, f="0.5*cos(3.0*x)")  # the benchmark's instance
+
+
+def nested_start_failures():
+    """What starting each refined grid from the coarser grid's solution
+    changes besides the work, over every SWEEP instance and the ergodic-1d
+    one: per grid, c_h further than 1e-8 (1 + |c_h|) from a solve there
+    from w = 0, or a refined grid that takes more Newton steps than that
+    solve; and on ergodic-1d, steps other than [3, 2, 2] ([3, 3, 3] cold).
+    """
+    failures = []
+    for name, inst in {**{k: v[0] for k, v in SWEEP.items()}, "ergodic-1d": ERGODIC_1D}.items():
+        exp = sweep_experiment(inst)
+        _, report = estimate_ergodic_constant(exp, tol=1e-3)
+        for m, shape, c, steps in zip((1, 2, 4), report["grid_shapes"], report["c_h"],
+                                      report["newton_steps"]):
+            _, c_cold, steps_cold = solve_remainder(
+                inst, UniformGrid(shape, inst.domain), tuple(m * i for i in exp.probe_node))
+            if abs(c - c_cold) > 1e-8 * (1.0 + abs(c)):
+                failures.append(f"{name}: c_h {c!r} on {shape}, {c_cold!r} from w = 0")
+            if m > 1 and steps > steps_cold:
+                failures.append(f"{name}: {steps} steps on {shape}, {steps_cold} from w = 0")
+        if name == "ergodic-1d" and report["newton_steps"] != [3, 2, 2]:
+            failures.append(f"ergodic-1d: steps {report['newton_steps']}, not [3, 2, 2]")
+    return failures
 
 
 def decomposition_gaps(monkeypatch, inst, n):

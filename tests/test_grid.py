@@ -19,7 +19,7 @@ from ergopde import (
     save_binary,
     save_csv,
 )
-from ergopde.grid import axis_slopes, gradient_field, hessian_field
+from ergopde.grid import axis_slopes, gradient_field, hessian_field, prolong
 
 
 def grid1d(n, lo=-1.0, hi=1.0):
@@ -196,3 +196,21 @@ class TestSnapshots:
         assert lines[0] == "x,value"
         first = [float(tok) for tok in lines[1].split(",")]
         assert first == pytest.approx([-1.0, -1.0])
+
+
+@pytest.mark.parametrize("shape", [(5,), (4, 6)])
+def test_prolong_injects_and_is_bilinear(shape):
+    # the coarse values at the shared nodes; a bilinear function exactly
+    grid = UniformGrid(shape, Box((-1.0,) * len(shape), (1.0, 0.5)[:len(shape)]))
+    fine = UniformGrid(tuple(2 * n - 1 for n in shape), grid.box)
+    rng = np.random.default_rng(2)
+    v = rng.normal(size=shape)
+    assert np.array_equal(prolong(v)[(slice(None, None, 2),) * len(shape)], v)
+
+    def bilinear(*xs):
+        out = 0.3 + 0.7 * xs[0]
+        return out * (1.0 - 0.4 * xs[1]) if len(xs) == 2 else out
+
+    got = prolong(bilinear(*grid.coords()))
+    assert got.shape == fine.shape
+    np.testing.assert_allclose(got, bilinear(*fine.coords()), rtol=0, atol=1e-15)

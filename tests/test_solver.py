@@ -32,8 +32,8 @@ from ergopde import (
     residual_field,
     solve_dirichlet,
 )
-from ergopde.solver import _blowup_part, _initial_guess, _max_axis_slope, _run_newton, \
-    _System
+from ergopde.solver import _blowup_part, _copy_edges, _initial_guess, _max_axis_slope, \
+    _run_newton, _System
 from conftest import (
     COSINE_C,
     INTERVAL,
@@ -460,6 +460,49 @@ class TestJacobian:
         got = np.append(du.ravel(), dc)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
         assert du[x0] == pytest.approx(-system.interior(u)[x0])
+
+
+class TestCenteredShortCuts:
+    """The remainder path's short-cuts give the arrays of the code they skip."""
+
+    @pytest.mark.parametrize("shape", [(9,), (6, 5)])
+    def test_edge_copy_is_edge_padding(self, shape):
+        u = np.random.default_rng(5).normal(size=shape)
+        want = np.pad(u[(slice(1, -1),) * u.ndim], 1, mode="edge")  # corners included
+        _copy_edges(u)
+        np.testing.assert_array_equal(u, want)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("dim, closure", [(1, "dirichlet"), (2, "dirichlet"),
+                                              (1, "edge"), (2, "edge")])
+    def test_infinite_threshold_skips_only_the_peclet_number(self, monkeypatch, dim,
+                                                             closure, alpha):
+        # at +inf no node is upwinded, so the Peclet number is not computed;
+        # the full path at a finite threshold no node reaches gives the
+        # same arrays, bit for bit
+        grid, u, _ = smooth_profile(dim)
+        inst = profile_instance(ScaledTrace(1.5), alpha, dim)
+        blowup = _blowup_part(inst, grid) if closure == "edge" else None
+        switched = []
+        real = _System._switched_magnitude
+
+        def spy(system, slopes, g_c):
+            switched.append(system.config.peclet_threshold)
+            return real(system, slopes, g_c)
+
+        monkeypatch.setattr(_System, "_switched_magnitude", spy)
+        evs = []
+        for threshold in (math.inf, float(np.finfo(float).max)):
+            system = make_system(inst, grid, 0.1, 100.0, 0.25,
+                                 SolverConfig(peclet_threshold=threshold), blowup)
+            system.set_c(-0.7)
+            evs.append(system.evaluate(u.copy()))
+        assert switched == [float(np.finfo(float).max)]
+        short, full = evs
+        for name in ("gmag", "res", "upwind"):
+            a, b = getattr(short, name), getattr(full, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert not short.upwind.any()
 
 
 class TestResidual:
