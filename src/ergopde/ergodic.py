@@ -46,7 +46,7 @@ class ErgodicExperiment:
     ladder: tuple
     probe_point: tuple
     fit_span: tuple = (4.0, 64.0)
-    solver_config: SolverConfig | None = None
+    solver_config: SolverConfig = SolverConfig()
 
     def __post_init__(self):
         ladder = tuple(float(v) for v in self.ladder)
@@ -69,9 +69,6 @@ class ErgodicExperiment:
     def exponents(self) -> ExponentPair:
         return self.instance.exponents
 
-    def config(self) -> SolverConfig:
-        return self.solver_config or SolverConfig()
-
 
 def solve_at(exp: ErgodicExperiment, c: float, amplitude: float,
              start: GridFunction | None = None) -> tuple:
@@ -82,7 +79,7 @@ def solve_at(exp: ErgodicExperiment, c: float, amplitude: float,
     Returns (u, SolveReport); a failed solve raises NonConvergence.
     """
     datum = ScalarField.constant(float(amplitude), exp.grid.dim)
-    return solve_dirichlet(exp.instance.shifted_f(c), datum, exp.grid, exp.config(),
+    return solve_dirichlet(exp.instance.shifted_f(c), datum, exp.grid, exp.solver_config,
                            start=start)
 
 
@@ -118,7 +115,7 @@ def estimate_ergodic_constant(exp: ErgodicExperiment, tol: float = 1e-2) -> tupl
         if start is not None:  # the coarser grid's (w, c), w prolonged
             start = (GridFunction(grid, prolong(start[0].values)), start[1])
         w, c, its = solve_remainder(exp.instance, grid, tuple(m * i for i in exp.probe_node),
-                                    exp.config(), start)
+                                    exp.solver_config, start)
         start = (w, c)
         c_h.append(c)
         steps.append(its)
@@ -153,17 +150,22 @@ def estimate_ergodic_constant(exp: ErgodicExperiment, tol: float = 1e-2) -> tupl
 
 
 def _face_rays(exp: ErgodicExperiment) -> list:
-    """(face name, inward unit normal, midpoint boundary node) per face."""
-    grid = exp.grid
-    normals = face_normals(exp.instance.domain)
+    """(face name, inward unit normal, midpoint boundary node, C) per face,
+    C the face's `amplitude_C` at the value of b on that node."""
+    grid, inst = exp.grid, exp.instance
+    normals = face_normals(inst.domain)
+    mids = [n // 2 for n in grid.shape]
+    centre = [lo + i * h for lo, i, h in zip(grid.box.lo, mids, grid.spacing)]
     rays = []
     for k in range(grid.dim):
-        mids = [n // 2 for n in grid.shape]
-        for side, idx_val in (("lo", 0), ("hi", grid.shape[k] - 1)):
+        for side, idx_val, wall in (("lo", 0, grid.box.lo[k]),
+                                    ("hi", grid.shape[k] - 1, grid.box.hi[k])):
             name = f"axis{k}_{side}"
             node = list(mids)
             node[k] = idx_val
-            rays.append((name, normals[name], tuple(node)))
+            b_face = inst.b.at(*centre[:k], wall, *centre[k + 1:])
+            c_ref = amplitude_C(inst.operator, normals[name], inst.exponents, b_face)
+            rays.append((name, normals[name], tuple(node), c_ref))
     return rays
 
 
@@ -231,14 +233,13 @@ def verify_blowup_profile(exp: ErgodicExperiment, c: float, u: GridFunction) -> 
     case = "power" if chi_val > 0.0 else "log"
     base_shift = float(u(exp.probe_node))
     faces = []
-    for name, normal, node in _face_rays(exp):
+    for name, normal, node, c_ref in _face_rays(exp):
         ds, raw, _ = _layer_samples(exp, u, name, normal, node)
         shift = base_shift
         if case == "power":
             shift += _power_normalization_shift(ds, raw - base_shift)
         vals = raw - shift
         fit = blowup_profile_fit(ds, vals, case)
-        c_ref = amplitude_C(exp.instance.operator, normal, exp.exponents)
         entry = {
             "face": name,
             "c_ref": c_ref,
@@ -286,9 +287,8 @@ def verify_gradient_rate(
     target = -chi_val if chi_val > 0.0 else -1.0
     grad = gradient_field(u.values, u.grid.spacing)
     faces = []
-    for name, normal, node in _face_rays(exp):
+    for name, normal, node, c_ref in _face_rays(exp):
         ds, _, ray = _layer_samples(exp, u, name, normal, node)
-        c_ref = amplitude_C(exp.instance.operator, normal, exp.exponents)
         inner = tuple(i - 1 for i in ray)  # the gradient lives on the interior
         # grad d is the inward normal: the distance grows away from the face
         slope = sum(nk * gk[inner] for nk, gk in zip(normal, grad))

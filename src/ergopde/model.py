@@ -49,12 +49,16 @@ def amplitude_C(
     operator: operators.OperatorSpec,
     boundary_normal,
     exponents: ExponentPair,
-) -> float:
-    """Boundary blow-up amplitude.
+    b=1.0,
+):
+    """Boundary blow-up amplitude at the face value b of the coefficient.
 
     For chi > 0: ((chi+1) F(n (x) n))^(1/(beta-alpha-1)) / chi;
-    for chi = 0: F(n (x) n).
+    for chi = 0: F(n (x) n); either times b^(-1/(beta-alpha-1)).  b may be
+    an array of face values, and the amplitude is then one per value.
     """
+    if not np.all(np.greater(b, 0.0)):
+        raise OutOfRange("the blow-up amplitude needs b > 0 on the face")
     n = np.asarray(boundary_normal, dtype=float)
     if abs(np.linalg.norm(n) - 1.0) > 1e-12:
         raise OutOfRange("boundary normal must be a unit vector")
@@ -65,16 +69,17 @@ def amplitude_C(
             f"F(n (x) n) = {fnn} <= 0: operator violates ellipticity"
         )
     x = chi(exponents)
-    if x == 0.0:
-        return fnn
     exponent = 1.0 / (exponents.beta - exponents.alpha - 1.0)
-    # log-space evaluation: the amplitude explodes as beta -> alpha + 1
-    # and should saturate to inf rather than raise OverflowError
-    log_c = exponent * math.log((x + 1.0) * fnn) - math.log(x)
-    try:
-        return math.exp(log_c)
-    except OverflowError:
-        return math.inf
+    if x == 0.0:
+        amp = fnn
+    else:
+        # log-space evaluation: the amplitude explodes as beta -> alpha + 1
+        # and should saturate to inf rather than raise OverflowError
+        try:
+            amp = math.exp(exponent * math.log((x + 1.0) * fnn) - math.log(x))
+        except OverflowError:
+            amp = math.inf
+    return amp * b ** -exponent
 
 
 def rescale_residual_factor(exponents: ExponentPair, delta: float) -> float:

@@ -37,7 +37,7 @@ import functools
 import math
 import warnings
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -61,6 +61,9 @@ _EPS_SCALE = 1e-3
 # solves that fail).
 _STALL_STEPS = 20
 _MAX_TRUNCATION_ROUNDS = 400
+# the cell Peclet number above which a Dirichlet node takes the Godunov
+# magnitude (`_System.evaluate`); a remainder system is centered
+_PECLET_THRESHOLD = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -69,11 +72,10 @@ _MAX_TRUNCATION_ROUNDS = 400
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Regularization delta, Newton residual tolerance and Peclet switch."""
+    """Regularization delta and Newton residual tolerance."""
 
     delta: float = 2.0**-10
     inner_tol: float = 1e-8
-    peclet_threshold: float = 0.5  # inf -> centered, -inf -> Godunov everywhere
 
     def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta > 0.0):
@@ -179,10 +181,10 @@ def _blowup_part(instance: EquationInstance, grid: UniformGrid) -> tuple:
     """(slopes, second derivatives), per axis on the interior nodes, of s.
 
     s is the sum over the faces of C d^(-chi), or -C log d when chi = 0,
-    with d the distance to the face and C the face's `amplitude_C` for b = 1
-    times b^(-1/(beta - alpha - 1)), b read on the face.  Each term is
-    taken to depend on one coordinate, so s has no d_xy part; that is exact
-    where b is constant along each face.
+    with d the distance to the face and C the face's `amplitude_C` at the
+    values of b on the face.  Each term is taken to depend on one
+    coordinate, so s has no d_xy part; that is exact where b is constant
+    along each face.
     """
     ep = instance.exponents
     x_chi = chi(ep)
@@ -196,8 +198,7 @@ def _blowup_part(instance: EquationInstance, grid: UniformGrid) -> tuple:
         for side, wall, sign in (("lo", grid.box.lo[k], 1.0), ("hi", grid.box.hi[k], -1.0)):
             d = sign * (x - wall)
             b_face = instance.b(*ic[:k], np.full_like(x, wall), *ic[k + 1:])
-            amp = amplitude_C(instance.operator, normals[f"axis{k}_{side}"], ep) \
-                * b_face ** (-1.0 / (ep.beta - ep.alpha - 1.0))
+            amp = amplitude_C(instance.operator, normals[f"axis{k}_{side}"], ep, b_face)
             ds = ds - sign * amp * k1 * d ** (-x_chi - 1.0)
             d2s = d2s + amp * k1 * (x_chi + 1.0) * d ** (-x_chi - 2.0)
         slopes.append(ds)
@@ -317,14 +318,19 @@ class _System:
     With a `blowup` part ((slopes, second derivatives) from `_blowup_part`)
     the unknown is the remainder w = u - s on the edge closure: the ghost
     values copy the interior node next to them, and s's exact slopes and
-    second derivatives are added to w's.
+    second derivatives are added to w's.  Such a system is centered (its
+    `peclet_threshold` is +inf); `s_second`, per node the second
+    derivatives that s adds, is 0 without one.
     """
 
     def __init__(self, instance, grid, config, blowup=None):
         self.instance = instance
         self.config = config
         self.blowup = blowup
-        if blowup is not None:  # per node, the second derivatives that s adds
+        if blowup is None:
+            self.peclet_threshold, self.s_second = _PECLET_THRESHOLD, 0.0
+        else:
+            self.peclet_threshold = math.inf
             self.s_second = functools.reduce(np.add, [np.abs(t) for t in blowup[1]])
         ic = _interior_coords(grid)
         self.f_base, self.b_int = instance.f(*ic), instance.b(*ic)
@@ -361,7 +367,7 @@ class _System:
         slopes = axis_slopes(u_full, self.h) if self.blowup is None \
             else self._closed_slopes(u_full)
         g_c = _smooth_magnitude(slopes, self.alpha)
-        if self.config.peclet_threshold == math.inf:  # no node can be upwinded
+        if self.peclet_threshold == math.inf:  # no node can be upwinded
             gmag, upwind = g_c, np.zeros(g_c.shape, dtype=bool)
         else:
             gmag, upwind = self._switched_magnitude(slopes, g_c)
@@ -386,7 +392,7 @@ class _System:
                 else nullcontext():
             tpow = t_mc ** (self.beta - 1.0)
             q = self.b_beta * tpow * _regularization_factor(g_c, self.delta, self.alpha)
-        upwind = q * self.h_min / self.two_floor > self.config.peclet_threshold
+        upwind = q * self.h_min / self.two_floor > self.peclet_threshold
         gmag = np.where(upwind, _norm([_godunov(back, fwd) for back, fwd, _ in slopes]),
                         g_c) if upwind.any() else g_c
         return gmag, upwind
@@ -529,23 +535,19 @@ class _System:
         return d.reshape(rhs.shape)
 
 
-def _rms_norm(r: np.ndarray) -> float:
-    """|r|_2 / sqrt(size); the 2-norm is sqrt(r.r), as np.linalg.norm takes it."""
-    r = r.ravel()
-    return math.sqrt(r.dot(r)) / math.sqrt(r.size)
-
-
 def _run_newton(system: _System, u_full, border=None) -> tuple:
     """Semismooth Newton (Howard's policy iteration) on the regularized system.
 
     Globalized by an Armijo line search on the l2 residual norm alone: a
     run whose 25 step halvings all fail to lower the residual ends there,
     as solving again would give the same direction.  Convergence is
-    declared on the residual norm (scaled by the data), never on the
-    update size alone, and checked at the start and after each step.  No
-    step budget: the run stalls once `_STALL_STEPS` steps pass without the
-    residual norm halving again (the progress tests of Deuflhard and of
-    Kelley).
+    declared on the residual norm, each node's residual less the rounding
+    of s'' there (`system.s_second`, 0 without a blow-up part), against the
+    tolerance (scaled by the data) plus the rounding floor of the second
+    differences; never on the update size alone, and checked at the start
+    and after each step.  No step budget: the run stalls once
+    `_STALL_STEPS` steps pass without the residual norm halving again (the
+    progress tests of Deuflhard and of Kelley).
     Returns (evaluation, steps): the `_Evaluation` of the converged
     iterate, whose residual met the tolerance, and the number of Newton
     steps taken, 0 when the start already met it.
@@ -554,17 +556,15 @@ def _run_newton(system: _System, u_full, border=None) -> tuple:
     the shift c of f (`system.c`) is one more unknown and u(x0) = 0 one more
     equation (`_System.bordered_step`).
     """
-    config = system.config
-    big_a = system.instance.operator.bounds.A
     h2 = min(system.h2) / u_full.ndim  # sum over axes of 1/h^2 is at most dim/h_min^2
-    data_tol = config.inner_tol * (1.0 + float(np.abs(system.f_int).max()))
-    macheps = float(np.finfo(float).eps)
+    data_tol = system.config.inner_tol * (1.0 + float(np.abs(system.f_int).max()))
+    rounding = 4.0 * float(np.finfo(float).eps) * system.instance.operator.bounds.A
+    s_floor = rounding * system.s_second  # each node's floor is raised by s'' there
 
     def norm(ev, res):  # bordered: u(x0) is one more entry of the residual
-        if border is None:
-            return _rms_norm(res)
-        r, u0 = res.ravel(), float(system.interior(ev.u)[border])
-        return math.sqrt(r.dot(r) + u0 * u0) / math.sqrt(r.size + 1)
+        r = res.ravel()
+        u0 = 0.0 if border is None else float(system.interior(ev.u)[border])
+        return math.sqrt(r.dot(r) + u0 * u0) / math.sqrt(r.size + (border is not None))
 
     dc = 0.0
     ev = system.evaluate(u_full)
@@ -572,13 +572,8 @@ def _run_newton(system: _System, u_full, border=None) -> tuple:
     steps = halved_at = 0
     while True:
         # the second-difference evaluation has a rounding floor ~ |u| eps/h^2
-        eval_floor = 4.0 * macheps * big_a * (1.0 + float(np.abs(ev.u).max())) / h2
-        if system.blowup is None:
-            converged = res_norm <= data_tol + eval_floor
-        else:  # each node's floor is raised by the size of s'' there
-            excess = np.abs(ev.res) - eval_floor - 4.0 * macheps * big_a * system.s_second
-            converged = norm(ev, np.maximum(excess, 0.0)) <= data_tol
-        if converged:
+        eval_floor = rounding * (1.0 + float(np.abs(ev.u).max())) / h2
+        if norm(ev, np.maximum(np.abs(ev.res) - s_floor, 0.0)) <= data_tol + eval_floor:
             return ev, steps
         if steps - halved_at == _STALL_STEPS:
             raise NonConvergence(
@@ -676,7 +671,7 @@ def solve_dirichlet(
     instance: EquationInstance,
     boundary: ScalarField,
     grid: UniformGrid,
-    config: SolverConfig | None = None,
+    config: SolverConfig = SolverConfig(),
     start: GridFunction | None = None,
 ) -> tuple:
     """Solve the Dirichlet problem at `config.delta`, raising the truncation M.
@@ -688,7 +683,6 @@ def solve_dirichlet(
     as a fallback at alpha != 0).  Returns (solution GridFunction,
     SolveReport).  Raises NonConvergence if a round cannot be completed.
     """
-    config = config or SolverConfig()
     u_full = _boundary_values_full(grid, boundary)
     if start is None:
         u_full = _initial_guess(grid, u_full)
@@ -736,17 +730,16 @@ def solve_dirichlet(
 
 
 def solve_remainder(instance: EquationInstance, grid: UniformGrid, probe,
-                    config: SolverConfig | None = None, start: tuple | None = None) -> tuple:
+                    config: SolverConfig = SolverConfig(), start: tuple | None = None) -> tuple:
     """Newton on the pair (w, c): the remainder w = u - s of the ergodic
     problem with f + c, s its blow-up part (`_blowup_part`).
 
     Bordered `_run_newton` on the edge closure, w(probe) = 0 the extra
-    equation; the scheme is centered and the truncation off.  It starts from
+    equation; the system is centered and the truncation off.  It starts from
     `start`, a pair (w GridFunction on `grid`, c), when one is given, else
     from w = 0 and c = -sup f - 1.  Returns (w, c, Newton steps); a failed
     solve raises NonConvergence naming the grid shape.
     """
-    config = replace(config or SolverConfig(), peclet_threshold=math.inf)
     system = _System(instance, grid, config, _blowup_part(instance, grid))
     if start is None:
         w_full, c = np.zeros(grid.shape), -float(system.f_base.max()) - 1.0

@@ -13,7 +13,18 @@ import pytest
 import yaml
 
 import ergopde
-from ergopde import ConfigError
+from ergopde import (
+    BellmanMax,
+    Box,
+    ConfigError,
+    EllipticityBounds,
+    EquationInstance,
+    ExponentPair,
+    ScalarField,
+    SymMatrix,
+    UniformGrid,
+    solve_dirichlet,
+)
 from ergopde import cli
 from ergopde.cli import _experiment, _solver_config, main
 
@@ -119,6 +130,39 @@ class TestSolve:
         assert report["max_abs_residual"] < 1e-6
         assert 0.2 < report["u_probe"] < 0.3  # f >= 0.5 pushes u up from 0
 
+    def test_solve_bellman_max_2d(self, tmp_path):
+        # the operator section's matrices reach BellmanMax: the run writes
+        # the field that solve_dirichlet gives on the same instance
+        matrices = [[[1.0, 0.0], [0.0, 2.0]], [[2.0, 0.0], [0.0, 1.0]],
+                    [[1.5, 0.25], [0.25, 1.5]]]
+        cfg = {
+            "instance": {
+                "operator": {"kind": "bellman-max", "a": 1.0, "A": 2.0,
+                             "matrices": matrices},
+                "alpha": 0.0, "beta": 1.5, "b": "1", "f": "1 + 0.5*x*y",
+                "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+            },
+            "grid": {"shape": [9, 9]},
+            "boundary": "0",
+            "probe_point": [0.0, 0.0],
+        }
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+        domain = Box((-1.0, -1.0), (1.0, 1.0))
+        inst = EquationInstance(
+            operator=BellmanMax(tuple(SymMatrix.from_array(np.array(m)) for m in matrices),
+                                EllipticityBounds(1.0, 2.0)),
+            exponents=ExponentPair(0.0, 1.5), b=ScalarField.constant(1.0, 2),
+            f=ScalarField.from_expression("1 + 0.5*x*y", dim=2), domain=domain)
+        u, rep = solve_dirichlet(inst, ScalarField.constant(0.0, 2),
+                                 UniformGrid((9, 9), domain))
+        report = read_report(out)
+        assert report["solver"] == json.loads(json.dumps(rep.to_dict()))
+        assert report["u_probe"] == u.values[4, 4]
+        written = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(written[:, -1], u.values.ravel())
+
     @pytest.mark.parametrize("key", ["engine", "fallback", "theta", "drift_tol",
                                      "delta_schedule", "max_iters"])
     def test_removed_solver_keys_are_rejected(self, key):
@@ -195,6 +239,9 @@ class TestSolve:
         ("oracle", "a", 0),
         ("oracle", "a", -1),
         ("oracle", "a", "x"),
+        ("solve", "instance", dict(INSTANCE_YAML["instance"], operator={"kind": "laplace"})),
+        ("solve", "instance", {k: v for k, v in INSTANCE_YAML["instance"].items()
+                               if k != "f"}),
     ], ids=["truncation-abc", "delta-many", "truncation-negative",
             "truncation-number", "inner-tol-list", "ladder-word", "solver-key-misspelt",
             "tol-abc", "c-abc", "tol-nan", "reference-not-mapping", "oracle-tol-nan",
@@ -205,7 +252,8 @@ class TestSolve:
             "uniqueness-string", "shape-fraction",
             "grid-sizes-fraction", "trials-fraction", "trials-infinite",
             "inner-tol-boolean", "tol-boolean", "delta-zero", "inner-tol-nan",
-            "oracle-a-zero", "oracle-a-negative", "oracle-a-word"])
+            "oracle-a-zero", "oracle-a-negative", "oracle-a-word",
+            "operator-kind-unknown", "instance-f-missing"])
     def test_bad_values_are_config_errors(self, tmp_path, capsys, monkeypatch, command,
                                           key, value):
         def no_work(*args, **kwargs):
@@ -408,6 +456,18 @@ class TestAsymptotics:
         lines = (tmp_path / "a" / "profile.csv").read_text().splitlines()
         assert lines[0] == "face,d,u,d_chi_u_over_C"
         assert len(lines) == 1 + 122
+
+    @pytest.mark.parametrize("command", ["asymptotics", "ergodic"])
+    def test_b_zero_has_no_blowup_amplitude(self, tmp_path, command):
+        # C includes b^(-1/(beta - alpha - 1)): at b = 0 there is none, and
+        # the run fails by name instead of fitting against the b = 1 value
+        cfg = dict(BASE_CONFIGS[command], instance=dict(INSTANCE_YAML["instance"], b="0"))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 1
+        report = read_report(out)
+        assert report["failed"] is True and report["error"] == "OutOfRange"
+        assert report["message"] == "the blow-up amplitude needs b > 0 on the face"
 
 
 class TestPropertySuite:

@@ -20,6 +20,7 @@ from ergopde import (
     PucciPlus,
     ScalarField,
     ScaledTrace,
+    SolverConfig,
     UniformGrid,
     UnresolvedLayer,
     UnsupportedCase,
@@ -179,10 +180,10 @@ class TestEstimate:
 
         monkeypatch.setattr(ergodic, "solve_dirichlet", counted)
         u, _ = solve_at(exp, COSINE_C + 1.0, 8.0)
-        assert configs == [(exp.config(), None)]
+        assert configs == [(SolverConfig(), None)] and exp.solver_config == SolverConfig()
         assert u.values[0] == u.values[-1] == 8.0
         v, _ = solve_at(exp, COSINE_C + 1.0, 5.0, start=u)
-        assert configs[1][0] == exp.config() and configs[1][1] is u
+        assert configs[1][0] == SolverConfig() and configs[1][1] is u
         assert v.values[0] == v.values[-1] == 5.0
 
         def fail(*args, **kwargs):
@@ -434,12 +435,13 @@ class TestProfileVerification:
         u = GridFunction(exp.grid, np.random.default_rng(3).normal(size=shape))
         grad = gradient_field(u.values, exp.grid.spacing)
         trends = []
-        for name, normal, node in _face_rays(exp):
+        for name, normal, node, ray_c in _face_rays(exp):
             ds, vals, ray = _layer_samples(exp, u, name, normal, node)
             ref_ds, ref_vals, nodes = loop_layer_samples(exp, u, normal, node)
             assert np.array_equal(ds, ref_ds) and np.array_equal(vals, ref_vals)
             assert list(zip(*np.broadcast_arrays(*ray))) == nodes
             c_ref = amplitude_C(inst.operator, normal, inst.exponents)
+            assert ray_c == c_ref  # b = 1
             rate = []
             for d, idx in zip(ref_ds, nodes):
                 g = np.array([gk[tuple(i - 1 for i in idx)] for gk in grad])
@@ -448,6 +450,31 @@ class TestProfileVerification:
             design = np.column_stack([np.ones_like(ref_ds), ref_ds])
             trends.append(float(np.linalg.lstsq(design, rate, rcond=None)[0][0]))
         assert [f["trend"] for f in verify_gradient_rate(exp, u)["faces"]] == trends
+
+    @pytest.mark.parametrize("beta, n, c_omega, dc, ladder", [
+        (2.0, 801, COSINE_C, 0.009, (10.0, 15.0, 20.0)),
+        (1.5, 401, POWER_C, 1e-4, (10.0, 20.0, 40.0))], ids=["log", "power"])
+    def test_b_twins_read_the_same_errors(self, beta, n, c_omega, dc, ladder):
+        # at alpha = 0, lam u solves the b = 2 problem with f, c and the data
+        # scaled by lam = 2^(-1/(beta - 1)) when u solves the b = 1 one: its
+        # face amplitude is lam C, and its profile and gradient-rate errors
+        # are the b = 1 ones
+        reports = []
+        for b in (1.0, 2.0):
+            lam = b ** (-1.0 / (beta - 1.0))
+            exp = experiment(make_instance(0.0, beta, b=repr(b)), n,
+                             tuple(lam * v for v in ladder))
+            c = lam * (c_omega + dc)
+            u, _ = solve_at(exp, c, exp.ladder[-1])
+            reports.append((lam, verify_blowup_profile(exp, c, u),
+                            verify_gradient_rate(exp, u)))
+        (_, profile, rate), (lam, twin_profile, twin_rate) = reports
+        assert [lam * fc["c_ref"] for fc in profile["faces"]] \
+            == [fc["c_ref"] for fc in twin_profile["faces"]]
+        assert twin_profile["max_c_rel_error"] == pytest.approx(
+            profile["max_c_rel_error"], rel=0, abs=1e-9)
+        assert twin_rate["max_deviation"] == pytest.approx(
+            rate["max_deviation"], rel=0, abs=1e-9)
 
     def test_synthetic_exact_power_profile(self, power_instance):
         # u = C d^-chi exactly: the fit must recover chi and C
@@ -563,6 +590,15 @@ class TestUniqueness:
         inst = make_instance(0.0, 2.0, f="10.0")
         exp = experiment(inst, 101, (5.0, 10.0))
         with pytest.raises(HypothesisViolated):
+            check_uniqueness_hypotheses(exp, -1.0)
+
+    def test_hypothesis_check_rejects_the_borderline_gap_at_nonzero_alpha(self):
+        # beta = alpha + 2 is covered at alpha = 0 only
+        check_uniqueness_hypotheses(experiment(make_instance(0.0, 2.0), 101, (5.0, 10.0)),
+                                    -1.0)
+        exp = experiment(make_instance(0.5, 2.5), 101, (5.0, 10.0))
+        with pytest.raises(HypothesisViolated, match=(
+                r"^uniqueness requires beta < alpha \+ 2 when alpha != 0$")):
             check_uniqueness_hypotheses(exp, -1.0)
 
 

@@ -89,6 +89,21 @@ class TestAmplitude:
         c = amplitude_C(spec, (0.0, 1.0), ExponentPair(0.0, 2.0))
         assert c == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("beta", [1.5, 2.0])
+    def test_b_enters_as_a_power(self, beta):
+        # C b^(-1/(beta - alpha - 1)): the same float at b = 1, one value per
+        # face value for an array, and no amplitude where b <= 0
+        ep = ExponentPair(0.0, beta)
+        c = amplitude_C(ScaledTrace(), (1.0,), ep)
+        assert amplitude_C(ScaledTrace(), (1.0,), ep, 1.0) == c
+        assert type(amplitude_C(ScaledTrace(), (1.0,), ep, 1.0)) is type(c)
+        b = np.array([0.5, 2.0, 3.0])
+        np.testing.assert_array_equal(amplitude_C(ScaledTrace(), (1.0,), ep, b),
+                                      c * b ** (-1.0 / (beta - 1.0)))
+        for bad in (0.0, -2.0, math.nan, np.array([1.0, 0.0])):
+            with pytest.raises(OutOfRange, match="needs b > 0"):
+                amplitude_C(ScaledTrace(), (1.0,), ep, bad)
+
     @settings(max_examples=50, deadline=None)
     @given(admissible)
     def test_amplitude_positive(self, ab):

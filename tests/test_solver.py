@@ -32,8 +32,9 @@ from ergopde import (
     residual_field,
     solve_dirichlet,
 )
-from ergopde.solver import _blowup_part, _copy_edges, _initial_guess, _max_axis_slope, \
-    _run_newton, _System
+from ergopde import solver
+from ergopde.solver import _PECLET_THRESHOLD, _blowup_part, _copy_edges, _initial_guess, \
+    _max_axis_slope, _run_newton, _System
 from conftest import (
     COSINE_C,
     INTERVAL,
@@ -63,14 +64,21 @@ def ac6_operator(kind, dim):
 
 
 OPERATOR_KINDS = ("trace", "pucci+", "pucci-", "bellman-max")
-# centered differences everywhere, and a residual tolerance well below the
-# 1e-9 the stencil-exact solves are held to
-EXACT_CONFIG = SolverConfig(inner_tol=1e-12, peclet_threshold=math.inf)
+# a residual tolerance well below the 1e-9 the stencil-exact solves are
+# held to; they also take the `centered` fixture
+EXACT_CONFIG = SolverConfig(inner_tol=1e-12)
 
 
-def make_system(inst, grid, eps, m_level, delta, config, blowup=None):
-    system = _System(inst, grid, config, blowup)
+@pytest.fixture
+def centered(monkeypatch):
+    """Centered differences everywhere: no Dirichlet node is upwinded."""
+    monkeypatch.setattr(solver, "_PECLET_THRESHOLD", math.inf)
+
+
+def make_system(inst, grid, eps, m_level, delta, threshold, blowup=None):
+    system = _System(inst, grid, SolverConfig(), blowup)
     system.eps, system.m_level, system.delta = eps, m_level, delta
+    system.peclet_threshold = threshold
     return system
 
 
@@ -151,6 +159,7 @@ class TestDirichletExactness:
 class TestEveryOperator:
     """The Newton (Howard) engine on every operator, in 1D and 2D."""
 
+    @pytest.mark.usefixtures("centered")
     @pytest.mark.parametrize("kind", OPERATOR_KINDS)
     @pytest.mark.parametrize("k", [-1.3, 0.7])
     def test_quadratic_1d_is_stencil_exact(self, kind, k):
@@ -171,6 +180,7 @@ class TestEveryOperator:
         x = grid.axes()[0]
         assert np.abs(u.values - (0.5 * k * x**2 + 0.4 * x)).max() < 1e-9
 
+    @pytest.mark.usefixtures("centered")
     @pytest.mark.parametrize("kind", OPERATOR_KINDS)
     def test_quadratic_2d_is_stencil_exact(self, kind):
         # u = x^T H x / 2 + g.x with H of mixed-sign spectrum and an xy term:
@@ -383,8 +393,8 @@ class TestJacobian:
         dim = len(shape)
         grid, u, hess = smooth_profile(dim, shape)
         inst = profile_instance(ac6_operator(kind, dim), alpha, dim)
-        config = SolverConfig(peclet_threshold=-math.inf if upwind else math.inf)
-        system = make_system(inst, grid, 0.1, 100.0, 0.25, config)
+        system = make_system(inst, grid, 0.1, 100.0, 0.25,
+                             -math.inf if upwind else math.inf)
         mask = system.evaluate(u).upwind
         assert mask.all() if upwind else not mask.any()
         for t in hess:  # 1D: no node sits on the kink of F
@@ -403,7 +413,7 @@ class TestJacobian:
         # matrix dropped its zeros.
         grid, u, _ = smooth_profile(2, shape)
         system = make_system(profile_instance(ac6_operator(kind, 2), 0.0, 2), grid,
-                             0.1, 100.0, 0.25, SolverConfig())
+                             0.1, 100.0, 0.25, _PECLET_THRESHOLD)
         ev = system.evaluate(u)
         first = system.jacobian(ev)
         dense, my = first.toarray(), shape[1] - 2
@@ -427,8 +437,7 @@ class TestJacobian:
         grid, u, _ = smooth_profile(dim)
         inst = profile_instance(ScaledTrace(1.5), alpha, dim)
         blowup = _blowup_part(inst, grid) if closure == "edge" else None
-        system = make_system(inst, grid, 0.1, math.inf, 0.25,
-                             SolverConfig(peclet_threshold=math.inf), blowup)
+        system = make_system(inst, grid, 0.1, math.inf, 0.25, math.inf, blowup)
         c, step = -0.7, 1e-3  # R is affine in c: a long step rounds off less
         columns = []
         for shift in (step, -step):
@@ -472,6 +481,25 @@ class TestCenteredShortCuts:
         _copy_edges(u)
         np.testing.assert_array_equal(u, want)
 
+    def test_the_problem_chooses_the_scheme(self, monkeypatch):
+        # a Dirichlet system switches at the module's threshold; a remainder
+        # system is centered, so its solve never computes a Peclet number
+        inst, grid = make_instance(0.0, 2.0, f="0.5*cos(3.0*x)"), interval_grid(41)
+        dirichlet = _System(inst, grid, SolverConfig())
+        assert (dirichlet.peclet_threshold, dirichlet.s_second) == (_PECLET_THRESHOLD, 0.0)
+        remainder = _System(inst, grid, SolverConfig(), _blowup_part(inst, grid))
+        assert remainder.peclet_threshold == math.inf
+        assert remainder.s_second.shape == (39,) and remainder.s_second.min() > 0.0
+
+        def refuse(*args):
+            raise AssertionError("a Peclet number was computed")
+
+        monkeypatch.setattr(_System, "_switched_magnitude", refuse)
+        _, _, its = solver.solve_remainder(inst, grid, (20,))
+        assert its > 0
+        with pytest.raises(AssertionError, match="Peclet number"):
+            solve(inst, 1.0, 41)
+
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     @pytest.mark.parametrize("dim, closure", [(1, "dirichlet"), (2, "dirichlet"),
                                               (1, "edge"), (2, "edge")])
@@ -487,14 +515,13 @@ class TestCenteredShortCuts:
         real = _System._switched_magnitude
 
         def spy(system, slopes, g_c):
-            switched.append(system.config.peclet_threshold)
+            switched.append(system.peclet_threshold)
             return real(system, slopes, g_c)
 
         monkeypatch.setattr(_System, "_switched_magnitude", spy)
         evs = []
         for threshold in (math.inf, float(np.finfo(float).max)):
-            system = make_system(inst, grid, 0.1, 100.0, 0.25,
-                                 SolverConfig(peclet_threshold=threshold), blowup)
+            system = make_system(inst, grid, 0.1, 100.0, 0.25, threshold, blowup)
             system.set_c(-0.7)
             evs.append(system.evaluate(u.copy()))
         assert switched == [float(np.finfo(float).max)]
@@ -524,14 +551,14 @@ class TestStageResidual:
     b = "1 + 0.5*x"
     f = "0.5*cos(3.0*x)"
 
-    def system(self, grid, m_level, config, operator=None):
+    def system(self, grid, m_level, threshold, operator=None):
         inst = EquationInstance(
             operator=operator or ScaledTrace(self.coef),
             exponents=ExponentPair(0.0, 2.0),
             b=ScalarField.from_expression(self.b, dim=grid.dim),
             f=ScalarField.from_expression(self.f, dim=grid.dim), domain=grid.box,
         )
-        return inst, make_system(inst, grid, 1e-3, m_level, 0.25, config)
+        return inst, make_system(inst, grid, 1e-3, m_level, 0.25, threshold)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_centered_matches_residual_field(self, dim):
@@ -548,8 +575,7 @@ class TestStageResidual:
             operator = ac6_operator("bellman-max", 2)
             x, y = grid.coords()
             u = 3.0 + np.sin(2.0 * x) + x**2 + 0.7 * x * y - 0.3 * y**2
-        inst, system = self.system(grid, 10.0, SolverConfig(peclet_threshold=math.inf),
-                                 operator)
+        inst, system = self.system(grid, 10.0, math.inf, operator)
         ev = system.evaluate(u)
         assert ev.gmag.max() < 10.0
         ref = residual_field(inst, GridFunction(grid, u))
@@ -568,7 +594,7 @@ class TestStageResidual:
         u = 10.0 - 3.0 * np.log(1.02 - x**2)
         u[2] = u[3] - 0.1  # a dip: both one-sided slopes point uphill there
         m_level = 1e3
-        inst, system = self.system(grid, m_level, SolverConfig())
+        inst, system = self.system(grid, m_level, _PECLET_THRESHOLD)
         xi = x[1:-1]
         b = 1.0 + 0.5 * xi
         centered = np.abs(u[2:] - u[:-2]) / (2.0 * h)
@@ -737,6 +763,17 @@ class TestFailureModes:
                 r"^newton stalled at delta=0\.0009765625: residual 1\.187e-01 after 20 "
                 r"steps, not halved from 1\.250e-01 in the last 20$")):
             _run_newton(system, np.zeros(81))
+
+    def test_truncation_cap_raises(self, monkeypatch):
+        # the asymptotics power case needs several truncation rounds: M starts
+        # at 1 from the constant datum and grows to the wall's slope
+        inst = make_instance(0.0, 1.5).shifted_f(POWER_C + 1e-4)
+        _, rep = solve(inst, 40.0, 401)
+        assert rep.truncation_rounds > 1
+        monkeypatch.setattr(solver, "_MAX_TRUNCATION_ROUNDS", 1)
+        with pytest.raises(NonConvergence, match=(
+                r"^truncation level still active after 1 rounds \(M = 1\)$")):
+            solve(inst, 40.0, 401)
 
     def test_failed_line_search_restores_c(self, monkeypatch):
         # the first step of a remainder solve lowers the residual; when every
