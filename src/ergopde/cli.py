@@ -10,7 +10,8 @@ unless ``--force`` is given.
 Each runner reads all of its inputs inside one ``with _reading():`` block
 before it starts any work, so a missing key, a key the run does not read,
 a value of the wrong type or a value the constructors refuse is a config
-error (exit 2, no report).
+error (exit 2): no report and no manifest, and ``--out`` is left as the run
+found it.
 Exit 1 means only that the experiment itself failed; its failure report is
 still written.  Exit 0 is success.
 """
@@ -19,7 +20,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
+import itertools
 import json
 import sys
 from contextlib import contextmanager
@@ -230,14 +233,16 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def prepare_outdir(out: Path, force: bool) -> Path:
+def prepare_outdir(out: Path, force: bool) -> tuple:
+    """(out, the directories made for it, innermost first)."""
     out = Path(out)
     if out.exists() and any(out.iterdir()) and not force:
         raise ConfigError(
             f"output directory {out} is not empty (pass --force to overwrite)"
         )
+    made = list(itertools.takewhile(lambda p: not p.exists(), (out, *out.parents)))
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return out, made
 
 
 def write_manifest(out: Path, digest: str, seed: int | None) -> None:
@@ -477,6 +482,7 @@ _RUNNERS = {
 # entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ergopde",
@@ -496,18 +502,22 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg, digest = load_config(args.config)
-        out = prepare_outdir(args.out, args.force)
+        out, made = prepare_outdir(args.out, args.force)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    write_manifest(out, digest, args.seed)
     runner = _RUNNERS[args.command]
     try:
         report = runner(cfg, out, args.seed)
     except ConfigError as exc:
+        # a runner refuses its config before it writes a file: leave --out
+        # as the run found it
+        for directory in made:
+            directory.rmdir()
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ErgopdeError as exc:
+        write_manifest(out, digest, args.seed)
         write_json(out / "report.json", {
             "experiment": args.command,
             "failed": True,
@@ -517,6 +527,7 @@ def main(argv=None) -> int:
         })
         print(f"experiment failure: {exc}", file=sys.stderr)
         return 1
+    write_manifest(out, digest, args.seed)
     report["config_sha256"] = digest
     report["failed"] = False
     write_json(out / "report.json", report)

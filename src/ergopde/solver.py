@@ -60,6 +60,11 @@ _EPS_SCALE = 1e-3
 # runs halve it within 6 steps in the tests, workloads and demos (16 inside
 # solves that fail).
 _STALL_STEPS = 20
+# the factor by which a damped trial's residual norm may exceed the current
+# one and still pass the natural monotonicity test (`_run_newton`); with no
+# bound, a large-amplitude remainder solve ((1, 2.5) on 1601 nodes) climbs
+# to a residual of 8e13 and stalls, and bounds from 4 to 100 all converge
+_GROWTH_BOUND = 10.0
 _MAX_TRUNCATION_ROUNDS = 400
 # the cell Peclet number above which a Dirichlet node takes the Godunov
 # magnitude (`_System.evaluate`); a remainder system is centered
@@ -505,27 +510,29 @@ class _System:
         """dR/dc = -rho, the column of the shift c in the bordered Jacobian."""
         return np.broadcast_to(-ev.rho, self.f_base.shape)
 
-    def bordered_step(self, ev: _Evaluation, border) -> tuple:
+    def bordered_step(self, jac, ev: _Evaluation, border, at: _Evaluation | None = None) -> tuple:
         """(du, dc) with J du + (dR/dc) dc = -res and du(x0) = -u(x0), x0 = border.
 
-        K = J + e0 e0^T, which stays regular where the constants lie in J's
-        kernel (the edge closure at alpha = 0), gives K y = -res - e0 u(x0)
-        and K z = dR/dc from one factorization; then dc = (y(x0) + u(x0)) /
-        z(x0) and du = y - z dc.
+        J is `jac`, the packed K = J + e0 e0^T of `ev`, and dR/dc is ev's;
+        res and u are those of `at` (by default ev), so at a trial iterate
+        this is the simplified Newton correction.  K stays regular where the
+        constants lie in J's kernel (the edge closure at alpha = 0); it
+        gives K y = -res - e0 u(x0) and K z = dR/dc from one solve, then
+        dc = (y(x0) + u(x0)) / z(x0) and du = y - z dc.
         """
-        u0 = self.interior(ev.u)[border]
-        rhs = np.stack([-ev.res, self.c_column(ev)], -1)
+        at = at or ev
+        u0 = self.interior(at.u)[border]
+        rhs = np.stack([-at.res, self.c_column(ev)], -1)
         rhs[border + (0,)] -= u0
-        yz = self.solve(ev, rhs, border)
+        yz = self.solve(jac, rhs)
         y, z = yz[..., 0], yz[..., 1]
         dc = (y[border] + u0) / z[border]
         return y - z * dc, float(dc)
 
-    def solve(self, ev: _Evaluation, rhs, border=None):
-        """Solve J d = rhs (K d = rhs with `border`) for one interior array
-        or a stack of them (last axis)."""
-        jac = self.jacobian(ev, border)
-        if ev.u.ndim == 1:
+    def solve(self, jac, rhs):
+        """Solve jac d = rhs, jac packed by `jacobian`, for one interior
+        array or a stack of them (last axis)."""
+        if len(self.h) == 1:
             return scipy.linalg.solve_banded((1, 1), jac, rhs)
         with warnings.catch_warnings():  # a singular matrix gives NaN, tested below
             warnings.simplefilter("ignore", scipy.sparse.linalg.MatrixRankWarning)
@@ -538,35 +545,56 @@ class _System:
 def _run_newton(system: _System, u_full, border=None) -> tuple:
     """Semismooth Newton (Howard's policy iteration) on the regularized system.
 
-    Globalized by an Armijo line search on the l2 residual norm alone: a
-    run whose 25 step halvings all fail to lower the residual ends there,
-    as solving again would give the same direction.  Convergence is
-    declared on the residual norm, each node's residual less the rounding
-    of s'' there (`system.s_second`, 0 without a blow-up part), against the
-    tolerance (scaled by the data) plus the rounding floor of the second
-    differences; never on the update size alone, and checked at the start
-    and after each step.  No step budget: the run stalls once
-    `_STALL_STEPS` steps pass without the residual norm halving again (the
-    progress tests of Deuflhard and of Kelley).
+    Globalized by damping.  A trial u + lambda du is accepted by the Armijo
+    test on the RMS residual norm or, when that fails, by Deuflhard's natural
+    monotonicity test (NLEQ-ERR, *Newton Methods for Nonlinear Problems*,
+    2004, sec. 3.3): its simplified correction, solved with the step's own
+    Jacobian, is at most (1 - lambda/4) times the step in the RMS norm, and
+    its residual norm at most `_GROWTH_BOUND` times the current one.  That
+    measure is affine invariant, so rows of a large scale (those next to the
+    wall of a blow-up part) do not dominate it.  Otherwise lambda is halved;
+    a run whose 25 halvings are all refused ends there, as solving again
+    would give the same direction.  The Jacobian is packed once per step
+    (`_System.jacobian`); the correction is solved only after the Armijo
+    test refuses a trial.  Convergence is declared on the residual norm,
+    each node's residual less the rounding of s'' there (`system.s_second`,
+    0 without a blow-up part), against the tolerance (scaled by the data)
+    plus the rounding floor of the second differences; never on the update
+    size alone, and checked at the start and after each step.  No step
+    budget: the run stalls once `_STALL_STEPS` steps pass without the
+    residual norm halving again (the progress tests of Deuflhard and of
+    Kelley).
     Returns (evaluation, steps): the `_Evaluation` of the converged
     iterate, whose residual met the tolerance, and the number of Newton
     steps taken, 0 when the start already met it.
 
     With `border`, an interior index x0, the system is bordered (Keller):
     the shift c of f (`system.c`) is one more unknown and u(x0) = 0 one more
-    equation (`_System.bordered_step`).
+    equation (`_System.bordered_step`); the norms then run over (u, c).
     """
     h2 = min(system.h2) / u_full.ndim  # sum over axes of 1/h^2 is at most dim/h_min^2
     data_tol = system.config.inner_tol * (1.0 + float(np.abs(system.f_int).max()))
     rounding = 4.0 * float(np.finfo(float).eps) * system.instance.operator.bounds.A
     s_floor = rounding * system.s_second  # each node's floor is raised by s'' there
 
-    def norm(ev, res):  # bordered: u(x0) is one more entry of the residual
-        r = res.ravel()
-        u0 = 0.0 if border is None else float(system.interior(ev.u)[border])
-        return math.sqrt(r.dot(r) + u0 * u0) / math.sqrt(r.size + (border is not None))
+    def rms(v, last):  # bordered: `last`, u(x0) of a residual or dc of a step, is one more entry
+        r = v.ravel()
+        return math.sqrt(r.dot(r) + last * last) / math.sqrt(r.size + (border is not None))
 
-    dc = 0.0
+    def norm(ev, res):
+        return rms(res, 0.0 if border is None else float(system.interior(ev.u)[border]))
+
+    def newton_step(at):  # (du, dc) from the step's Jacobian and the residual at `at`
+        if border is None:
+            return system.solve(jac, -at.res), 0.0
+        return system.bordered_step(jac, ev, border, at)
+
+    def monotone(trial_ev, step):  # the natural monotonicity test; a failed solve refuses
+        try:
+            return rms(*newton_step(trial_ev)) <= (1.0 - 0.25 * step) * step_norm
+        except (np.linalg.LinAlgError, ValueError):
+            return False
+
     ev = system.evaluate(u_full)
     res_norm = best = norm(ev, ev.res)  # best: the residual norm at the last halving
     steps = halved_at = 0
@@ -580,14 +608,13 @@ def _run_newton(system: _System, u_full, border=None) -> tuple:
                 f"newton stalled at delta={system.delta}: residual {res_norm:.3e} after "
                 f"{steps} steps, not halved from {best:.3e} in the last {_STALL_STEPS}")
         try:
-            if border is None:
-                delta_u = system.solve(ev, -ev.res)
-            else:
-                delta_u, dc = system.bordered_step(ev, border)
+            jac = system.jacobian(ev, border)
+            delta_u, dc = newton_step(ev)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise NonConvergence(
                 f"newton linear solve failed at delta={system.delta}: {exc}"
             ) from exc
+        step_norm = rms(delta_u, dc)
         c = system.c
         step = 1.0
         for _ in range(25):
@@ -596,7 +623,9 @@ def _run_newton(system: _System, u_full, border=None) -> tuple:
             system.set_c(c + step * dc)
             trial_ev = system.evaluate(trial)
             trial_norm = norm(trial_ev, trial_ev.res)
-            if math.isfinite(trial_norm) and trial_norm <= res_norm * (1.0 - 1e-4 * step):
+            if math.isfinite(trial_norm) and (
+                    trial_norm <= res_norm * (1.0 - 1e-4 * step)
+                    or trial_norm <= _GROWTH_BOUND * res_norm and monotone(trial_ev, step)):
                 break
             step *= 0.5
         else:
@@ -648,8 +677,11 @@ def _solve_round(system: _System, u_full) -> tuple:
     At alpha != 0 a failed solve is retried as a continuation through
     delta = 1, 1/2, 1/4, ... down to `config.delta`, each delta
     warm-started from the last: at alpha < 0 and small delta the
-    single-delta Newton run plateaus (its steps grow like delta^(-1/2))
-    and stalls.  Returns (evaluation, Newton steps per delta solved).
+    single-delta Newton run can still find no accepted step or stall
+    (alpha = -0.3, beta = 1.2 on 129 nodes at delta = 2^-17), though the
+    natural monotonicity test of `_run_newton` lets most such runs
+    converge at the one delta.  Returns (evaluation, Newton steps per
+    delta solved).
     """
     delta = system.delta = system.config.delta
     try:
@@ -679,9 +711,12 @@ def solve_dirichlet(
     Newton starts from the interior of `start` when one is given (with the
     boundary values of the data), else from `_initial_guess`; the first
     truncation level is twice the start's largest slope, and at least 1.  Each truncation
-    round is one Newton solve (`_solve_round`, with its delta continuation
-    as a fallback at alpha != 0).  Returns (solution GridFunction,
-    SolveReport).  Raises NonConvergence if a round cannot be completed.
+    round is one damped Newton solve (`_run_newton`: the Armijo test, then
+    the natural monotonicity test on a refused trial) through `_solve_round`,
+    with its delta continuation as a fallback at alpha != 0.  A failed round
+    is retried from the last completed one with a gentler growth of M.
+    Returns (solution GridFunction, SolveReport).  Raises NonConvergence if
+    a round cannot be completed.
     """
     u_full = _boundary_values_full(grid, boundary)
     if start is None:

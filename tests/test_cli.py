@@ -550,6 +550,45 @@ class TestExitCodes:
         rc = main(["oracle", "--config", str(path), "--out", str(out), "--force"])
         assert rc == 0
 
+    def test_refused_config_leaves_out_as_found(self, tmp_path):
+        # a config the runner refuses writes no manifest, so the corrected
+        # config runs into the same --out without --force
+        cfg = json.loads(json.dumps(BASE_CONFIGS["solve"]))
+        cfg["solver"] = {"delta": 0.0}
+        out = tmp_path / "new" / "out"
+        argv = ["solve", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]
+        assert main(argv) == 2
+        assert not (tmp_path / "new").exists()
+        out.mkdir(parents=True)
+        assert main(argv) == 2
+        assert out.is_dir() and not any(out.iterdir())
+        del cfg["solver"]
+        write_config(tmp_path, cfg)
+        assert main(argv) == 0
+        assert read_report(out)["failed"] is False
+        assert (out / "manifest.json").exists()
+
+    def test_parser_is_built_once(self, tmp_path, capsys):
+        # two invocations in one process share the parser: a refused one
+        # (exit 2) leaves nothing behind that changes how the next parses
+        assert cli.build_parser() is cli.build_parser()
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--config", str(tmp_path / "c.yaml")])  # no --out
+        assert info.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        bad = write_config(tmp_path, {"alpha": 0.0, "beta": 2.0, "tol": -1.0}, "bad.yaml")
+        assert main(["oracle", "--config", str(bad), "--out", str(tmp_path / "o1")]) == 2
+        path = write_config(tmp_path, {"alpha": 0.0, "beta": 2.0})
+        assert main(["oracle", "--config", str(path), "--out", str(tmp_path / "o2"),
+                     "--seed", "5"]) == 0
+        manifest = json.loads((tmp_path / "o2" / "manifest.json").read_text())
+        assert manifest["seed"] == 5
+        assert read_report(tmp_path / "o2")["c_erg"] == pytest.approx(-math.pi**2 / 4)
+        cfg = write_config(tmp_path, BASE_CONFIGS["property-suite"], "suite.yaml")
+        assert main(["property-suite", "--config", str(cfg),
+                     "--out", str(tmp_path / "o3")]) == 0
+        assert read_report(tmp_path / "o3")["experiment"] == "property-suite"
+
     def test_experiment_failure_writes_failure_report(self, tmp_path):
         cfg = dict(INSTANCE_YAML)
         # f far below the solvability threshold: the solve cannot converge
@@ -564,7 +603,7 @@ class TestExitCodes:
         assert report["failed"] is True
         assert report["error"] == "NonConvergence"
         assert re.search(r"^newton line search failed at delta=0\.0009765625: no step "
-                         r"lowers the residual 2\.347e\+04 after 0 steps$", report["message"])
+                         r"lowers the residual 1\.831e\+05 after 0 steps$", report["message"])
 
     def test_manifest_records_seed(self, tmp_path):
         path = write_config(tmp_path, {"alpha": 0.0, "beta": 1.5})

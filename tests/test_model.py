@@ -9,18 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergopde import (
+    BellmanMax,
     Box,
     EllipticityBounds,
     ExponentPair,
     OutOfRange,
+    PucciMinus,
     PucciPlus,
     ScalarField,
     ScaledTrace,
+    SymMatrix,
     amplitude_C,
     chi,
     face_normals,
     rescale_residual_factor,
 )
+from ergopde import model
 from ergopde.cli import _instance
 from conftest import make_instance
 
@@ -103,6 +107,34 @@ class TestAmplitude:
         for bad in (0.0, -2.0, math.nan, np.array([1.0, 0.0])):
             with pytest.raises(OutOfRange, match="needs b > 0"):
                 amplitude_C(ScaledTrace(), (1.0,), ep, bad)
+
+    @pytest.mark.parametrize("spec, fnn", [
+        (ScaledTrace(2.0), 2.0),
+        (PucciPlus(EllipticityBounds(1.0, 3.0)), 3.0),
+        (PucciMinus(EllipticityBounds(1.0, 3.0)), 1.0),
+        (BellmanMax((SymMatrix.from_array(np.diag([1.0, 2.0])),
+                     SymMatrix.from_array(np.array([[1.5, 0.25], [0.25, 1.5]]))),
+                    EllipticityBounds(1.0, 2.0)), 1.5),
+    ], ids=["trace", "pucci+", "pucci-", "bellman-max"])
+    @pytest.mark.parametrize("beta", [1.5, 2.0])
+    def test_cached_factor_is_the_formula(self, spec, fnn, beta):
+        # the factor without b is computed once per (operator, normal,
+        # exponents); each call still applies b and refuses b <= 0.  For
+        # the Bellman family F(n (x) n) on n = (1, 0) is max_Q Q_00 = 1.5
+        ep = ExponentPair(0.0, beta)
+        x, e = chi(ep), 1.0 / (beta - 1.0)
+        unit = fnn if x == 0.0 else ((x + 1.0) * fnn) ** e / x
+        b = np.array([0.5, 2.0])
+        normal = np.array([1.0, 0.0]) if spec.kind != "trace" else (1.0,)
+        model._amplitude_at_unit_b.cache_clear()
+        for _ in range(2):
+            assert amplitude_C(spec, normal, ep) == pytest.approx(unit, rel=1e-14)
+            np.testing.assert_allclose(amplitude_C(spec, normal, ep, b),
+                                       unit * b ** -e, rtol=1e-14)
+            with pytest.raises(OutOfRange, match="needs b > 0"):
+                amplitude_C(spec, normal, ep, np.array([1.0, 0.0]))
+        info = model._amplitude_at_unit_b.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
 
     @settings(max_examples=50, deadline=None)
     @given(admissible)

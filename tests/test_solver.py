@@ -117,20 +117,23 @@ class TestDirichletExactness:
         assert np.max(np.abs(u.values - exact(x))) < 5e-3
 
     def test_small_delta_at_negative_alpha(self):
-        # on 65 nodes Newton at delta = 2^-17 alone fails at alpha = -0.5
-        # (from about delta = h^2/32 on); the solve falls back to the
-        # continuation through delta = 1, 1/2, ..., 2^-17, which converges
-        inst = make_instance(-0.5, 1.0, b="0", f="1")
-        u, rep = solve(inst, 0.0, 65, SolverConfig(delta=2.0**-17))
-        assert len(rep.iterations_per_stage) == 18
-        x = interval_grid(65).axes()[0]
-        assert np.max(np.abs(u.values - exact_dirichlet_1d(-0.5, 1.0)(x))) < 6e-3
+        # Newton at delta = 2^-17 alone converges at alpha < 0 (from about
+        # delta = h^2/32 on, the Armijo test alone finds no descent step or
+        # stalls there): the damped steps that the natural monotonicity test
+        # accepts need no continuation in delta
+        for alpha, beta, n, steps, limit in ((-0.5, 1.0, 65, 22, 6e-3),
+                                            (-0.3, 1.2, 257, 18, 1.25e-3)):
+            inst = make_instance(alpha, beta, b="0", f="1")
+            u, rep = solve(inst, 0.0, n, SolverConfig(delta=2.0**-17))
+            assert rep.iterations_per_stage == (steps,)
+            x = interval_grid(n).axes()[0]
+            assert np.max(np.abs(u.values - exact_dirichlet_1d(alpha, 1.0)(x))) < limit
 
     def test_fallback_starts_cheaply(self, monkeypatch):
-        # the one-delta attempt at alpha = -0.3 on 257 nodes finds no descent
-        # step after 3 steps (4 linear solves), and the delta continuation
-        # takes over: 42 linear solves in all.  Every Newton step is one
-        # linear solve.
+        # the one-delta attempt at alpha = -0.3 on 129 nodes finds no step
+        # that either test accepts after 7 steps (149 linear solves, most of
+        # them the simplified corrections of refused trials), and the delta
+        # continuation takes over: 37 steps, 186 linear solves in all
         solve_linear = _System.solve
         calls = []
 
@@ -140,12 +143,13 @@ class TestDirichletExactness:
 
         monkeypatch.setattr(_System, "solve", counted)
         inst = make_instance(-0.3, 1.2, b="0", f="1")
-        u, rep = solve(inst, 0.0, 257, SolverConfig(delta=2.0**-17))
-        assert 0 < len(calls) <= 100
+        u, rep = solve(inst, 0.0, 129, SolverConfig(delta=2.0**-17))
+        assert 0 < len(calls) <= 200
         assert len(rep.iterations_per_stage) == 18
-        x = interval_grid(257).axes()[0]
+        assert sum(rep.iterations_per_stage) == 37
+        x = interval_grid(129).axes()[0]
         err = np.max(np.abs(u.values - exact_dirichlet_1d(-0.3, 1.0)(x)))
-        assert abs(err - 1.2417e-3) < 1e-6
+        assert abs(err - 2.8285e-3) < 1e-6
 
     def test_cosine_case(self):
         # alpha=0, beta=2, f = -1: u = L + log(cos 1 / cos x)
@@ -300,8 +304,9 @@ class TestDegenerate2D:
     @pytest.mark.parametrize("kind, centre", [("trace", 0.0833845747070),
                                               ("pucci-", 0.0569268372192)])
     def test_coarse_square_without_descent_at_delta(self, kind, centre):
-        # at the one delta the line search finds no descent step after a few
-        # Newton steps; the delta fallback converges
+        # at the one delta the Armijo test alone finds no descent step after
+        # a few Newton steps; the natural monotonicity test accepts damped
+        # steps there, and the one delta converges without the fallback
         inst = EquationInstance(
             operator=ac6_operator(kind, 2), exponents=ExponentPair(-0.3, 1.2),
             b=ScalarField.constant(1.0, 2),
@@ -309,6 +314,7 @@ class TestDegenerate2D:
         )
         u, rep = solve_dirichlet(inst, ScalarField.constant(0.0, 2),
                                  UniformGrid((5, 5), SQUARE))
+        assert len(rep.iterations_per_stage) == 1
         # the Newton tolerance on the RMS residual, 1e-8 (1 + |f|), over 9 nodes
         assert rep.final_residual < 1e-7
         assert u.values[2, 2] == pytest.approx(centre, abs=1e-8)
@@ -458,7 +464,8 @@ class TestJacobian:
         # the step solves the bordered system built from the differences
         x0 = tuple(n // 2 - 1 for n in grid.shape)  # interior index of the centre
         res = ev.res
-        du, dc = system.bordered_step(ev, x0)
+        packed = system.jacobian(ev, x0)
+        du, dc = system.bordered_step(packed, ev, x0)
         m = res.size
         bordered = np.zeros((m + 1, m + 1))
         bordered[:m, :m] = fd_jacobian(system, u)
@@ -469,6 +476,17 @@ class TestJacobian:
         got = np.append(du.ravel(), dc)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
         assert du[x0] == pytest.approx(-system.interior(u)[x0])
+        # at a trial (u + du/2, c + dc/2), the simplified correction: the same
+        # bordered matrix, with the trial's residual and u(x0)
+        trial = u.copy()
+        system.interior(trial)[...] += 0.5 * du
+        system.set_c(c + 0.5 * dc)
+        at = system.evaluate(trial)
+        dbar, dcbar = system.bordered_step(packed, ev, x0, at)
+        want = np.linalg.solve(bordered, np.append(-at.res.ravel(),
+                                                   -system.interior(trial)[x0]))
+        got = np.append(dbar.ravel(), dcbar)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
 
 
 class TestCenteredShortCuts:
@@ -749,20 +767,20 @@ class TestFailureModes:
         inst = make_instance(0.0, 2.0, b="1", f="-5.0")
         with pytest.raises(NonConvergence, match=(
                 r"^newton line search failed at delta=0\.0009765625: no step lowers "
-                r"the residual 3\.015e\+03 after 0 steps$")):
+                r"the residual 1\.870e\+04 after 0 steps$")):
             solve(inst, 10.0, 201)
 
     def test_stall_raises(self):
-        # beta < 1 at alpha < 0: the first truncation round (M = 1) of the
-        # BetaBelowOne solve on 81 nodes creeps at the one delta and never
+        # beta < 1 at alpha = -0.5: the first truncation round (M = 1) of a
+        # solve with f = -1 on 33 nodes creeps at delta = 2^-17 and never
         # halves its residual; the solve then falls back to the continuation
-        system = _System(make_instance(-0.3, 0.9, b="1", f="1"), interval_grid(81),
-                         SolverConfig())
+        system = _System(make_instance(-0.5, 0.9, b="1", f="-1"), interval_grid(33),
+                         SolverConfig(delta=2.0**-17))
         system.m_level = 1.0
         with pytest.raises(NonConvergence, match=(
-                r"^newton stalled at delta=0\.0009765625: residual 1\.187e-01 after 20 "
-                r"steps, not halved from 1\.250e-01 in the last 20$")):
-            _run_newton(system, np.zeros(81))
+                r"^newton stalled at delta=7\.62939453125e-06: residual 2\.645e-03 after "
+                r"20 steps, not halved from 2\.762e-03 in the last 20$")):
+            _run_newton(system, np.zeros(33))
 
     def test_truncation_cap_raises(self, monkeypatch):
         # the asymptotics power case needs several truncation rounds: M starts
@@ -820,8 +838,8 @@ class TestFailureModes:
         # run reports either
         jacobian, solve_linear = _System.jacobian, _System.solve
         if fault == "inf-rhs":
-            monkeypatch.setattr(_System, "solve", lambda self, ev, rhs:
-                                solve_linear(self, ev, rhs + math.inf))
+            monkeypatch.setattr(_System, "solve", lambda self, jac, rhs:
+                                solve_linear(self, jac, rhs + math.inf))
         else:
             scale = math.nan if fault == "nan-band" else 0.0
             monkeypatch.setattr(_System, "jacobian", lambda self, ev, border=None:
@@ -831,3 +849,126 @@ class TestFailureModes:
             solve(make_instance(0.0, 1.5, b="1", f="1"), 0.0, 21)
         cause = np.linalg.LinAlgError if fault == "singular" else ValueError
         assert type(info.value.__cause__) is cause
+
+
+def count_linear_solves(monkeypatch) -> list:
+    """Record every `_System.solve` call: the Newton steps and the corrections."""
+    solve_linear, calls = _System.solve, []
+
+    def counted(self, jac, rhs):
+        calls.append(1)
+        return solve_linear(self, jac, rhs)
+
+    monkeypatch.setattr(_System, "solve", counted)
+    return calls
+
+
+class TestNaturalMonotonicity:
+    """Damped trials that the Armijo test refuses, accepted by Deuflhard's
+    natural monotonicity test on the simplified correction."""
+
+    COS3 = "0.5*cos(3.0*x)"
+
+    def test_large_amplitude_remainder_converges(self):
+        # (0.5, 1.8), chi = 7/3: the rows next to the wall dominate the RMS
+        # residual, so the Armijo test alone refuses every trial after 8
+        # steps on 1601 nodes; c_h is 1.2e-3 relative off c_Omega there
+        c_omega, _ = ergodic_constant_1d(ExponentPair(0.5, 1.8),
+                                         ScalarField.from_expression(self.COS3, dim=1))
+        _, c, steps = solver.solve_remainder(make_instance(0.5, 1.8, f=self.COS3),
+                                             interval_grid(1601), (799,))
+        assert steps <= 10
+        assert abs(c - c_omega) < 2e-3 * abs(c_omega)
+        _, _, steps = solver.solve_remainder(make_instance(0.5, 1.8, f="3*cos(x)"),
+                                             interval_grid(401), (199,))
+        assert steps <= 10
+
+    def test_armijo_alone_fails_there(self, monkeypatch):
+        # the natural test off: a growth bound of 0 admits no refused trial
+        monkeypatch.setattr(solver, "_GROWTH_BOUND", 0.0)
+        with pytest.raises(NonConvergence, match=(
+                r"^remainder solve on \(1601,\) nodes: newton line search failed")):
+            solver.solve_remainder(make_instance(0.5, 1.8, f=self.COS3),
+                                   interval_grid(1601), (799,))
+
+    @pytest.mark.parametrize("bound", [4.0, None, 100.0])
+    def test_bounded_growth_converges(self, monkeypatch, bound):
+        # (1, 2.5) on 1601 nodes: the module's bound (None) and any bound
+        # from 4 to 100 converge; each run reads the same c_h
+        if bound is not None:
+            monkeypatch.setattr(solver, "_GROWTH_BOUND", bound)
+        _, c, steps = solver.solve_remainder(make_instance(1.0, 2.5, f=self.COS3),
+                                             interval_grid(1601), (799,))
+        assert steps <= 15
+        assert c == pytest.approx(-45.165469208, rel=1e-8)
+
+    def test_failed_correction_refuses_the_trial(self, monkeypatch):
+        # a simplified correction whose linear solve fails refuses its trial,
+        # as a growth bound of 0 would: the line search fails, named
+        jacobian, solve_linear = _System.jacobian, _System.solve
+        fresh = [False]  # whether the next solve is the step's own
+
+        def packed(self, ev, border=None):
+            fresh[0] = True
+            return jacobian(self, ev, border)
+
+        def solve_once(self, jac, rhs):
+            if not fresh[0]:
+                raise np.linalg.LinAlgError("singular")
+            fresh[0] = False
+            return solve_linear(self, jac, rhs)
+
+        monkeypatch.setattr(_System, "jacobian", packed)
+        monkeypatch.setattr(_System, "solve", solve_once)
+        with pytest.raises(NonConvergence, match=(
+                r"^remainder solve on \(1601,\) nodes: newton line search failed")):
+            solver.solve_remainder(make_instance(0.5, 1.8, f=self.COS3),
+                                   interval_grid(1601), (799,))
+
+    def test_unbounded_growth_stalls(self, monkeypatch):
+        # without the bound, accepted trials climb to a residual of 8e13
+        monkeypatch.setattr(solver, "_GROWTH_BOUND", math.inf)
+        with pytest.raises(NonConvergence, match=(
+                r"^remainder solve on \(1601,\) nodes: newton stalled")):
+            solver.solve_remainder(make_instance(1.0, 2.5, f=self.COS3),
+                                   interval_grid(1601), (799,))
+
+    def test_runs_that_reject_no_trial_are_unchanged(self, monkeypatch):
+        # a run whose every step passes the Armijo test solves no correction:
+        # one linear solve per step, and the iterates of the Armijo test alone
+        calls, steps = count_linear_solves(monkeypatch), []
+        newton = solver._run_newton
+
+        def counted(*args, **kwargs):
+            ev, its = newton(*args, **kwargs)
+            steps.append(its)
+            return ev, its
+
+        monkeypatch.setattr(solver, "_run_newton", counted)
+        runs = []
+        for bound in (solver._GROWTH_BOUND, 0.0):
+            monkeypatch.setattr(solver, "_GROWTH_BOUND", bound)
+            calls.clear()
+            steps.clear()
+            w, c, _ = solver.solve_remainder(make_instance(0.0, 2.0, f=self.COS3),
+                                             interval_grid(101), (49,))
+            u, rep = solve(make_instance(0.0, 2.0, b="1", f="-1.0"), 10.0, 201)
+            assert rep.truncation_rounds > 1
+            assert len(calls) == sum(steps) > 0
+            runs.append((w.values, c, u.values))
+        (w, c, u), (w0, c0, u0) = runs
+        assert np.array_equal(w, w0) and c == c0 and np.array_equal(u, u0)
+
+    def test_bordered_2d_takes_corrections(self, monkeypatch):
+        # (1, 2.5) on 33^2 nodes: some trials pass only the natural test; the
+        # solve reads the c of the Armijo test alone within the tolerance
+        inst = EquationInstance(
+            operator=ScaledTrace(), exponents=ExponentPair(1.0, 2.5),
+            b=ScalarField.constant(1.0, 2), f=ScalarField.constant(0.0, 2), domain=SQUARE,
+        )
+        calls = count_linear_solves(monkeypatch)
+        _, c, steps = solver.solve_remainder(inst, UniformGrid((33, 33), SQUARE), (16, 16))
+        assert len(calls) > steps
+        monkeypatch.setattr(solver, "_GROWTH_BOUND", 0.0)
+        _, c0, _ = solver.solve_remainder(inst, UniformGrid((33, 33), SQUARE), (16, 16))
+        assert c == pytest.approx(c0, rel=1e-9)
