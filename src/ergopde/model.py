@@ -7,7 +7,6 @@ zoom residual factor) used by the asymptotic experiments.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -60,17 +59,7 @@ def amplitude_C(
     """
     if not np.all(np.greater(b, 0.0)):
         raise OutOfRange("the blow-up amplitude needs b > 0 on the face")
-    amp, exponent = _amplitude_at_unit_b(operator, tuple(map(float, boundary_normal)),
-                                         exponents)
-    return amp * b ** -exponent
-
-
-@functools.lru_cache(maxsize=64)
-def _amplitude_at_unit_b(operator, normal: tuple, exponents: ExponentPair) -> tuple:
-    """(`amplitude_C` at b = 1, 1/(beta-alpha-1)), computed once per
-    (operator, normal, exponents): the solver asks for it on every face of
-    every grid."""
-    n = np.asarray(normal)
+    n = np.asarray(boundary_normal, dtype=float)
     if abs(np.linalg.norm(n) - 1.0) > 1e-12:
         raise OutOfRange("boundary normal must be a unit vector")
     proj = operators.SymMatrix.from_array(np.outer(n, n))
@@ -82,13 +71,15 @@ def _amplitude_at_unit_b(operator, normal: tuple, exponents: ExponentPair) -> tu
     x = chi(exponents)
     exponent = 1.0 / (exponents.beta - exponents.alpha - 1.0)
     if x == 0.0:
-        return fnn, exponent
-    # log-space evaluation: the amplitude explodes as beta -> alpha + 1
-    # and should saturate to inf rather than raise OverflowError
-    try:
-        return math.exp(exponent * math.log((x + 1.0) * fnn) - math.log(x)), exponent
-    except OverflowError:
-        return math.inf, exponent
+        amp = fnn
+    else:
+        # log-space evaluation: the amplitude explodes as beta -> alpha + 1
+        # and should saturate to inf rather than raise OverflowError
+        try:
+            amp = math.exp(exponent * math.log((x + 1.0) * fnn) - math.log(x))
+        except OverflowError:
+            amp = math.inf
+    return amp * b ** -exponent
 
 
 def rescale_residual_factor(exponents: ExponentPair, delta: float) -> float:

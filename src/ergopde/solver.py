@@ -556,14 +556,19 @@ def _run_newton(system: _System, u_full, border=None) -> tuple:
     a run whose 25 halvings are all refused ends there, as solving again
     would give the same direction.  The Jacobian is packed once per step
     (`_System.jacobian`); the correction is solved only after the Armijo
-    test refuses a trial.  Convergence is declared on the residual norm,
-    each node's residual less the rounding of s'' there (`system.s_second`,
-    0 without a blow-up part), against the tolerance (scaled by the data)
-    plus the rounding floor of the second differences; never on the update
-    size alone, and checked at the start and after each step.  No step
-    budget: the run stalls once `_STALL_STEPS` steps pass without the
-    residual norm halving again (the progress tests of Deuflhard and of
-    Kelley).
+    test refuses a trial, and no more in that step once a refused
+    correction shows that no smaller lambda can pass.  That is read off
+    the linear model of the correction along the step, corr(l) = du +
+    l (corr - du) / lambda: it passes at some l < lambda only if
+    (corr - du) . du < -(lambda/4) |du|^2.  A step that no lambda passes
+    thus costs its halvings' evaluations and few linear solves.
+    Convergence is declared on the residual norm, each node's residual
+    less the rounding of s'' there (`system.s_second`, 0 without a blow-up
+    part), against the tolerance (scaled by the data) plus the rounding
+    floor of the second differences; never on the update size alone, and
+    checked at the start and after each step.  No step budget: the run
+    stalls once `_STALL_STEPS` steps pass without the residual norm halving
+    again (the progress tests of Deuflhard and of Kelley).
     Returns (evaluation, steps): the `_Evaluation` of the converged
     iterate, whose residual met the tolerance, and the number of Newton
     steps taken, 0 when the start already met it.
@@ -589,11 +594,15 @@ def _run_newton(system: _System, u_full, border=None) -> tuple:
             return system.solve(jac, -at.res), 0.0
         return system.bordered_step(jac, ev, border, at)
 
-    def monotone(trial_ev, step):  # the natural monotonicity test; a failed solve refuses
+    def natural(trial_ev, step):  # the natural monotonicity test: (passed, may a smaller lambda pass)
         try:
-            return rms(*newton_step(trial_ev)) <= (1.0 - 0.25 * step) * step_norm
-        except (np.linalg.LinAlgError, ValueError):
-            return False
+            corr, dc_corr = newton_step(trial_ev)
+        except (np.linalg.LinAlgError, ValueError):  # a failed solve refuses, and ends the tests
+            return False, False
+        if rms(corr, dc_corr) <= (1.0 - 0.25 * step) * rms(delta_u, dc):
+            return True, True
+        slope = (corr - delta_u).ravel().dot(delta_u.ravel()) + (dc_corr - dc) * dc
+        return False, slope < -0.25 * step * (delta_u.ravel().dot(delta_u.ravel()) + dc * dc)
 
     ev = system.evaluate(u_full)
     res_norm = best = norm(ev, ev.res)  # best: the residual norm at the last halving
@@ -614,19 +623,20 @@ def _run_newton(system: _System, u_full, border=None) -> tuple:
             raise NonConvergence(
                 f"newton linear solve failed at delta={system.delta}: {exc}"
             ) from exc
-        step_norm = rms(delta_u, dc)
         c = system.c
-        step = 1.0
+        step, testing = 1.0, True  # testing: the natural test may still pass a trial
         for _ in range(25):
             trial = ev.u.copy()
             system.interior(trial)[...] += step * delta_u
             system.set_c(c + step * dc)
             trial_ev = system.evaluate(trial)
             trial_norm = norm(trial_ev, trial_ev.res)
-            if math.isfinite(trial_norm) and (
-                    trial_norm <= res_norm * (1.0 - 1e-4 * step)
-                    or trial_norm <= _GROWTH_BOUND * res_norm and monotone(trial_ev, step)):
+            if math.isfinite(trial_norm) and trial_norm <= res_norm * (1.0 - 1e-4 * step):
                 break
+            if testing and math.isfinite(trial_norm) and trial_norm <= _GROWTH_BOUND * res_norm:
+                passed, testing = natural(trial_ev, step)
+                if passed:
+                    break
             step *= 0.5
         else:
             system.set_c(c)
@@ -677,11 +687,9 @@ def _solve_round(system: _System, u_full) -> tuple:
     At alpha != 0 a failed solve is retried as a continuation through
     delta = 1, 1/2, 1/4, ... down to `config.delta`, each delta
     warm-started from the last: at alpha < 0 and small delta the
-    single-delta Newton run can still find no accepted step or stall
-    (alpha = -0.3, beta = 1.2 on 129 nodes at delta = 2^-17), though the
-    natural monotonicity test of `_run_newton` lets most such runs
-    converge at the one delta.  Returns (evaluation, Newton steps per
-    delta solved).
+    single-delta Newton run plateaus (its steps grow like delta^(-1/2))
+    and stalls, or finds no damped step that `_run_newton` accepts.
+    Returns (evaluation, Newton steps per delta solved).
     """
     delta = system.delta = system.config.delta
     try:

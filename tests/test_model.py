@@ -24,7 +24,6 @@ from ergopde import (
     face_normals,
     rescale_residual_factor,
 )
-from ergopde import model
 from ergopde.cli import _instance
 from conftest import make_instance
 
@@ -117,24 +116,19 @@ class TestAmplitude:
                     EllipticityBounds(1.0, 2.0)), 1.5),
     ], ids=["trace", "pucci+", "pucci-", "bellman-max"])
     @pytest.mark.parametrize("beta", [1.5, 2.0])
-    def test_cached_factor_is_the_formula(self, spec, fnn, beta):
-        # the factor without b is computed once per (operator, normal,
-        # exponents); each call still applies b and refuses b <= 0.  For
-        # the Bellman family F(n (x) n) on n = (1, 0) is max_Q Q_00 = 1.5
+    def test_factor_is_the_formula(self, spec, fnn, beta):
+        # C = ((chi + 1) F(n (x) n))^(1/(beta-alpha-1)) / chi, times
+        # b^(-1/(beta-alpha-1)), for every operator kind; b <= 0 is refused.
+        # For the Bellman family F(n (x) n) on n = (1, 0) is max_Q Q_00 = 1.5
         ep = ExponentPair(0.0, beta)
         x, e = chi(ep), 1.0 / (beta - 1.0)
         unit = fnn if x == 0.0 else ((x + 1.0) * fnn) ** e / x
         b = np.array([0.5, 2.0])
         normal = np.array([1.0, 0.0]) if spec.kind != "trace" else (1.0,)
-        model._amplitude_at_unit_b.cache_clear()
-        for _ in range(2):
-            assert amplitude_C(spec, normal, ep) == pytest.approx(unit, rel=1e-14)
-            np.testing.assert_allclose(amplitude_C(spec, normal, ep, b),
-                                       unit * b ** -e, rtol=1e-14)
-            with pytest.raises(OutOfRange, match="needs b > 0"):
-                amplitude_C(spec, normal, ep, np.array([1.0, 0.0]))
-        info = model._amplitude_at_unit_b.cache_info()
-        assert (info.misses, info.hits) == (1, 3)
+        assert amplitude_C(spec, normal, ep) == pytest.approx(unit, rel=1e-14)
+        np.testing.assert_allclose(amplitude_C(spec, normal, ep, b), unit * b ** -e, rtol=1e-14)
+        with pytest.raises(OutOfRange, match="needs b > 0"):
+            amplitude_C(spec, normal, ep, np.array([1.0, 0.0]))
 
     @settings(max_examples=50, deadline=None)
     @given(admissible)

@@ -117,39 +117,32 @@ class TestDirichletExactness:
         assert np.max(np.abs(u.values - exact(x))) < 5e-3
 
     def test_small_delta_at_negative_alpha(self):
-        # Newton at delta = 2^-17 alone converges at alpha < 0 (from about
-        # delta = h^2/32 on, the Armijo test alone finds no descent step or
-        # stalls there): the damped steps that the natural monotonicity test
-        # accepts need no continuation in delta
-        for alpha, beta, n, steps, limit in ((-0.5, 1.0, 65, 22, 6e-3),
-                                            (-0.3, 1.2, 257, 18, 1.25e-3)):
-            inst = make_instance(alpha, beta, b="0", f="1")
-            u, rep = solve(inst, 0.0, n, SolverConfig(delta=2.0**-17))
-            assert rep.iterations_per_stage == (steps,)
-            x = interval_grid(n).axes()[0]
-            assert np.max(np.abs(u.values - exact_dirichlet_1d(alpha, 1.0)(x))) < limit
+        # on 65 nodes Newton at delta = 2^-17 alone stalls at alpha = -0.5
+        # (from about delta = h^2/32 on), the natural monotonicity test
+        # notwithstanding; the solve falls back to the continuation through
+        # delta = 1, 1/2, ..., 2^-17, which converges
+        inst = make_instance(-0.5, 1.0, b="0", f="1")
+        u, rep = solve(inst, 0.0, 65, SolverConfig(delta=2.0**-17))
+        assert len(rep.iterations_per_stage) == 18
+        x = interval_grid(65).axes()[0]
+        assert np.max(np.abs(u.values - exact_dirichlet_1d(-0.5, 1.0)(x))) < 6e-3
 
     def test_fallback_starts_cheaply(self, monkeypatch):
-        # the one-delta attempt at alpha = -0.3 on 129 nodes finds no step
-        # that either test accepts after 7 steps (149 linear solves, most of
-        # them the simplified corrections of refused trials), and the delta
-        # continuation takes over: 37 steps, 186 linear solves in all
-        solve_linear = _System.solve
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return solve_linear(*args, **kwargs)
-
-        monkeypatch.setattr(_System, "solve", counted)
+        # the one-delta attempt at alpha = -0.3 finds no step that either
+        # test accepts after 3 steps: 8 linear solves, the 4 steps and one
+        # simplified correction each, whose linear model shows that no
+        # smaller damping can pass.  The delta continuation takes over:
+        # 45 (129 nodes) and 46 (257 nodes) linear solves in all
+        calls = count_linear_solves(monkeypatch)
         inst = make_instance(-0.3, 1.2, b="0", f="1")
-        u, rep = solve(inst, 0.0, 129, SolverConfig(delta=2.0**-17))
-        assert 0 < len(calls) <= 200
-        assert len(rep.iterations_per_stage) == 18
-        assert sum(rep.iterations_per_stage) == 37
-        x = interval_grid(129).axes()[0]
-        err = np.max(np.abs(u.values - exact_dirichlet_1d(-0.3, 1.0)(x)))
-        assert abs(err - 2.8285e-3) < 1e-6
+        for n, steps, err in ((129, 37, 2.8285e-3), (257, 38, 1.2417e-3)):
+            calls.clear()
+            u, rep = solve(inst, 0.0, n, SolverConfig(delta=2.0**-17))
+            assert 0 < len(calls) <= 100
+            assert len(rep.iterations_per_stage) == 18
+            assert sum(rep.iterations_per_stage) == steps
+            x = interval_grid(n).axes()[0]
+            assert abs(np.max(np.abs(u.values - exact_dirichlet_1d(-0.3, 1.0)(x))) - err) < 1e-6
 
     def test_cosine_case(self):
         # alpha=0, beta=2, f = -1: u = L + log(cos 1 / cos x)
@@ -304,9 +297,8 @@ class TestDegenerate2D:
     @pytest.mark.parametrize("kind, centre", [("trace", 0.0833845747070),
                                               ("pucci-", 0.0569268372192)])
     def test_coarse_square_without_descent_at_delta(self, kind, centre):
-        # at the one delta the Armijo test alone finds no descent step after
-        # a few Newton steps; the natural monotonicity test accepts damped
-        # steps there, and the one delta converges without the fallback
+        # at the one delta the line search finds no descent step after a few
+        # Newton steps; the delta fallback converges
         inst = EquationInstance(
             operator=ac6_operator(kind, 2), exponents=ExponentPair(-0.3, 1.2),
             b=ScalarField.constant(1.0, 2),
@@ -314,7 +306,6 @@ class TestDegenerate2D:
         )
         u, rep = solve_dirichlet(inst, ScalarField.constant(0.0, 2),
                                  UniformGrid((5, 5), SQUARE))
-        assert len(rep.iterations_per_stage) == 1
         # the Newton tolerance on the RMS residual, 1e-8 (1 + |f|), over 9 nodes
         assert rep.final_residual < 1e-7
         assert u.values[2, 2] == pytest.approx(centre, abs=1e-8)
@@ -771,15 +762,15 @@ class TestFailureModes:
             solve(inst, 10.0, 201)
 
     def test_stall_raises(self):
-        # beta < 1 at alpha = -0.5: the first truncation round (M = 1) of a
-        # solve with f = -1 on 33 nodes creeps at delta = 2^-17 and never
+        # beta < 1 at alpha < 0: the first truncation round (M = 1) of the
+        # BetaBelowOne solve on 33 nodes wanders at the one delta and never
         # halves its residual; the solve then falls back to the continuation
-        system = _System(make_instance(-0.5, 0.9, b="1", f="-1"), interval_grid(33),
-                         SolverConfig(delta=2.0**-17))
+        system = _System(make_instance(-0.3, 0.9, b="1", f="1"), interval_grid(33),
+                         SolverConfig())
         system.m_level = 1.0
         with pytest.raises(NonConvergence, match=(
-                r"^newton stalled at delta=7\.62939453125e-06: residual 2\.645e-03 after "
-                r"20 steps, not halved from 2\.762e-03 in the last 20$")):
+                r"^newton stalled at delta=0\.0009765625: residual 4\.204e-01 after 20 "
+                r"steps, not halved from 1\.250e-01 in the last 20$")):
             _run_newton(system, np.zeros(33))
 
     def test_truncation_cap_raises(self, monkeypatch):
@@ -903,8 +894,9 @@ class TestNaturalMonotonicity:
         assert c == pytest.approx(-45.165469208, rel=1e-8)
 
     def test_failed_correction_refuses_the_trial(self, monkeypatch):
-        # a simplified correction whose linear solve fails refuses its trial,
-        # as a growth bound of 0 would: the line search fails, named
+        # a simplified correction whose linear solve fails refuses its trial
+        # and ends the natural tests of its step, as a growth bound of 0
+        # would: the line search fails, named
         jacobian, solve_linear = _System.jacobian, _System.solve
         fresh = [False]  # whether the next solve is the step's own
 
@@ -924,6 +916,17 @@ class TestNaturalMonotonicity:
                 r"^remainder solve on \(1601,\) nodes: newton line search failed")):
             solver.solve_remainder(make_instance(0.5, 1.8, f=self.COS3),
                                    interval_grid(1601), (799,))
+
+    def test_refused_correction_predicts_a_pass(self):
+        # (-0.3, 0.8), f = 3 cos x on 101 nodes: the first step's trials at
+        # lambda = 1/4, 1/8 and 1/16 fail both tests, each correction's
+        # linear model predicting a pass at a smaller lambda, and 1/32
+        # passes.  The Armijo test alone, or a step that stops testing at
+        # its first refused correction, finds no step there
+        _, c, steps = solver.solve_remainder(make_instance(-0.3, 0.8, f="3*cos(x)"),
+                                             interval_grid(101), (49,))
+        assert steps == 5
+        assert c == pytest.approx(-110690954.47396, rel=1e-9)
 
     def test_unbounded_growth_stalls(self, monkeypatch):
         # without the bound, accepted trials climb to a residual of 8e13
